@@ -24,6 +24,8 @@ import threading
 from pathlib import Path
 from time import monotonic, perf_counter
 
+import speed
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKER = HERE / "worker.py"
@@ -37,7 +39,10 @@ class WorkerError(RuntimeError):
 
 
 def _worker(args, mode: str, deadline: float) -> dict:
-    """Start one worker process; return its result plus ``setup_s``."""
+    """Start one worker process; return its result plus ``setup_s`` and
+    ``setup_scaled_s``, the set-up time scaled to the reference speed by
+    probes taken just before it and, when the worker stops there, after it."""
+    before = speed.speed_now()
     cmd = [sys.executable, str(WORKER), "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--mode", mode]
     start = perf_counter()
@@ -47,6 +52,7 @@ def _worker(args, mode: str, deadline: float) -> dict:
     try:
         ready = proc.stdout.readline()
         setup_s = perf_counter() - start
+        after = speed.speed_now() if mode == "setup" else before
         rest = proc.stdout.read()
         code = proc.wait()
     finally:
@@ -58,6 +64,7 @@ def _worker(args, mode: str, deadline: float) -> dict:
         raise WorkerError(f"{mode} worker for {args.workload} exited with {code}")
     result = json.loads(rest.strip().splitlines()[-1]) if mode != "setup" else {}
     result["setup_s"] = setup_s
+    result["setup_scaled_s"] = setup_s * (before + after) / 2
     return result
 
 
@@ -90,10 +97,10 @@ def main(argv=None) -> int:
             res = _worker(args, "trace", deadline)
             values, wanted = res["layer"], spec["per_layer"]
         else:
-            setups = [_worker(args, "setup", deadline)["setup_s"] for _ in range(SETUPS - 1)]
+            setups = [_worker(args, "setup", deadline) for _ in range(SETUPS - 1)]
             res = _worker(args, "measure", deadline)
-            setups.append(res["setup_s"])
-            values = {**res, "setup_s": statistics.median(setups)}
+            setups.append(res)
+            values = {**res, "setup_s": statistics.median(s["setup_scaled_s"] for s in setups)}
             wanted = spec["end_to_end"]
     except WorkerError as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
@@ -109,11 +116,14 @@ def main(argv=None) -> int:
           f"({failed} of {attempted} items failed)")
     info = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
             "trace": args.trace, "commit": _git_commit(), **res["env"]}
-    for key in ("items", "rounds", "round_items_min", "tail_percentile", "busy_s"):
+    for key in ("items", "rounds", "round_items_min", "tail_percentile", "busy_s", "probes",
+                "speed"):
         if key in res:
             info[key] = res[key]
     if not args.trace:
-        info["setup_samples_s"] = setups
+        raw_setups = [s["setup_s"] for s in setups]
+        info["raw"] = {**res["raw"], "setup_s": statistics.median(raw_setups)}
+        info["setup_samples_s"] = raw_setups
     print("info " + json.dumps(info))
     print(json.dumps({
         "correct": failed == 0,

@@ -1,20 +1,8 @@
-"""Order statistics used by the benchmark (pure Python, no numpy)."""
+"""Order statistics used by the benchmark."""
 
 from __future__ import annotations
 
-import math
 import statistics
-
-
-def percentile(values, q: float) -> float:
-    """Linear-interpolation percentile (numpy's default method)."""
-    xs = sorted(values)
-    if not xs:
-        raise ValueError("percentile of an empty sample")
-    pos = (len(xs) - 1) * q / 100.0
-    lo = math.floor(pos)
-    hi = min(lo + 1, len(xs) - 1)
-    return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 
 def quartile_spread(values) -> float:
@@ -22,3 +10,24 @@ def quartile_spread(values) -> float:
     median, with the quartiles of ``statistics.quantiles(values, n=4)``."""
     q1, med, q3 = statistics.quantiles(values, n=4)
     return (q3 - q1) / med
+
+
+def hd_percentile(values, q: float) -> float:
+    """Harrell-Davis estimate of the ``q``-th percentile: a weighted mean of
+    all order statistics with Beta(q(n+1), (1-q)(n+1)) weights.
+
+    With a few dozen items of several kinds (cli-mix) the sample percentile
+    jumps from one kind's latency to the next as noise reorders them; this
+    estimate moves smoothly.  For thousands of items the two agree.
+    """
+    import numpy as np
+    from scipy.special import betainc
+
+    xs = np.sort(np.asarray(values, dtype=float))
+    n = len(xs)
+    if n == 0:
+        raise ValueError("percentile of an empty sample")
+    p = q / 100.0
+    a, b = p * (n + 1), (1.0 - p) * (n + 1)
+    weights = np.diff(betainc(a, b, np.arange(n + 1) / n))
+    return float(weights @ xs)

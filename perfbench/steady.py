@@ -16,6 +16,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 from stats import quartile_spread
 
@@ -36,18 +37,23 @@ def main(argv=None) -> int:
     ok = True
     for workload in args.workloads:
         values = {name: [] for name in bounds}
+        run_s = []
         for seed in range(1, args.runs + 1):
+            start = perf_counter()
             cmd = [*spec["command"], "--workload", workload, "--seed", str(seed),
                    "--seconds", str(spec["run_seconds"]), "--trace", "0"]
             proc = subprocess.run([sys.executable if c == "python3" else c for c in cmd],
                                   cwd=ROOT, capture_output=True, text=True)
+            run_s.append(perf_counter() - start)
             result = json.loads(proc.stdout.strip().splitlines()[-1])
             if proc.returncode != 0 or not result["correct"]:
                 print(proc.stdout, proc.stderr, file=sys.stderr)
                 return 1
             for name in bounds:
                 values[name].append(result["metrics"][name]["value"])
-        summary[workload] = {}
+        summary[workload] = {"run_s": run_s}
+        print(f"{workload:12s} wall time per run: median {statistics.median(run_s):.1f} s, "
+              f"max {max(run_s):.1f} s", flush=True)
         for name, vals in values.items():
             q1, med, q3 = statistics.quantiles(vals, n=4)
             spread = quartile_spread(vals)

@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from spans import Tracer, layer_metrics, self_times
+from speed import SpeedLog
+from stats import hd_percentile
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -144,3 +146,27 @@ def test_tracer_records_nesting_and_restores_what_it_wrapped():
     assert names == [("bench.item", -1, 7), ("audit.outer", 0, 7), ("engines.inner", 1, 7)]
     tracer.restore()
     assert Owner.inner is original
+
+
+def test_speed_log_scales_each_time_by_the_nearest_probes():
+    log = SpeedLog()
+    log.ref_s = 1.0
+    log.at = [float(t) for t in range(20)]
+    log.took = [1.0] * 10 + [2.0] * 10  # the machine halves its speed at t = 9.5
+    assert log.factor(2.0) == 1.0
+    assert log.factor(9.4) == 1.0
+    assert log.factor(9.6) == 0.5
+    assert log.factor(100.0) == 0.5
+    # each gap between probes weighs with the scale at its end
+    assert log.mean_factor() == pytest.approx((9 * 1.0 + 10 * 0.5) / 19)
+    assert log.speed() == pytest.approx(2.0 / 3.0)
+
+
+def test_harrell_davis_percentile():
+    xs = [float(x) for x in range(101)]
+    assert hd_percentile(xs, 50.0) == pytest.approx(50.0)
+    assert hd_percentile(xs, 90.0) == pytest.approx(90.0, abs=0.5)
+    # two kinds of items: the estimate moves smoothly across the gap
+    # instead of jumping from one kind to the other
+    low, high = [1.0] * 33, [2.0] * 12
+    assert 1.0 < hd_percentile(low + high, 75.0) < 2.0

@@ -46,62 +46,77 @@ def env_info() -> dict:
 
 def _run_rounds(wl, rounds, rec) -> float:
     """Run the given rounds; return the time the program was busy (wall
-    time less the reference checks made meanwhile)."""
+    time less the reference checks and speed probes made meanwhile)."""
     start, check_s = perf_counter(), rec.check_s
+    probe_s = wl.speed.spent if wl.speed is not None else 0.0
     for r in rounds:
         wl.run_round(r, rec)
-    return perf_counter() - start - (rec.check_s - check_s)
+    if wl.speed is not None:
+        probe_s = wl.speed.spent - probe_s
+    return perf_counter() - start - (rec.check_s - check_s) - probe_s
 
 
 def measure(wl, seconds: float) -> dict:
     """Run whole rounds until ``seconds`` have passed.
 
-    The machine's speed drifts over seconds.  Quantiles over all items of a
-    run jump between its slow and fast phases as their shares change, so the
-    latency quantiles are taken per round and averaged over the rounds,
-    which moves them in proportion to the shares instead.
+    Every time is scaled to the reference speed of :mod:`speed` by the
+    probes taken between items; the raw figures go to the run's info.
     """
-    from stats import percentile
+    from speed import SpeedLog
+    from stats import hd_percentile
     from workloads import Record
 
     rec = Record()
-    busy = 0.0
-    sizes, p50, tail = [], [], []
+    wl.speed = speed = SpeedLog(wl.probe)
+    speed.sample()
+    busy, rounds = 0.0, []
     start = perf_counter()
-    while not sizes or perf_counter() - start < seconds:
+    while not rounds or perf_counter() - start < seconds:
         first = len(rec.latencies)
-        busy += _run_rounds(wl, [len(sizes)], rec)
-        lat = rec.latencies[first:]
-        sizes.append(len(lat))
-        if lat:
-            p50.append(percentile(lat, 50.0))
-            tail.append(percentile(lat, wl.tail_q))
+        busy += _run_rounds(wl, [len(rounds)], rec)
+        rounds.append(len(rec.latencies) - first)
+    speed.sample()
+    wl.speed = None
+    lat = rec.latencies
+    scaled = [x * speed.factor(t) for x, t in zip(lat, rec.ends)]
     usage = resource.getrusage(resource.RUSAGE_CHILDREN if wl.rss_from_children
                                else resource.RUSAGE_SELF)
     return {
         "attempted": rec.attempted,
         "failed": rec.failed,
         "failures": rec.failures,
-        "rounds": len(sizes),
-        "items": len(rec.latencies),
-        "round_items_min": min(sizes),
+        "rounds": len(rounds),
+        "items": len(lat),
+        "round_items_min": min(rounds),
         "tail_percentile": wl.tail_q,
         "busy_s": busy,
-        "items_per_s": len(rec.latencies) / busy,
-        "item_p50_ms": 1e3 * sum(p50) / len(p50) if p50 else 0.0,
-        "item_tail_ms": 1e3 * sum(tail) / len(tail) if tail else 0.0,
+        "items_per_s": len(lat) / (busy * speed.mean_factor()),
+        "item_p50_ms": 1e3 * hd_percentile(scaled, 50.0),
+        "item_tail_ms": 1e3 * hd_percentile(scaled, wl.tail_q),
         "peak_rss_mb": usage.ru_maxrss / 1024.0,
+        "raw": {
+            "items_per_s": len(lat) / busy,
+            "item_p50_ms": 1e3 * hd_percentile(lat, 50.0),
+            "item_tail_ms": 1e3 * hd_percentile(lat, wl.tail_q),
+        },
+        "probes": len(speed.took),
+        "speed": speed.speed(),
     }
 
 
 def trace(wl) -> dict:
+    """Run the fixed rounds plain, then traced.  Both times are scaled to
+    the reference speed by probes taken just before and after each, so the
+    tracing overhead is not the machine's drift between the two."""
     from spans import Tracer, install_layers, layer_metrics
+    from speed import speed_now
     from workloads import Record
 
     rounds = range(wl.trace_rounds)
     _run_rounds(wl, rounds, Record())  # finish lazy imports of this path
     plain = Record()
-    untraced_s = _run_rounds(wl, rounds, plain)
+    before = speed_now()
+    untraced_s = _run_rounds(wl, rounds, plain) * (before + speed_now()) / 2
     extras = wl.layer_extras(plain)
 
     tracer = Tracer()
@@ -111,7 +126,8 @@ def trace(wl) -> dict:
         tracer.reset()
         wl.tracer, wl.items_done = tracer, 0
         traced = Record()
-        traced_s = _run_rounds(wl, rounds, traced)
+        before = speed_now()
+        traced_s = _run_rounds(wl, rounds, traced) * (before + speed_now()) / 2
     finally:
         wl.tracer = None
         tracer.restore()
