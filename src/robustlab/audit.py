@@ -5,16 +5,11 @@ evaluates a measure on them, and returns a small report object with a
 ``passed`` flag plus enough detail to localize the first failure.  All
 distances are trace norms of differences.  Measures returning infinity
 are skipped and counted, never treated as violations.
-
-Set ROBUSTLAB_THREADS=N to evaluate batches on a thread pool; results are
-order-preserving, so reports are identical to the serial run.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -56,22 +51,6 @@ __all__ = [
 
 Measure = Callable[[DensityMatrix], float]
 Channel = Callable[[DensityMatrix], DensityMatrix]
-
-
-def _threads() -> int:
-    try:
-        return max(0, int(os.environ.get("ROBUSTLAB_THREADS", "0")))
-    except ValueError:
-        return 0
-
-
-def _pmap(fn, items):
-    items = list(items)
-    n = _threads()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -152,11 +131,7 @@ def audit_lipschitz(
         pairs = lipschitz_pairs(cfg)
     slack = resolve(cfg.tolerance, TOLS.lipschitz_violation_slack)
 
-    def one(item):
-        _, r1, r2 = item
-        return measure(r1), measure(r2), distance(r1, r2)
-
-    rows = _pmap(one, pairs)
+    rows = [(measure(r1), measure(r2), distance(r1, r2)) for _, r1, r2 in pairs]
     tested = violations = skipped = 0
     max_ratio = 0.0
     worst = None
@@ -237,8 +212,8 @@ def audit_faithfulness(
         rho = random_density(cfg.dim, seed=rng)
         if not oracle.member(rho):
             nonfree.append(rho)
-    free_vals = _pmap(measure, free)
-    nonfree_vals = _pmap(measure, nonfree)
+    free_vals = [measure(rho) for rho in free]
+    nonfree_vals = [measure(rho) for rho in nonfree]
     free_nonzero = sum(1 for v in free_vals if v > zero)
     nonfree_zero = sum(1 for v in nonfree_vals if v <= zero)
     return FaithfulnessReport(
@@ -342,12 +317,12 @@ def audit_monotonicity(
                     f"monotonicity against it is not meaningful"
                 )
     states = [random_density(cfg.dim, seed=rng) for _ in range(cfg.samples)]
-    base_vals = _pmap(measure, states)
+    base_vals = [measure(s) for s in states]
     checked = violations = skipped = 0
     worst = 0.0
     per_channel = {name: 0 for name, _ in channels}
     for name, ch in channels:
-        out_vals = _pmap(measure, [ch(s) for s in states])
+        out_vals = [measure(ch(s)) for s in states]
         for v0, v1 in zip(base_vals, out_vals):
             if not (math.isfinite(v0) and math.isfinite(v1)):
                 skipped += 1
@@ -417,7 +392,7 @@ def audit_convexity(
     pairs = list(extra_pairs) + [
         (draw(rng), draw(rng)) for _ in range(cfg.samples)
     ]
-    ends = _pmap(lambda p: (measure(p[0]), measure(p[1])), pairs)
+    ends = [(measure(r1), measure(r2)) for r1, r2 in pairs]
     checked = violations = 0
     worst = -math.inf
     first = None

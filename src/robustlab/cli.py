@@ -5,7 +5,8 @@ functions, and formats their results.  JSON payloads carry a schema
 version field "v": 1; infinite values serialize as the string "inf".
 Exit codes: 0 success, 1 audit failure, 2 invalid input (bad JSON, bad
 shape, Hermiticity/trace violations, unusable parameters), 3 positivity
-violation.
+violation, 4 numerical failure (non-monotone membership along a ray, or
+an eigenvalue too close to the support cutoff to decide the rank).
 """
 
 from __future__ import annotations
@@ -30,7 +31,13 @@ from .engines import (
     lipschitz_from_kappa_ball,
     robustness_along_ray,
 )
-from .errors import ConfigurationError, PositivityError, ValidationError
+from .errors import (
+    ConfigurationError,
+    IllConditionedError,
+    PositivityError,
+    StarConvexityViolationError,
+    ValidationError,
+)
 from .free_sets import (
     bds_params_of,
     is_unfaithful,
@@ -210,12 +217,11 @@ def _cmd_ent_ray(args) -> tuple[int, dict]:
 
 def _cmd_tel_check(args) -> tuple[int, dict]:
     rho = _state_arg(args)
-    p_max = singlet_fraction(rho, restarts=args.samples, seed=args.seed)
     return 0, {
         "v": SCHEMA_VERSION,
-        "singlet_fraction": p_max,
+        "singlet_fraction": singlet_fraction(rho),
         "threshold": 0.5,
-        "unfaithful": is_unfaithful(rho, restarts=args.samples, seed=args.seed),
+        "unfaithful": is_unfaithful(rho),
     }
 
 
@@ -393,11 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
 
-    p = sub.add_parser("tel-check", parents=[common, state_in],
-                       help="maximal singlet fraction and faithfulness flag")
-    p.add_argument("--samples", type=int, default=12,
-                   help="random restarts for the overlap search")
-    p.add_argument("--seed", type=int, default=0)
+    sub.add_parser("tel-check", parents=[common, state_in],
+                   help="maximal singlet fraction and faithfulness flag")
 
     p = sub.add_parser("counterexample", parents=[common],
                        help="exact vs numeric values along the reference families")
@@ -472,6 +475,9 @@ def main(argv=None) -> int:
     except (ValidationError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (StarConvexityViolationError, IllConditionedError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
     return code
 
 

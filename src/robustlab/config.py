@@ -15,7 +15,6 @@ from dataclasses import dataclass
 class Tolerances:
     # matrix-level structure
     hermiticity: float = 1e-12        # max |H - H^dag| accepted as Hermitian
-    finite_check: float = 0.0         # NaN/Inf are always rejected
     jacobi_offdiag: float = 1e-13     # off-diagonal Frobenius mass at convergence
     reconstruction_per_dim: float = 1e-10   # |H - V L V^dag| <= this * dim
 

@@ -88,13 +88,16 @@ def robustness_along_ray(
     monotone along the ray; a non-monotone pattern raises
     StarConvexityViolationError since bisection would then be unsound.
     The returned value is the feasible end of the final bracket, so the
-    free witness is always a genuine member.
+    free witness is always a genuine member.  ``tol`` and ``s_max`` must be
+    finite and positive (ValidationError otherwise).
     """
     if rho.dims != sigma.dims:
         raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
     tol = resolve(tol, TOLS.ray_bisection)
-    if s_max is None:
-        s_max = 2.0 * rho.dim
+    s_max = 2.0 * rho.dim if s_max is None else float(s_max)
+    for name, v in (("tol", tol), ("s_max", s_max)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
     evals = 0
 
     def mix(s: float) -> DensityMatrix:
@@ -138,6 +141,8 @@ def robustness_along_ray(
     hi = float(grid[first_true])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # bracket at float resolution; tol is below it
+            break
         if member(mid):
             hi = mid
         else:

@@ -130,92 +130,38 @@ def bds_params_of(
     return BellDiagonalParams(b.T[0, 0], b.T[1, 1], b.T[2, 2])
 
 
-# --- maximal Bell-state overlap ---------------------------------------------
+# --- fully entangled fraction -----------------------------------------------
 
-_PHI_PLUS = bell_state_vectors()[0]
-
-
-def _overlap(rho_mat: np.ndarray, angles: np.ndarray) -> float:
-    """<phi+| (U x V)^dag rho (U x V) |phi+> for ZYZ Euler angles (3 + 3)."""
-    ua, ub, uc, va, vb, vc = angles
-    u = _euler(ua, ub, uc)
-    v = _euler(va, vb, vc)
-    # (U x V)|phi+> = vec(U V^T)/sqrt2 in row-major ordering
-    w = (u @ v.T).reshape(4) / math.sqrt(2.0)
-    return float(np.real(w.conj() @ rho_mat @ w))
-
-
-def _euler(a: float, b: float, c: float) -> np.ndarray:
-    cb, sb = math.cos(b / 2.0), math.sin(b / 2.0)
-    rz1 = np.array([np.exp(-0.5j * a), np.exp(0.5j * a)])
-    rz2 = np.array([np.exp(-0.5j * c), np.exp(0.5j * c)])
-    ry = np.array([[cb, -sb], [sb, cb]], dtype=complex)
-    return (rz1[:, None] * ry) * rz2[None, :]
-
-
-# Euler triples whose single-qubit unitaries are 1, sx, sy, sz (up to phase);
-# applied on side A they map |phi+> onto each Bell state, so for Bell-diagonal
-# inputs the structured starts already sit on the exact optima.
-_STRUCTURED_STARTS = (
-    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (-math.pi / 2, math.pi, math.pi / 2, 0.0, 0.0, 0.0),
-    (0.0, math.pi, 0.0, 0.0, 0.0, 0.0),
-    (math.pi, 0.0, 0.0, 0.0, 0.0, 0.0),
+# Magic basis (phi+, i phi-, i psi+, psi-) as columns.  Every maximally
+# entangled two-qubit state is a global phase times a real unit vector in it.
+_MAGIC = np.column_stack(
+    [v * phase for v, phase in zip(bell_state_vectors(), (1.0, 1j, 1j, 1.0))]
 )
 
 
-def singlet_fraction(
-    rho: DensityMatrix, restarts: int = 12, seed: int = 0
-) -> float:
-    """Maximal overlap with a maximally entangled state, by local rotations.
+def singlet_fraction(rho: DensityMatrix) -> float:
+    """Fully entangled fraction: the maximal overlap with a maximally
+    entangled state.
 
-    Multi-start local optimization over the 3 + 3 Euler angles of U x V.
-    The result is a certified lower bound on the true maximum that is
-    monotone in ``restarts`` (random starts are drawn as a deterministic
-    stream, and four structured starts covering the Bell basis are always
-    included).  Exact for Bell-diagonal inputs up to optimizer precision.
+    Exact closed form lambda_max(Re rho_M), where rho_M is rho written in
+    the magic basis (Hill & Wootters, PRL 78, 5022 (1997); Grondalski,
+    Etlinger & James, Phys. Lett. A 300, 573 (2002)): the overlap with the
+    state of real magic-basis coefficients x is x^T (Re rho_M) x.
     """
-    from scipy.optimize import minimize
-
     if rho.dims != (2, 2):
-        raise ValidationError(f"singlet fraction implemented for dims (2, 2) only")
-    m = rho.mat
-    rng = np.random.default_rng(seed)
-    starts = [np.array(s) for s in _STRUCTURED_STARTS]
-    starts += [rng.uniform(0.0, 2.0 * math.pi, size=6) for _ in range(max(0, restarts))]
-    best = -np.inf
-    for s0 in starts:
-        res = minimize(
-            lambda ang: -_overlap(m, ang),
-            s0,
-            method="L-BFGS-B",
-            options={"maxiter": 120},
-        )
-        best = max(best, -float(res.fun), _overlap(m, s0))
-    return best
+        raise ValidationError("singlet fraction implemented for dims (2, 2) only")
+    rho_m = _MAGIC.conj().T @ rho.mat @ _MAGIC
+    return float(np.linalg.eigvalsh(rho_m.real)[-1])
 
 
-def is_unfaithful(
-    rho: DensityMatrix,
-    restarts: int = 12,
-    seed: int = 0,
-    margin: float | None = None,
-) -> bool:
+def is_unfaithful(rho: DensityMatrix, margin: float | None = None) -> bool:
     """Whether no local strategy pushes the Bell overlap above 1/d.
 
-    For Bell-diagonal inputs the overlap maximum is the largest Bell weight
-    and the test is exact.  Otherwise it relies on the numeric lower bound
-    from :func:`singlet_fraction`, so a one-sided caveat applies: a True
-    answer could in principle be overturned by a better optimization.
+    Exact for every two-qubit state, since :func:`singlet_fraction` is.
     The comparison uses a one-sided slack ``margin`` above 1/d.
     """
     margin = resolve(margin, TOLS.unfaithful_margin)
-    params = bds_params_of(rho)
-    if params is not None:
-        f_max = float(np.max(params.weights()))
-    else:
-        f_max = singlet_fraction(rho, restarts=restarts, seed=seed)
-    return f_max <= 0.5 + margin
+    return singlet_fraction(rho) <= 0.5 + margin
 
 
 # --- member samplers ---------------------------------------------------------
@@ -304,17 +250,14 @@ def zero_discord_oracle() -> FreeSetOracle:
     )
 
 
-def unfaithful_oracle(restarts: int = 12, seed: int = 0) -> FreeSetOracle:
-    """Teleportation-unfaithful states (maximal Bell overlap <= 1/2).
-
-    Membership is exact on Bell-diagonal inputs and numeric,
-    lower-bound-based otherwise; see :func:`is_unfaithful`.
-    """
+def unfaithful_oracle() -> FreeSetOracle:
+    """Teleportation-unfaithful states (maximal Bell overlap <= 1/2);
+    membership is exact, see :func:`is_unfaithful`."""
     center = maximally_mixed()
     kappa = teleportation_ball_radius(2)
     return FreeSetOracle(
         name="unfaithful",
-        member=lambda rho: is_unfaithful(rho, restarts=restarts, seed=seed),
+        member=is_unfaithful,
         star_center=center,
         kappa=kappa,
         sampler=lambda rng: sample_trace_ball(center, kappa, rng),

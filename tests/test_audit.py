@@ -255,18 +255,3 @@ class TestAuditConvexity:
             assert discord_filtered_measure(r1) <= 1e-12
             assert discord_filtered_measure(r2) <= 1e-12
 
-
-class TestThreading:
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        cfg = AuditConfig(samples=15, seed=9)
-        serial = audit_lipschitz(discord_filtered_measure, 4.0, cfg)
-        monkeypatch.setenv("ROBUSTLAB_THREADS", "4")
-        pooled = audit_lipschitz(discord_filtered_measure, 4.0, cfg)
-        assert pooled.max_ratio == serial.max_ratio
-        assert pooled.pairs_tested == serial.pairs_tested
-        assert pooled.violations == serial.violations
-
-    def test_bad_env_value_ignored(self, monkeypatch):
-        monkeypatch.setenv("ROBUSTLAB_THREADS", "many")
-        rep = audit_lipschitz(discord_filtered_measure, 4.0, AuditConfig(samples=5))
-        assert rep.pairs_tested > 0

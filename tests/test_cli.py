@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import robustlab
 from robustlab import audit as audit_mod
 from robustlab.cli import main
 from robustlab.engines import (
@@ -19,7 +24,10 @@ from robustlab.free_sets import is_unfaithful, oracle_by_name, singlet_fraction
 from robustlab.qstates import (
     BellDiagonalParams,
     bell_diagonal,
+    bell_states,
     maximally_mixed,
+    random_density,
+    state_from_json,
     state_to_json,
 )
 
@@ -34,6 +42,18 @@ def run_json(capsys, *args):
     code, out, err = run_cli(capsys, *args)
     assert code == 0, err
     return json.loads(out)
+
+
+def run_subprocess(*args, timeout=30.0):
+    """Run the CLI in a fresh interpreter, so a hang hits the timeout and an
+    escaping exception shows up as a traceback on stderr."""
+    env = dict(os.environ)
+    src = str(Path(robustlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "robustlab.cli", *args],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
 
 
 def run_csv(capsys, *args):
@@ -126,14 +146,32 @@ class TestEntRay:
         code, _, err = run_cli(capsys, "ent-ray", "--bds", "0,0,0", "--noise", "foo")
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol", "0"), ("--tol", "-1"), ("--s-max", "-1"), ("--s-max", "inf"),
+    ])
+    def test_bad_bisection_parameters_exit_two(self, flag, value):
+        proc = run_subprocess("ent-ray", "--bds=-1,-1,-1", f"{flag}={value}")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert flag.lstrip("-").replace("-", "_") in proc.stderr
+
 
 class TestTelCheck:
-    def test_matches_library(self, capsys):
-        payload = run_json(capsys, "tel-check", "--bds", "-1,-1,-1", "--samples", "2")
-        rho = bell_diagonal((-1.0, -1.0, -1.0))
-        assert payload["singlet_fraction"] == singlet_fraction(rho, restarts=2, seed=0)
+    def test_matches_library(self, capsys, tmp_path):
+        rho = random_density(4, rank=2, seed=5)  # not Bell diagonal
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(state_to_json(rho)))
+        payload = run_json(capsys, "tel-check", "--state", str(path))
+        rho = state_from_json(path.read_text())
+        assert payload["singlet_fraction"] == singlet_fraction(rho)
         assert payload["threshold"] == 0.5
-        assert payload["unfaithful"] == is_unfaithful(rho, restarts=2, seed=0)
+        assert payload["unfaithful"] == is_unfaithful(rho)
+
+    def test_restart_flags_removed(self, capsys):
+        for flag in ("--samples", "--seed"):
+            with pytest.raises(SystemExit) as exc:
+                main(["tel-check", "--bds", "0,0,0", flag, "2"])
+            assert exc.value.code == 2
 
 
 class TestCounterexample:
@@ -293,6 +331,15 @@ class TestExitCodes:
         assert code == 2
         code, _, _ = run_cli(capsys, "discord", "--bds", "a,b,c")
         assert code == 2
+
+    def test_numerical_failure_is_four(self, tmp_path):
+        # phi+ noise leaves the PPT set again after entering it: not star-convex
+        path = tmp_path / "phi_plus.json"
+        path.write_text(json.dumps(state_to_json(bell_states()[0])))
+        proc = run_subprocess("ent-ray", "--bds=-1,-1,-1", "--noise", f"state:{path}")
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: numerical failure")
+        assert "Traceback" not in proc.stderr
 
     def test_positive_state_file_with_bad_trace(self, capsys, tmp_path):
         path = tmp_path / "state.json"

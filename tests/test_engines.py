@@ -91,6 +91,21 @@ class TestRayRobustness:
                 oracle_by_name("ppt"),
             )
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+        {"s_max": 0.0}, {"s_max": -1.0}, {"s_max": math.nan}, {"s_max": math.inf},
+    ])
+    def test_bisection_parameters_validated(self, kwargs):
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            robustness_along_ray(werner(0.0), maximally_mixed(), oracle_by_name("ppt"), **kwargs)
+
+    def test_tolerance_below_float_resolution_terminates(self):
+        res = robustness_along_ray(
+            werner(0.0), maximally_mixed(), oracle_by_name("ppt"), tol=1e-300
+        )
+        assert res.value == pytest.approx(2.0, abs=1e-8)  # PPT slack 1e-10
+        assert res.iterations < 100
+
 
 def independent_min_scaling(rho, sigma, tol=1e-10):
     """Bisection on lambda_min((1+s) sigma - rho) >= 0, written from scratch."""

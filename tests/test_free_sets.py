@@ -1,8 +1,12 @@
 """Free-set membership oracles, ball radii and the star-convexity probe."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 
 from robustlab.errors import ConfigurationError, ValidationError
 from robustlab.free_sets import (
@@ -24,6 +28,7 @@ from robustlab.free_sets import (
 from robustlab.qstates import (
     DensityMatrix,
     bell_diagonal,
+    bell_state_vectors,
     bell_states,
     maximally_mixed,
     random_bell_diagonal,
@@ -130,26 +135,77 @@ class TestSampleTraceBall:
             assert np.linalg.eigvalsh(rho.mat)[0] >= -1e-12
 
 
+def _euler(a, b, c):
+    """Single-qubit unitary Rz(a) Ry(b) Rz(c)."""
+    cb, sb = math.cos(b / 2.0), math.sin(b / 2.0)
+    rz1 = np.array([np.exp(-0.5j * a), np.exp(0.5j * a)])
+    rz2 = np.array([np.exp(-0.5j * c), np.exp(0.5j * c)])
+    ry = np.array([[cb, -sb], [sb, cb]], dtype=complex)
+    return (rz1[:, None] * ry) * rz2[None, :]
+
+
+def multistart_singlet_fraction(rho, restarts=12, seed=0):
+    """Independent lower bound on the fully entangled fraction: maximize
+    <phi+|(U x V)^dag rho (U x V)|phi+> over the 3 + 3 Euler angles of
+    U x V by L-BFGS from the four Bell corners plus seeded random starts."""
+    phi_plus = bell_state_vectors()[0]
+
+    def overlap(angles):
+        w = np.kron(_euler(*angles[:3]), _euler(*angles[3:])) @ phi_plus
+        return float(np.real(w.conj() @ rho.mat @ w))
+
+    # identity, sx, sy, sz on side A (up to phase): phi+ onto each Bell state
+    corners = [
+        (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+        (-math.pi / 2, math.pi, math.pi / 2, 0.0, 0.0, 0.0),
+        (0.0, math.pi, 0.0, 0.0, 0.0, 0.0),
+        (math.pi, 0.0, 0.0, 0.0, 0.0, 0.0),
+    ]
+    rng = np.random.default_rng(seed)
+    starts = [np.array(c) for c in corners]
+    starts += [rng.uniform(0.0, 2.0 * math.pi, size=6) for _ in range(restarts)]
+    best = -np.inf
+    for s0 in starts:
+        res = minimize(lambda a: -overlap(a), s0, method="L-BFGS-B",
+                       options={"maxiter": 120})
+        best = max(best, -float(res.fun), overlap(s0))
+    return best
+
+
 class TestSingletFraction:
     def test_bell_states_exact(self):
         for state in bell_states():
-            assert singlet_fraction(state, restarts=0) == pytest.approx(1.0, abs=1e-9)
+            assert singlet_fraction(state) == pytest.approx(1.0, abs=1e-9)
 
     def test_maximally_mixed(self):
-        assert singlet_fraction(maximally_mixed(), restarts=2) == pytest.approx(0.25, abs=1e-9)
+        assert singlet_fraction(maximally_mixed()) == pytest.approx(0.25, abs=1e-9)
 
     def test_bell_diagonal_max_weight(self):
         params = random_bell_diagonal(11)
-        f = singlet_fraction(bell_diagonal(params), restarts=4)
+        f = singlet_fraction(bell_diagonal(params))
         assert f == pytest.approx(np.max(params.weights()), abs=1e-4)
 
-    def test_restart_monotonicity(self, rng):
-        rho = random_density(4, seed=rng)
-        f0 = singlet_fraction(rho, restarts=0)
-        f6 = singlet_fraction(rho, restarts=6)
-        f12 = singlet_fraction(rho, restarts=12)
-        assert f0 <= f6 + 1e-12
-        assert f6 <= f12 + 1e-12
+    def test_matches_multistart_reference(self, rng):
+        # the exact value is an upper bound on every local-rotation overlap
+        # and is attained, so the optimizer reaches it from below
+        for rank in (1, 2, 3, 4):
+            for _ in range(3):
+                rho = random_density(4, rank=rank, seed=rng)
+                exact = singlet_fraction(rho)
+                ref = multistart_singlet_fraction(rho)
+                assert exact >= ref - 1e-9
+                assert exact == pytest.approx(ref, abs=1e-6)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+    def test_local_unitary_invariance_and_range(self, seed, rank):
+        rng = np.random.default_rng(seed)
+        rho = random_density(4, rank=rank, seed=rng)
+        u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+        rotated = DensityMatrix(u @ rho.mat @ u.conj().T, (2, 2), validate=False)
+        f = singlet_fraction(rho)
+        assert singlet_fraction(rotated) == pytest.approx(f, abs=1e-12)
+        assert 0.25 - 1e-12 <= f <= 1.0 + 1e-12
 
     def test_dims_check(self):
         with pytest.raises(ValidationError):
@@ -170,7 +226,7 @@ class TestUnfaithful:
         center = maximally_mixed()
         for _ in range(20):
             rho = sample_trace_ball(center, teleportation_ball_radius(2), rng)
-            assert is_unfaithful(rho, restarts=2)
+            assert is_unfaithful(rho)
 
 
 class TestBdsDetection:
