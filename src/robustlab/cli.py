@@ -289,6 +289,9 @@ def _audit_measure(name: str):
 
 
 def _cmd_audit(args) -> tuple[int, dict]:
+    # an empty batch tests nothing and would read as a failed audit (exit 1)
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     cfg = audit_mod.AuditConfig(
         samples=args.samples, seed=args.seed, tolerance=args.tol
     )

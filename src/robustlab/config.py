@@ -15,7 +15,6 @@ from dataclasses import dataclass
 class Tolerances:
     # matrix-level structure
     hermiticity: float = 1e-12        # max |H - H^dag| accepted as Hermitian
-    jacobi_offdiag: float = 1e-13     # off-diagonal Frobenius mass at convergence
     reconstruction_per_dim: float = 1e-10   # |H - V L V^dag| <= this * dim
 
     # state-level structure
@@ -36,7 +35,7 @@ class Tolerances:
 
     # solvers
     ray_bisection: float = 1e-6       # default bracket width for robustness_along_ray
-    axis_opt_xatol: float = 1e-9      # axis parameter tolerance in the 1-d refine
+    axis_opt_xatol: float = 1e-9      # axis optimizer stops at zoom brackets this wide in k
 
     # planar geometry
     geometry_membership: float = 1e-9   # distance at which a point counts as in the set

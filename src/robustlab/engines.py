@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .config import TOLS, resolve
-from .errors import StarConvexityViolationError, ValidationError
+from .errors import IllConditionedError, StarConvexityViolationError, ValidationError
 from .free_sets import FreeSetOracle
 from .operator_core import kron, support_inv_sqrt
 from .qstates import PAULI, BellDiagonalParams, DensityMatrix, bell_diagonal, bloch_decompose
@@ -54,8 +54,8 @@ class RobustnessResult:
     ``noise_witness`` at weight value/(1+value) reproduces ``free_witness``
     exactly, and the free witness is a member of the target set.
     ``bracket_width`` records the final uncertainty of the underlying
-    1-d search (bisection bracket, or parameter tolerance for the axis
-    optimizer).
+    1-d search (bisection bracket, or the final zoom bracket in k of the
+    axis optimizer's best axis).
     """
 
     value: float
@@ -188,11 +188,64 @@ def min_scaling_robustness(
 _AXIS_KRON = tuple(kron(s, s) for s in PAULI)
 _EYE4 = np.eye(4, dtype=complex)
 
+# sigma_a(k) = (1 + k sigma_a x sigma_a)/4 is an affine pencil in k: its
+# eigenvectors (columns of _AXIS_VECS[a], real since sigma_y x sigma_y is)
+# do not depend on k, and its eigenvalues are (1 + k _AXIS_SIGNS[a])/4 with
+# signs exactly +-1 (sigma_a x sigma_a squares to the identity).
+_AXIS_SIGNS, _AXIS_VECS = np.linalg.eigh(np.stack([m.real for m in _AXIS_KRON]))
+_AXIS_SIGNS = np.rint(_AXIS_SIGNS)
+_ZOOM_STEPS = np.linspace(0.0, 1.0, 33)  # bracket fractions of every zoom round
+_ZOOM_ROUNDS = 64  # hard bound on zoom rounds
+
 
 def _axis_state(axis: int, k: float) -> DensityMatrix:
     """Bell-diagonal state with the single correlation k on one axis."""
     mat = 0.25 * (_EYE4 + float(k) * _AXIS_KRON[axis])
     return DensityMatrix(mat, (2, 2), validate=False)
+
+
+def _axis_rotations(rho: DensityMatrix) -> np.ndarray:
+    """R_a = V_a^T rho V_a for the three axis pencils, shape (3, 4, 4).
+
+    rho must be real (every Bell-diagonal state is)."""
+    rot = np.einsum("aji,jk,akl->ail", _AXIS_VECS, rho.mat.real, _AXIS_VECS)
+    return 0.5 * (rot + rot.transpose(0, 2, 1))
+
+
+def _axis_pencil_values(rot: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """min_scaling_robustness(rho, _axis_state(a, k)) for every axis a and
+    every k in row a of ``ks`` (shape (3, n)), given rot = _axis_rotations(rho).
+
+    The scalar engine up to a similarity transform: the support weights of
+    sigma are (1 + k x_a)/4, the support leak is the rotated diagonal outside
+    the support, and lambda_max(S rho S) is lambda_max(D R_a D) with D the
+    diagonal inverse square root on the support -- one stacked eigvalsh.
+    """
+    w = 0.25 * (1.0 + ks[:, :, None] * _AXIS_SIGNS[:, None, :])  # (3, n, 4)
+    lo, hi = TOLS.support_cutoff / 10.0, TOLS.support_cutoff * 10.0
+    bad = (w > lo) & (w < hi)
+    if np.any(bad):
+        raise IllConditionedError(
+            f"eigenvalue {w[bad][0]:.3e} falls in the ambiguous band "
+            f"({lo:.1e}, {hi:.1e}); cannot decide the support rank"
+        )
+    keep = w >= hi
+    diag = np.diagonal(rot, axis1=1, axis2=2)[:, None, :]
+    leak = 1.0 - np.sum(np.where(keep, diag, 0.0), axis=-1)
+    d = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+    lam = np.linalg.eigvalsh(d[..., :, None] * rot[:, None] * d[..., None, :])[..., -1]
+    return np.where(leak > TOLS.support_leak, math.inf, np.maximum(0.0, lam - 1.0))
+
+
+def _axis_grid(lo: np.ndarray, hi: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Points lo + (hi - lo) * steps for every axis, shape (3, len(steps)).
+
+    A point whose vanishing support weight (1 - |k|)/4 would fall below
+    10*cutoff (that is, 1 - |k| < 40*cutoff) snaps to k = +-1, so no point
+    lands in the ambiguous band of the support decision."""
+    ks = lo[:, None] + (hi - lo)[:, None] * steps
+    near_edge = 0.25 * (1.0 - np.abs(ks)) < TOLS.support_cutoff * 10.0
+    return np.where(near_edge, np.sign(ks), ks)
 
 
 def discord_robustness_bds(
@@ -216,42 +269,58 @@ def discord_robustness_axis_opt(
     """Discord robustness of a Bell-diagonal state by direct optimization.
 
     Minimizes :func:`min_scaling_robustness` against the axis family
-    (1/4)(1x1 + k sigma_a x sigma_a) over the axis a and k in [-1, 1]:
-    a grid scan seeds a bounded 1-d refinement per axis.  Ties between
-    axes resolve to the lowest axis index, making witnesses deterministic.
+    (1/4)(1x1 + k sigma_a x sigma_a) over the axis a and k in [-1, 1].
+    Each per-axis objective is a maximum of terms 4 p_i/(1 + k s_i), hence
+    convex in k, so the neighbours of the best point always bracket the
+    optimum: a ``grid``-point scan is followed by zoom rounds into those
+    brackets until every bracket is at most ``xatol`` wide or stops
+    narrowing (at most _ZOOM_ROUNDS rounds).  Every round
+    evaluates all three axes in one batch.  Ties between axes resolve to
+    the lowest axis index, making witnesses deterministic.  ``grid`` must
+    be an integer >= 2 and ``xatol`` finite and > 0 (ValidationError
+    otherwise).
     """
-    from scipy.optimize import minimize_scalar
-
     if not isinstance(c, BellDiagonalParams):
         c = BellDiagonalParams(*c)
+    if int(grid) != grid or grid < 2:
+        raise ValidationError(f"grid must be an integer >= 2, got {grid!r}")
     xatol = resolve(xatol, TOLS.axis_opt_xatol)
+    if not (math.isfinite(xatol) and xatol > 0.0):
+        raise ValidationError(f"xatol must be finite and > 0, got {xatol!r}")
     rho = bell_diagonal(c)
+    rot = _axis_rotations(rho)
+    axes = np.arange(3)
+    lo = hi = np.full(3, math.nan)  # no bracket before the grid scan
+    ks = _axis_grid(np.full(3, -1.0), np.ones(3), np.linspace(0.0, 1.0, int(grid)))
+    vals_best = np.full(3, math.inf)
+    ks_best = np.zeros(3)
     evals = 0
-    best_val = math.inf
-    best_axis = 0
-    best_k = 0.0
-    ks = np.linspace(-1.0, 1.0, int(grid))
-    for axis in range(3):
-        record = {"v": math.inf, "k": 0.0}
-
-        def f(k: float, axis: int = axis, record: dict = record) -> float:
-            nonlocal evals
-            evals += 1
-            v = min_scaling_robustness(rho, _axis_state(axis, k))
-            if v < record["v"]:
-                record["v"], record["k"] = v, float(k)
-            return v
-
-        vals = [f(k) for k in ks]
-        i = int(np.argmin(vals))
-        lo, hi = ks[max(0, i - 1)], ks[min(len(ks) - 1, i + 1)]
-        if math.isfinite(vals[i]) and hi > lo:
-            minimize_scalar(
-                f, bounds=(float(lo), float(hi)), method="bounded",
-                options={"xatol": xatol},
-            )
-        if record["v"] < best_val:
-            best_val, best_axis, best_k = record["v"], axis, record["k"]
+    for _ in range(_ZOOM_ROUNDS + 1):
+        vals = _axis_pencil_values(rot, ks)
+        evals += vals.size
+        i = np.argmin(vals, axis=1)
+        v, k = vals[axes, i], ks[axes, i]
+        better = v < vals_best
+        vals_best = np.where(better, v, vals_best)
+        ks_best = np.where(better, k, ks_best)
+        # the nearest distinct neighbours of the best point bracket the
+        # optimum (points snapped to +-1 repeat)
+        below = np.max(np.where(ks < k[:, None], ks, -math.inf), axis=1)
+        above = np.min(np.where(ks > k[:, None], ks, math.inf), axis=1)
+        new_lo = np.where(np.isfinite(below), below, k)
+        new_hi = np.where(np.isfinite(above), above, k)
+        # a zoom round that returns its own bracket would repeat forever
+        # (all inner points snapped to +-1, or the bracket is at float
+        # resolution), so that axis is as narrow as it gets
+        done = (new_hi - new_lo <= xatol) | ((new_lo == lo) & (new_hi == hi))
+        lo, hi = new_lo, new_hi
+        if np.all(done):
+            break
+        ks = _axis_grid(lo, hi, _ZOOM_STEPS)
+    best_axis = int(np.argmin(vals_best))  # first minimum: lowest axis on ties
+    best_val = float(vals_best[best_axis])
+    best_k = float(ks_best[best_axis])
+    width = float(hi[best_axis] - lo[best_axis])
 
     if not math.isfinite(best_val):
         return RobustnessResult(
@@ -270,7 +339,7 @@ def discord_robustness_axis_opt(
             free_witness=rho,
             method=f"axis-opt[a={best_axis + 1}]",
             iterations=evals,
-            bracket_width=xatol,
+            bracket_width=width,
         )
     tau = DensityMatrix(
         ((1.0 + best_val) * sigma.mat - rho.mat) / best_val,
@@ -283,7 +352,7 @@ def discord_robustness_axis_opt(
         free_witness=sigma,
         method=f"axis-opt[a={best_axis + 1},k={best_k:.6g}]",
         iterations=evals,
-        bracket_width=xatol,
+        bracket_width=width,
     )
 
 

@@ -286,6 +286,18 @@ def _golden_refine(p, a, b, f_lo, f_hi, free, tol, refine_tol):
     return best
 
 
+def _check_count(name: str, n) -> int:
+    if int(n) != n or n < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
+def _check_refine_tol(refine_tol) -> float:
+    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
+        raise ValidationError(f"refine_tol must be finite and > 0, got {refine_tol!r}")
+    return float(refine_tol)
+
+
 def _optimize_over_loci(p, loci, free, tol, resolution, refine_tol):
     """Minimum mixing weight over candidate noise points sampled along the
     given (a, b) loci, plus local golden refinement around the best sample."""
@@ -314,7 +326,11 @@ def absolute_robustness_2d(
     refine_tol: float = 1e-9,
 ) -> float:
     """Least s with (p + s*tau)/(1+s) free for some noise tau in the free
-    set; math.inf when no finite mixture works."""
+    set; math.inf when no finite mixture works.  ``resolution`` must be an
+    integer >= 1 and ``refine_tol`` finite and > 0 (ValidationError
+    otherwise)."""
+    resolution = _check_count("resolution", resolution)
+    refine_tol = _check_refine_tol(refine_tol)
     tol = TOLS.geometry_membership
     q = _pt(p)
     if not scene.contains(q, tol):
@@ -322,7 +338,7 @@ def absolute_robustness_2d(
     if scene.free.contains(q, tol):
         return 0.0
     loci = list(_edge_loci_of_free(scene.free))
-    return _optimize_over_loci(q, loci, scene.free, tol, int(resolution), refine_tol)
+    return _optimize_over_loci(q, loci, scene.free, tol, resolution, refine_tol)
 
 
 def global_robustness_2d(
@@ -335,8 +351,11 @@ def global_robustness_2d(
     the state space; math.inf when no finite mixture works.
 
     Along each ray from p the farthest admissible noise point is optimal,
-    so candidates sweep the state-space boundary only.
+    so candidates sweep the state-space boundary only.  ``resolution`` and
+    ``refine_tol`` are validated as in :func:`absolute_robustness_2d`.
     """
+    resolution = _check_count("resolution", resolution)
+    refine_tol = _check_refine_tol(refine_tol)
     tol = TOLS.geometry_membership
     q = _pt(p)
     if not scene.contains(q, tol):
@@ -344,7 +363,7 @@ def global_robustness_2d(
     if scene.free.contains(q, tol):
         return 0.0
     loci = list(_edge_loci(scene.state_space, closed=True))
-    return _optimize_over_loci(q, loci, scene.free, tol, int(resolution), refine_tol)
+    return _optimize_over_loci(q, loci, scene.free, tol, resolution, refine_tol)
 
 
 def _edge_loci_of_free(free: PlanarFreeSet):
@@ -365,7 +384,11 @@ def planar_star_probe(
     Mixes points sampled along every component toward the center and
     membership-tests each mixture; returns the list of violating
     (sample point, mixing fraction) pairs, empty when the probe passes.
+    ``samples`` and ``mix_points`` must be integers >= 1 (ValidationError
+    otherwise); with no mixtures the probe would pass without testing.
     """
+    samples = _check_count("samples", samples)
+    mix_points = _check_count("mix_points", mix_points)
     if free.star_center is None:
         raise ConfigurationError("free set declares no star center to probe")
     tol = resolve(tol, TOLS.geometry_membership)

@@ -1,14 +1,12 @@
 """Dense linear algebra for small Hilbert spaces (dimension <= 8).
 
 Everything works on plain complex ndarrays.  Matrices are tiny, so clarity
-and strict validation win over asymptotics; the production eigensolver
-delegates to LAPACK while a self-contained cyclic Jacobi implementation is
-kept alongside it as an independent cross-check.
+and strict validation win over asymptotics; the eigensolver delegates to
+LAPACK.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +19,6 @@ __all__ = [
     "as_complex_matrix",
     "require_hermitian",
     "eig_hermitian",
-    "eig_hermitian_jacobi",
     "trace_norm",
     "kron",
     "partial_transpose",
@@ -71,83 +68,11 @@ def eig_hermitian(h, tol: float | None = None) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix (ascending eigenvalues).
 
     Input hermiticity is validated first; the decomposition itself is the
-    LAPACK one.  See :func:`eig_hermitian_jacobi` for the self-contained
-    rotation-based solver used to cross-check this path.
+    LAPACK one.
     """
     a = require_hermitian(h, tol)
     w, v = np.linalg.eigh(a)
     return Spectrum(eigenvalues=w, eigenvectors=v)
-
-
-def eig_hermitian_jacobi(
-    h,
-    offdiag_tol: float | None = None,
-    tol: float | None = None,
-    max_sweeps: int = 60,
-) -> Spectrum:
-    """Cyclic Jacobi eigendecomposition for complex Hermitian matrices.
-
-    Sweeps over all (p, q) pairs, each time applying the unitary plane
-    rotation that zeroes A[p, q].  Converged when the off-diagonal
-    Frobenius mass drops below ``offdiag_tol``.  Adequate and robust for
-    the dimensions this package handles; kept as an independent reference
-    implementation next to the LAPACK-backed :func:`eig_hermitian`.
-    """
-    a = require_hermitian(h, tol).copy()
-    offdiag_tol = resolve(offdiag_tol, TOLS.jacobi_offdiag)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return Spectrum(eigenvalues=a.real.diagonal().copy(), eigenvectors=v)
-
-    def offdiag_mass() -> float:
-        off = a - np.diag(np.diagonal(a))
-        return float(np.linalg.norm(off))
-
-    converged = False
-    for _ in range(max_sweeps):
-        if offdiag_mass() < offdiag_tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r < offdiag_tol / (n * n):
-                    continue
-                u = apq / r  # phase e^{i phi}
-                app = a[p, p].real
-                aqq = a[q, q].real
-                # rotation angle for the phase-aligned real 2x2 block
-                tau = (aqq - app) / (2.0 * r)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # columns: col_p' = c*col_p - s*conj(u)*col_q ; col_q' = s*u*col_p + c*col_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(u) * col_q
-                a[:, q] = s * u * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * u * row_q
-                a[q, :] = s * np.conj(u) * row_p + c * row_q
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - s * np.conj(u) * vcol_q
-                v[:, q] = s * u * vcol_p + c * vcol_q
-    if not converged and offdiag_mass() >= offdiag_tol:
-        raise ArithmeticError(
-            f"jacobi sweep did not converge after {max_sweeps} sweeps "
-            f"(off-diagonal mass {offdiag_mass():.3e})"
-        )
-
-    w = np.real(np.diagonal(a)).copy()
-    order = np.argsort(w, kind="stable")
-    return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
 def trace_norm(h, tol: float | None = None) -> float:

@@ -44,16 +44,29 @@ def run_json(capsys, *args):
     return json.loads(out)
 
 
-def run_subprocess(*args, timeout=30.0):
-    """Run the CLI in a fresh interpreter, so a hang hits the timeout and an
-    escaping exception shows up as a traceback on stderr."""
+def run_python(*args, timeout=30.0):
+    """Run a fresh interpreter that imports this checkout's robustlab."""
     env = dict(os.environ)
     src = str(Path(robustlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "robustlab.cli", *args],
-        capture_output=True, text=True, timeout=timeout, env=env,
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env,
     )
+
+
+def run_subprocess(*args, timeout=30.0):
+    """Run the CLI in a fresh interpreter, so a hang hits the timeout and an
+    escaping exception shows up as a traceback on stderr."""
+    return run_python("-m", "robustlab.cli", *args, timeout=timeout)
+
+
+def assert_rejected(proc, word):
+    """Exit 2 with a single error line naming the bad parameter."""
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1
+    assert word in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def run_csv(capsys, *args):
@@ -85,6 +98,25 @@ class TestDiscord:
         a = run_cli(capsys, "discord", "--bds", "0.2,-0.4,0.1", "--method", "axis-opt")
         b = run_cli(capsys, "discord", "--bds", "0.2,-0.4,0.1", "--method", "axis-opt")
         assert a == b
+
+    @pytest.mark.parametrize("grid", ["1", "0", "-4"])
+    def test_bad_grid_exits_two(self, grid):
+        proc = run_subprocess(
+            "discord", "--bds", "0.5,0.3,0", "--method", "axis-opt", "--grid", grid
+        )
+        assert_rejected(proc, "grid")
+
+    def test_axis_opt_leaves_scipy_optimize_unimported(self):
+        script = (
+            "import sys\n"
+            "from robustlab.cli import main\n"
+            "code = main(['discord', '--bds', '0.5,0.3,0.1', '--method', 'axis-opt'])\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy.optimize')),"
+            " file=sys.stderr)\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.stderr.strip() == "0 []"
+        assert json.loads(proc.stdout)["value"] == pytest.approx(0.3, abs=1e-6)
 
     def test_state_file_input(self, capsys, tmp_path):
         path = tmp_path / "state.json"
@@ -218,6 +250,13 @@ class TestCounterexample:
         assert payload["columns"] == ["t", "exact", "numeric"]
         assert len(payload["rows"]) == 1
 
+    @pytest.mark.parametrize("args", [
+        ("--id", "1", "--t", "0.1", "--resolution", "0"),
+        ("--id", "2", "--branch", "a", "--t", "0.1", "--resolution", "-1"),
+    ])
+    def test_bad_resolution_exits_two(self, args):
+        assert_rejected(run_subprocess("counterexample", *args), "resolution")
+
     def test_requires_t_or_sweep(self, capsys):
         code, _, _ = run_cli(capsys, "counterexample", "--id", "1")
         assert code == 2
@@ -280,6 +319,11 @@ class TestAudit:
             "--samples", "6",
         )
         assert payload["passed"] is True
+
+    @pytest.mark.parametrize("check,samples", [("lipschitz", "0"), ("convexity", "-3")])
+    def test_empty_batch_exits_two(self, check, samples):
+        proc = run_subprocess("audit", "--check", check, "--samples", samples)
+        assert_rejected(proc, "--samples")
 
     def test_ball_free_set_without_kappa_needs_L(self, capsys):
         code, _, err = run_cli(

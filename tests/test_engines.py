@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from robustlab.errors import StarConvexityViolationError, ValidationError
+from robustlab.errors import (
+    IllConditionedError,
+    StarConvexityViolationError,
+    ValidationError,
+)
 from robustlab.engines import (
+    _axis_pencil_values,
+    _axis_rotations,
+    _axis_state,
     bound_from_kappa_ball,
     discord_levelset_grid,
     discord_robustness_axis_opt,
@@ -211,6 +218,93 @@ class TestAxisOpt:
         assert np.linalg.eigvalsh(res.noise_witness.mat)[0] >= -1e-8
         mix = (rho.mat + s * res.noise_witness.mat) / (1.0 + s)
         assert np.max(np.abs(mix - res.free_witness.mat)) <= 1e-8
+
+    def test_bracket_reaches_xatol(self):
+        res = discord_robustness_axis_opt((0.5, 0.3, 0.1), grid=16, xatol=1e-7)
+        assert 0.0 < res.bracket_width <= 1e-7
+        assert res.value == pytest.approx(0.3, abs=1e-6)
+
+    def test_grid_two(self):
+        for params in ((0.5, 0.3, 0.0), (0.5, 0.3, 0.1), (-0.2, 0.6, -0.1)):
+            res = discord_robustness_axis_opt(params, grid=2)
+            assert res.value == pytest.approx(discord_robustness_bds(params), abs=1e-6)
+
+    def test_tetrahedron_vertices_and_edges(self):
+        vertices = [(1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1)]
+        for i, a in enumerate(vertices):
+            for b in vertices[i:]:
+                for t in np.linspace(0.0, 1.0, 9):
+                    params = tuple((1.0 - t) * np.array(a) + t * np.array(b))
+                    for grid in (2, 16, 64):
+                        res = discord_robustness_axis_opt(params, grid=grid)
+                        assert res.value == pytest.approx(
+                            discord_robustness_bds(params), abs=1e-9
+                        ), (params, grid)
+
+    def test_sub_resolution_xatol_terminates(self):
+        res = discord_robustness_axis_opt((0.5, 0.3, 0.1), grid=16, xatol=1e-300)
+        assert res.value == pytest.approx(0.3, abs=1e-9)
+
+    @pytest.mark.parametrize("grid", [1, 0, -3, 2.5])
+    def test_bad_grid(self, grid):
+        with pytest.raises(ValidationError, match="grid"):
+            discord_robustness_axis_opt((0.5, 0.3, 0.0), grid=grid)
+
+    @pytest.mark.parametrize("xatol", [0.0, -1e-9, math.inf, math.nan])
+    def test_bad_xatol(self, xatol):
+        with pytest.raises(ValidationError, match="xatol"):
+            discord_robustness_axis_opt((0.5, 0.3, 0.0), xatol=xatol)
+
+
+class TestAxisPencil:
+    """The batched evaluator against the scalar engine it replaces."""
+
+    @staticmethod
+    def scalar(params, ks):
+        rho = bell_diagonal(params)
+        return np.array([
+            [min_scaling_robustness(rho, _axis_state(a, k)) for k in ks[a]]
+            for a in range(3)
+        ])
+
+    def test_matches_scalar_min_scaling(self, rng):
+        # |k| <= 0.99 keeps sigma well conditioned for the scalar engine; the
+        # exact k = -1, 0, 1 cover both support decisions (finite and inf)
+        edges = [(1.0, -0.2, 0.2), (-0.5, 0.5, 1.0), (1.0, -1.0, 1.0)]
+        cases = [random_bell_diagonal(rng) for _ in range(40)] + edges
+        for params in cases:
+            ks = np.concatenate(
+                [rng.uniform(-0.99, 0.99, size=(3, 6)), np.tile([-1.0, 0.0, 1.0], (3, 1))],
+                axis=1,
+            )
+            got = _axis_pencil_values(_axis_rotations(bell_diagonal(params)), ks)
+            want = self.scalar(params, ks)
+            assert np.array_equal(np.isinf(got), np.isinf(want)), params
+            finite = np.isfinite(want)
+            assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-12)
+
+    def test_exact_near_the_edges(self, rng):
+        # Close to k = +-1 the scalar engine loses relative accuracy in the
+        # vanishing eigenvalue of sigma (its error grows like eps/(1 - |k|)),
+        # so compare with the exact max_i 4 p_i/(1 + k s_i) - 1 instead.
+        signs = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
+        for _ in range(40):
+            c = np.array(random_bell_diagonal(rng).as_tuple())
+            p = (1.0 + signs @ c) / 4.0
+            gap = 10.0 ** rng.uniform(-8, -2, size=(3, 6))  # 1 - |k|
+            ks = rng.choice([-1.0, 1.0], size=(3, 6)) * (1.0 - gap)
+            got = _axis_pencil_values(_axis_rotations(bell_diagonal(tuple(c))), ks)
+            terms = 4.0 * p / (1.0 + ks[..., None] * signs.T[:, None, :])
+            want = np.max(terms, axis=-1) - 1.0
+            assert_allclose(got, np.maximum(want, 0.0), rtol=1e-12, atol=1e-12)
+
+    def test_ambiguous_band_raises(self):
+        k = 1.0 - 4.0e-10  # vanishing weight (1 - k)/4 = 1e-10 sits in the band
+        rho = bell_diagonal((0.5, 0.3, 0.1))
+        with pytest.raises(IllConditionedError):
+            min_scaling_robustness(rho, _axis_state(0, k))
+        with pytest.raises(IllConditionedError):
+            _axis_pencil_values(_axis_rotations(rho), np.full((3, 1), k))
 
 
 class TestLevelsetGrid:

@@ -250,6 +250,15 @@ class TestAgainstIndependentOracle:
         assert values[0] >= values[-1] - 1e-9
         assert values[-1] == pytest.approx(truth, abs=1e-6)
 
+    @pytest.mark.parametrize("solver", [absolute_robustness_2d, global_robustness_2d])
+    @pytest.mark.parametrize("kwargs", [
+        {"resolution": 0}, {"resolution": -2}, {"resolution": 2.5},
+        {"refine_tol": 0.0}, {"refine_tol": -1.0}, {"refine_tol": math.nan},
+    ])
+    def test_bad_parameters(self, solver, kwargs):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            solver((0.9, 1.1), triangle_scene(), **kwargs)
+
 
 def shear_scene(scene, m):
     a = np.asarray(m, dtype=float)
@@ -299,6 +308,11 @@ class TestPlanarStarProbe:
         )
         bad = planar_star_probe(free, samples=16, mix_points=5)
         assert len(bad) > 0
+
+    @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"mix_points": 0}, {"mix_points": -1}])
+    def test_bad_counts(self, kwargs):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            planar_star_probe(scene_counterexample1().free, **kwargs)
 
     def test_requires_center(self):
         free = PlanarFreeSet(segments=[((0, 0), (1, 0))])
