@@ -17,20 +17,8 @@ import io
 import json
 import math
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from . import audit as audit_mod
-from .config import TOLS
-from .engines import (
-    discord_levelset_grid,
-    discord_robustness_axis_opt,
-    discord_robustness_bds,
-    discord_robustness_bounds,
-    lipschitz_from_kappa_ball,
-    robustness_along_ray,
-)
 from .errors import (
     ConfigurationError,
     IllConditionedError,
@@ -38,30 +26,12 @@ from .errors import (
     StarConvexityViolationError,
     ValidationError,
 )
-from .free_sets import (
-    bds_params_of,
-    is_unfaithful,
-    oracle_by_name,
-    singlet_fraction,
-)
-from .geometry2d import (
-    absolute_robustness_2d,
-    counterexample1_exact,
-    counterexample1_point,
-    counterexample2_exact,
-    counterexample2_point,
-    global_robustness_2d,
-    scene_counterexample1,
-    scene_counterexample2,
-)
-from .qstates import (
-    BellDiagonalParams,
-    DensityMatrix,
-    bell_diagonal,
-    maximally_mixed,
-    state_from_json,
-    state_to_json,
-)
+
+if TYPE_CHECKING:
+    from .qstates import BellDiagonalParams, DensityMatrix
+
+# Each handler imports only the modules it uses, and calls library functions
+# through their owning module, so `counterexample` never loads numpy.
 
 SCHEMA_VERSION = 1
 
@@ -70,7 +40,8 @@ SCHEMA_VERSION = 1
 
 
 def _scalar(v):
-    if isinstance(v, (np.floating, np.integer)):
+    np = sys.modules.get("numpy")  # no numpy loaded means no numpy scalars
+    if np is not None and isinstance(v, (np.floating, np.integer)):
         v = v.item()
     if isinstance(v, float):
         if math.isinf(v):
@@ -111,6 +82,8 @@ def _emit(payload, fmt: str, out: Optional[str]) -> None:
 
 
 def _parse_bds(text: str) -> BellDiagonalParams:
+    from . import qstates
+
     parts = text.split(",")
     if len(parts) != 3:
         raise ValidationError(f"--bds expects three comma-separated numbers, got {text!r}")
@@ -118,17 +91,21 @@ def _parse_bds(text: str) -> BellDiagonalParams:
         vals = tuple(float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"--bds expects numbers, got {text!r}") from None
-    return BellDiagonalParams(*vals)
+    return qstates.BellDiagonalParams(*vals)
 
 
 def _load_state(path: str) -> DensityMatrix:
+    from . import qstates
+
     with open(path) as fh:
-        return state_from_json(fh.read())
+        return qstates.state_from_json(fh.read())
 
 
 def _state_arg(args) -> DensityMatrix:
     if getattr(args, "bds", None) is not None:
-        return bell_diagonal(_parse_bds(args.bds))
+        from . import qstates
+
+        return qstates.bell_diagonal(_parse_bds(args.bds))
     if getattr(args, "state", None) is not None:
         return _load_state(args.state)
     raise ValidationError("provide a state via --bds or --state")
@@ -136,14 +113,23 @@ def _state_arg(args) -> DensityMatrix:
 
 def _noise_arg(spec: str) -> DensityMatrix:
     if spec == "maxmixed":
-        return maximally_mixed()
+        from . import qstates
+
+        return qstates.maximally_mixed()
     if spec.startswith("state:"):
         return _load_state(spec[len("state:"):])
     raise ValidationError(f"--noise must be 'maxmixed' or 'state:<file>', got {spec!r}")
 
 
+# bounds the work of one call: a longer sweep is almost surely a typo in the step
+MAX_SWEEP_POINTS = 10_000
+
+
 def _parse_sweep(text: str) -> list[float]:
-    """start:stop:step, inclusive of start, exclusive of stop (slack 1e-12)."""
+    """start:stop:step, inclusive of start, exclusive of stop (slack 1e-12).
+
+    start, stop and step must be finite, step > 0, and the sweep at most
+    MAX_SWEEP_POINTS long (ValidationError otherwise)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"--sweep expects start:stop:step, got {text!r}")
@@ -151,13 +137,17 @@ def _parse_sweep(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"--sweep expects numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValidationError(f"--sweep needs finite start, stop and step, got {text!r}")
     if step <= 0:
         raise ValidationError(f"sweep step must be positive, got {step!r}")
     vals = []
-    k = 0
-    while start + k * step < stop - 1e-12:
-        vals.append(start + k * step)
-        k += 1
+    while start + len(vals) * step < stop - 1e-12:
+        if len(vals) == MAX_SWEEP_POINTS:
+            raise ValidationError(
+                f"--sweep {text!r} has more than {MAX_SWEEP_POINTS} points"
+            )
+        vals.append(start + len(vals) * step)
     return vals
 
 
@@ -165,11 +155,14 @@ def _parse_sweep(text: str) -> list[float]:
 
 
 def _cmd_discord(args) -> tuple[int, dict]:
+    from . import engines
+
     if args.bds is not None:
         params = _parse_bds(args.bds)
     else:
-        rho = _state_arg(args)
-        params = bds_params_of(rho)
+        from . import free_sets
+
+        params = free_sets.bds_params_of(_state_arg(args))
         if params is None:
             raise ValidationError(
                 "state is not Bell-diagonal; use discord-bounds for general states"
@@ -177,11 +170,11 @@ def _cmd_discord(args) -> tuple[int, dict]:
     if args.method == "closed-form":
         payload = {
             "v": SCHEMA_VERSION,
-            "value": discord_robustness_bds(params),
+            "value": engines.discord_robustness_bds(params),
             "method": "closed-form",
         }
     else:
-        res = discord_robustness_axis_opt(params, grid=args.grid)
+        res = engines.discord_robustness_axis_opt(params, grid=args.grid)
         payload = {
             "v": SCHEMA_VERSION,
             "value": res.value,
@@ -192,16 +185,19 @@ def _cmd_discord(args) -> tuple[int, dict]:
 
 
 def _cmd_discord_bounds(args) -> tuple[int, dict]:
-    rho = _state_arg(args)
-    lo, hi = discord_robustness_bounds(rho)
+    from . import engines
+
+    lo, hi = engines.discord_robustness_bounds(_state_arg(args))
     return 0, {"v": SCHEMA_VERSION, "lo": lo, "hi": hi}
 
 
 def _cmd_ent_ray(args) -> tuple[int, dict]:
+    from . import engines, free_sets, qstates
+
     rho = _state_arg(args)
     sigma = _noise_arg(args.noise)
-    oracle = oracle_by_name(args.free_set)
-    res = robustness_along_ray(rho, sigma, oracle, s_max=args.s_max, tol=args.tol)
+    oracle = free_sets.oracle_by_name(args.free_set)
+    res = engines.robustness_along_ray(rho, sigma, oracle, s_max=args.s_max, tol=args.tol)
     payload = {
         "v": SCHEMA_VERSION,
         "free_set": oracle.name,
@@ -211,46 +207,50 @@ def _cmd_ent_ray(args) -> tuple[int, dict]:
         "bracket_width": res.bracket_width,
     }
     if res.free_witness is not None:
-        payload["free_witness"] = state_to_json(res.free_witness)
+        payload["free_witness"] = qstates.state_to_json(res.free_witness)
     return 0, payload
 
 
 def _cmd_tel_check(args) -> tuple[int, dict]:
+    from . import free_sets
+
     rho = _state_arg(args)
     return 0, {
         "v": SCHEMA_VERSION,
-        "singlet_fraction": singlet_fraction(rho),
+        "singlet_fraction": free_sets.singlet_fraction(rho),
         "threshold": 0.5,
-        "unfaithful": is_unfaithful(rho),
+        "unfaithful": free_sets.is_unfaithful(rho),
     }
 
 
 def _ce_rows(args) -> tuple[list[str], list[tuple]]:
+    from . import geometry2d as g2
+
     ts = _parse_sweep(args.sweep) if args.sweep else [args.t]
     if ts == [None]:
         raise ValidationError("provide --sweep start:stop:step or --t value")
     rows = []
     if args.id == 1:
-        scene = scene_counterexample1(args.delta)
+        scene = g2.scene_counterexample1(args.delta)
         for t in ts:
             rows.append(
                 (
                     t,
-                    counterexample1_exact(t, args.delta),
-                    absolute_robustness_2d(
-                        counterexample1_point(t), scene, resolution=args.resolution
+                    g2.counterexample1_exact(t, args.delta),
+                    g2.absolute_robustness_2d(
+                        g2.counterexample1_point(t), scene, resolution=args.resolution
                     ),
                 )
             )
     else:
-        scene = scene_counterexample2()
+        scene = g2.scene_counterexample2()
         for t in ts:
             rows.append(
                 (
                     t,
-                    counterexample2_exact(args.branch, t),
-                    global_robustness_2d(
-                        counterexample2_point(args.branch, t),
+                    g2.counterexample2_exact(args.branch, t),
+                    g2.global_robustness_2d(
+                        g2.counterexample2_point(args.branch, t),
                         scene,
                         resolution=args.resolution,
                     ),
@@ -267,7 +267,9 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
 
 
 def _cmd_levelset(args) -> tuple[int, dict]:
-    data = discord_levelset_grid(args.r, args.grid)
+    from . import engines
+
+    data = engines.discord_levelset_grid(args.r, args.grid)
     rows = [
         (row[0], row[1], row[2], row[3], int(row[4])) for row in data
     ]
@@ -279,16 +281,20 @@ def _cmd_levelset(args) -> tuple[int, dict]:
 
 
 def _audit_measure(name: str):
+    from . import audit, free_sets, qstates
+
     if name == "ppt-ray":
-        return audit_mod.ray_measure(maximally_mixed(), oracle_by_name("ppt"))
+        return audit.ray_measure(qstates.maximally_mixed(), free_sets.oracle_by_name("ppt"))
     if name == "discord-filtered":
-        return audit_mod.discord_filtered_measure
+        return audit.discord_filtered_measure
     raise ValidationError(
         f"--measure must be 'ppt-ray' or 'discord-filtered', got {name!r}"
     )
 
 
 def _cmd_audit(args) -> tuple[int, dict]:
+    from . import audit as audit_mod, engines, free_sets
+
     # an empty batch tests nothing and would read as a failed audit (exit 1)
     if args.samples < 1:
         raise ValidationError(f"--samples must be at least 1, got {args.samples}")
@@ -296,7 +302,7 @@ def _cmd_audit(args) -> tuple[int, dict]:
         samples=args.samples, seed=args.seed, tolerance=args.tol
     )
     measure = _audit_measure(args.measure)
-    oracle = oracle_by_name(args.free_set)
+    oracle = free_sets.oracle_by_name(args.free_set)
     if args.check == "lipschitz":
         L = args.L
         if L is None:
@@ -304,7 +310,7 @@ def _cmd_audit(args) -> tuple[int, dict]:
                 raise ValidationError(
                     f"free set {oracle.name!r} carries no ball data; pass --L"
                 )
-            L = lipschitz_from_kappa_ball(oracle.star_center, oracle.kappa).L
+            L = engines.lipschitz_from_kappa_ball(oracle.star_center, oracle.kappa).L
         rep = audit_mod.audit_lipschitz(measure, L, cfg)
         worst = None
         if rep.worst_pair is not None:
@@ -410,7 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, choices=(1, 2), required=True)
     p.add_argument("--delta", type=float, default=0.2)
     p.add_argument("--branch", choices=("a", "b"), default=None)
-    p.add_argument("--sweep", default=None, help="start:stop:step")
+    p.add_argument("--sweep", default=None,
+                   help=f"start:stop:step, stop exclusive, at most {MAX_SWEEP_POINTS} points")
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--resolution", type=int, default=64)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -53,3 +55,11 @@ TOLS = Tolerances()
 def resolve(value: float | None, default: float) -> float:
     """Return ``value`` unless it is None, else ``default``."""
     return default if value is None else float(value)
+
+
+def check_count(name: str, n, least: int = 1) -> int:
+    """Return ``n`` as an int if it is an integer >= ``least``; raise
+    ValidationError otherwise (NaN and infinities included)."""
+    if not (n >= least and n % 1 == 0):
+        raise ValidationError(f"{name} must be an integer >= {least}, got {n!r}")
+    return int(n)

@@ -18,15 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .config import TOLS, resolve
+from .config import TOLS, check_count, resolve
 from .errors import IllConditionedError, StarConvexityViolationError, ValidationError
-from .free_sets import FreeSetOracle
 from .operator_core import kron, support_inv_sqrt
 from .qstates import PAULI, BellDiagonalParams, DensityMatrix, bell_diagonal, bloch_decompose
+
+if TYPE_CHECKING:
+    from .free_sets import FreeSetOracle
 
 __all__ = [
     "RobustnessResult",
@@ -282,8 +284,7 @@ def discord_robustness_axis_opt(
     """
     if not isinstance(c, BellDiagonalParams):
         c = BellDiagonalParams(*c)
-    if int(grid) != grid or grid < 2:
-        raise ValidationError(f"grid must be an integer >= 2, got {grid!r}")
+    grid = check_count("grid", grid, least=2)
     xatol = resolve(xatol, TOLS.axis_opt_xatol)
     if not (math.isfinite(xatol) and xatol > 0.0):
         raise ValidationError(f"xatol must be finite and > 0, got {xatol!r}")
@@ -291,7 +292,7 @@ def discord_robustness_axis_opt(
     rot = _axis_rotations(rho)
     axes = np.arange(3)
     lo = hi = np.full(3, math.nan)  # no bracket before the grid scan
-    ks = _axis_grid(np.full(3, -1.0), np.ones(3), np.linspace(0.0, 1.0, int(grid)))
+    ks = _axis_grid(np.full(3, -1.0), np.ones(3), np.linspace(0.0, 1.0, grid))
     vals_best = np.full(3, math.inf)
     ks_best = np.zeros(3)
     evals = 0
@@ -364,13 +365,13 @@ def discord_levelset_grid(r: float, grid: int, slack: float = 1e-12) -> np.ndarr
     cube [-1, 1]^3 that satisfies the four positivity inequalities, where
     value is the middle sorted absolute correlation and inside flags
     value <= r (with a small slack so exact-boundary grid points count
-    as inside).
+    as inside).  ``r`` must be a number >= 0 (not NaN) and ``grid`` an
+    integer >= 2 (ValidationError otherwise).
     """
-    if r < 0.0:
-        raise ValidationError(f"level must be nonnegative, got {r!r}")
-    if grid < 2:
-        raise ValidationError(f"grid must be at least 2, got {grid!r}")
-    axis = np.linspace(-1.0, 1.0, int(grid))
+    if not r >= 0.0:  # also rejects NaN, which would mark every point outside
+        raise ValidationError(f"level must be a number >= 0, got {r!r}")
+    grid = check_count("grid", grid, least=2)
+    axis = np.linspace(-1.0, 1.0, grid)
     c = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     signs = np.array(
         [[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]]

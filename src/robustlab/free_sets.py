@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import TOLS, resolve
+from .config import TOLS, check_count, resolve
 from .errors import ConfigurationError, ValidationError
 from .operator_core import partial_transpose, trace_norm
 from .qstates import (
@@ -331,7 +331,11 @@ def star_convexity_probe(
     Draws members via the oracle's sampler and checks that every mixture
     (1 - delta) * member + delta * center stays in the set, on a fixed
     grid of mixing weights.  Reports violations rather than raising.
+    ``samples`` and ``mix_points`` must be integers >= 1 (ValidationError
+    otherwise); with no mixtures the probe would pass without testing.
     """
+    samples = check_count("samples", samples)
+    mix_points = check_count("mix_points", mix_points)
     if oracle.star_center is None:
         raise ConfigurationError(f"oracle {oracle.name!r} has no star center")
     if oracle.sampler is None:

@@ -18,6 +18,10 @@ constructions below exact at any resolution.
 Hits indistinguishable from the noise endpoint itself (chord parameter
 u = 1 within tolerance) are discarded: they correspond to s = infinity
 and would otherwise masquerade as enormous finite values.
+
+Points are (x, y) tuples and all arithmetic is on plain Python floats:
+a solve makes hundreds of chord tests on 2-vectors, where array calls
+would cost more than the arithmetic, and the module needs no numpy.
 """
 
 from __future__ import annotations
@@ -26,9 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .config import TOLS, resolve
+from .config import TOLS, check_count, resolve
 from .errors import ConfigurationError, ValidationError
 
 __all__ = [
@@ -46,24 +48,32 @@ __all__ = [
 ]
 
 _Point = Sequence[float]
+_Pt = tuple[float, float]
 
 
-def _pt(p: _Point) -> np.ndarray:
-    a = np.asarray(p, dtype=float).reshape(2)
-    if not np.all(np.isfinite(a)):
+def _pt(p: _Point) -> _Pt:
+    if isinstance(p, (str, bytes)):
+        raise ValidationError(f"planar point must be two numbers, got {p!r}")
+    try:
+        x, y = p
+        x, y = float(x), float(y)
+    except (TypeError, ValueError):
+        raise ValidationError(f"planar point must be two numbers, got {p!r}") from None
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise ValidationError(f"non-finite planar point {p!r}")
-    return a
+    return (x, y)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+def _edges(poly: Sequence[_Pt]):
+    """Consecutive vertex pairs of a closed polygon, last edge back to the first."""
+    return zip(poly, (*poly[1:], poly[0]))
 
 
-def _ccw(vertices: Sequence[_Point]) -> tuple[np.ndarray, ...]:
+def _ccw(vertices: Sequence[_Point]) -> tuple[_Pt, ...]:
     pts = tuple(_pt(v) for v in vertices)
     if len(pts) < 3:
         raise ValidationError("a polygon needs at least three vertices")
-    area2 = sum(_cross(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts)))
+    area2 = sum(ax * by - ay * bx for (ax, ay), (bx, by) in _edges(pts))
     if abs(area2) < 1e-15:
         raise ValidationError("degenerate polygon (zero area)")
     return pts if area2 > 0 else pts[::-1]
@@ -75,12 +85,12 @@ class PlanarFreeSet:
 
     Segments may be degenerate (both endpoints equal), representing
     isolated points.  Polygons are stored counterclockwise regardless of
-    input orientation.
+    input orientation.  Points are stored as (x, y) tuples of floats.
     """
 
-    segments: tuple[tuple[np.ndarray, np.ndarray], ...]
-    polygons: tuple[tuple[np.ndarray, ...], ...]
-    star_center: Optional[np.ndarray]
+    segments: tuple[tuple[_Pt, _Pt], ...]
+    polygons: tuple[tuple[_Pt, ...], ...]
+    star_center: Optional[_Pt]
 
     def __init__(
         self,
@@ -102,12 +112,12 @@ class PlanarFreeSet:
 
     def contains(self, p: _Point, tol: float | None = None) -> bool:
         tol = resolve(tol, TOLS.geometry_membership)
-        q = _pt(p)
+        qx, qy = _pt(p)
         for a, b in self.segments:
-            if _point_segment_dist(q, a, b) <= tol:
+            if _point_segment_dist(qx, qy, a, b) <= tol:
                 return True
         for poly in self.polygons:
-            if _in_convex_polygon(q, poly, tol):
+            if _in_convex_polygon(qx, qy, poly, tol):
                 return True
         return False
 
@@ -116,7 +126,7 @@ class PlanarFreeSet:
 class PlanarScene:
     """A convex polygonal state space together with a free subset."""
 
-    state_space: tuple[np.ndarray, ...]
+    state_space: tuple[_Pt, ...]
     free: PlanarFreeSet
 
     def __init__(self, state_space: Sequence[_Point], free: PlanarFreeSet):
@@ -124,14 +134,14 @@ class PlanarScene:
         object.__setattr__(self, "free", free)
         tol = TOLS.geometry_membership
         for v in _free_vertices(free):
-            if not _in_convex_polygon(v, self.state_space, tol):
+            if not _in_convex_polygon(*v, self.state_space, tol):
                 raise ValidationError(
-                    f"free-set vertex {v.tolist()} lies outside the state space"
+                    f"free-set vertex {list(v)} lies outside the state space"
                 )
 
     def contains(self, p: _Point, tol: float | None = None) -> bool:
         tol = resolve(tol, TOLS.geometry_membership)
-        return _in_convex_polygon(_pt(p), self.state_space, tol)
+        return _in_convex_polygon(*_pt(p), self.state_space, tol)
 
 
 def _free_vertices(free: PlanarFreeSet):
@@ -142,36 +152,36 @@ def _free_vertices(free: PlanarFreeSet):
         yield from poly
 
 
-def _point_segment_dist(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    d = b - a
-    dd = float(d @ d)
+def _point_segment_dist(qx: float, qy: float, a: _Pt, b: _Pt) -> float:
+    (ax, ay), (bx, by) = a, b
+    dx, dy = bx - ax, by - ay
+    dd = dx * dx + dy * dy
     if dd < 1e-30:
-        return float(np.hypot(*(q - a)))
-    t = min(1.0, max(0.0, float((q - a) @ d) / dd))
-    return float(np.hypot(*(q - (a + t * d))))
+        return math.hypot(qx - ax, qy - ay)
+    t = min(1.0, max(0.0, ((qx - ax) * dx + (qy - ay) * dy) / dd))
+    return math.hypot(qx - (ax + t * dx), qy - (ay + t * dy))
 
 
-def _in_convex_polygon(q: np.ndarray, poly: tuple[np.ndarray, ...], tol: float) -> bool:
-    for i, v in enumerate(poly):
-        e = poly[(i + 1) % len(poly)] - v
-        n = np.hypot(*e)
-        if _cross(e, q - v) < -tol * n:
+def _in_convex_polygon(qx: float, qy: float, poly: tuple[_Pt, ...], tol: float) -> bool:
+    for (vx, vy), (wx, wy) in _edges(poly):
+        ex, ey = wx - vx, wy - vy
+        if ex * (qy - vy) - ey * (qx - vx) < -tol * math.hypot(ex, ey):
             return False
     return True
 
 
-def _hit_polygon(p: np.ndarray, d: np.ndarray, poly: tuple[np.ndarray, ...],
-                 tol: float) -> Optional[float]:
+def _hit_polygon(px: float, py: float, dx: float, dy: float,
+                 poly: tuple[_Pt, ...], tol: float) -> Optional[float]:
     """Entry parameter of the ray p + u*d, u in [0, 1], into a convex
     polygon whose faces are relaxed outward by tol (a distance)."""
     t0, t1 = 0.0, 1.0
-    for i, v in enumerate(poly):
-        e = poly[(i + 1) % len(poly)] - v
-        norm = np.hypot(*e)
+    for (vx, vy), (wx, wy) in _edges(poly):
+        ex, ey = wx - vx, wy - vy
+        norm = math.hypot(ex, ey)
         # inward unit normal of a CCW edge
-        n = np.array([-e[1], e[0]]) / norm
-        f = float(n @ d)
-        g = float(n @ (p - v)) + tol
+        nx, ny = -ey / norm, ex / norm
+        f = nx * dx + ny * dy
+        g = (nx * (px - vx) + ny * (py - vy)) + tol
         if abs(f) < 1e-15:
             if g < 0.0:
                 return None
@@ -186,56 +196,57 @@ def _hit_polygon(p: np.ndarray, d: np.ndarray, poly: tuple[np.ndarray, ...],
     return max(t0, 0.0)
 
 
-def _hit_segment(p: np.ndarray, d: np.ndarray, a: np.ndarray, b: np.ndarray,
+def _hit_segment(px: float, py: float, dx: float, dy: float, a: _Pt, b: _Pt,
                  tol: float) -> Optional[float]:
     """Earliest parameter u in [0, 1] where p + u*d meets segment [a, b]
     (both endpoints inclusive), to within distance tol."""
-    dlen = float(np.hypot(*d))
+    dlen = math.hypot(dx, dy)
     if dlen < 1e-15:
-        return 0.0 if _point_segment_dist(p, a, b) <= tol else None
-    e = b - a
-    elen = float(np.hypot(*e))
+        return 0.0 if _point_segment_dist(px, py, a, b) <= tol else None
+    (ax, ay), (bx, by) = a, b
+    ex, ey = bx - ax, by - ay
+    elen = math.hypot(ex, ey)
     if elen < 1e-15:  # degenerate component: a single point
-        u = min(1.0, max(0.0, float((a - p) @ d) / (dlen * dlen)))
-        return u if float(np.hypot(*(p + u * d - a))) <= tol else None
-    denom = _cross(d, e)
-    r = a - p
+        u = min(1.0, max(0.0, ((ax - px) * dx + (ay - py) * dy) / (dlen * dlen)))
+        return u if math.hypot(px + u * dx - ax, py + u * dy - ay) <= tol else None
+    denom = dx * ey - dy * ex
+    rx, ry = ax - px, ay - py
     if abs(denom) < 1e-12 * dlen * elen:
         # parallel; a hit needs collinearity within tol
-        if abs(_cross(d, r)) > tol * dlen:
+        if abs(dx * ry - dy * rx) > tol * dlen:
             return None
-        u1 = float(r @ d) / (dlen * dlen)
-        u2 = float((b - p) @ d) / (dlen * dlen)
+        u1 = (rx * dx + ry * dy) / (dlen * dlen)
+        u2 = ((bx - px) * dx + (by - py) * dy) / (dlen * dlen)
         lo, hi = min(u1, u2), max(u1, u2)
         if hi < 0.0 or lo > 1.0:
             return None
         return max(lo, 0.0)
-    u = _cross(r, e) / denom
-    v = _cross(r, d) / denom
+    u = (rx * ey - ry * ex) / denom
+    v = (rx * dy - ry * dx) / denom
     if -tol / elen <= v <= 1.0 + tol / elen and -tol / dlen <= u <= 1.0 + tol / dlen:
         return min(1.0, max(0.0, u))
     return None
 
 
-def _first_hit(p: np.ndarray, tau: np.ndarray, free: PlanarFreeSet,
+def _first_hit(px: float, py: float, tx: float, ty: float, free: PlanarFreeSet,
                tol: float) -> Optional[float]:
     """Earliest valid chord parameter where [p, tau] meets the free set.
 
     Hits within the guard distance of tau itself are discarded (they
     encode u -> 1, i.e. unbounded s).
     """
-    d = tau - p
+    dx, dy = tx - px, ty - py
     guard = TOLS.geometry_guard_factor * tol
     best = None
     hits = []
     for a, b in free.segments:
-        hits.append(_hit_segment(p, d, a, b, tol))
+        hits.append(_hit_segment(px, py, dx, dy, a, b, tol))
     for poly in free.polygons:
-        hits.append(_hit_polygon(p, d, poly, tol))
+        hits.append(_hit_polygon(px, py, dx, dy, poly, tol))
     for u in hits:
         if u is None:
             continue
-        if float(np.hypot(*(p + u * d - tau))) <= guard:
+        if math.hypot(px + u * dx - tx, py + u * dy - ty) <= guard:
             continue
         if best is None or u < best:
             best = u
@@ -248,48 +259,37 @@ def _s_of_hit(u: Optional[float]) -> float:
     return u / (1.0 - u)
 
 
-def _edge_loci(polyline: Sequence[np.ndarray], closed: bool):
-    n = len(polyline)
-    stop = n if closed else n - 1
-    for i in range(stop):
-        yield polyline[i], polyline[(i + 1) % n]
-
-
-def _value_for_tau(p, tau, free, tol):
-    return _s_of_hit(_first_hit(p, tau, free, tol))
+def _value_for_tau(px, py, tx, ty, free, tol):
+    return _s_of_hit(_first_hit(px, py, tx, ty, free, tol))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_refine(p, a, b, f_lo, f_hi, free, tol, refine_tol):
+def _golden_refine(px, py, a, b, f_lo, f_hi, free, tol, refine_tol):
     """Golden-section scan of tau = a + f*(b - a) for f in [f_lo, f_hi],
     returning the best value seen (the objective may be piecewise flat or
     infinite; we only need an upper envelope, never a certified minimum)."""
-    span = float(np.hypot(*(b - a)))
+    (ax, ay), (bx, by) = a, b
+    ex, ey = bx - ax, by - ay
+    span = math.hypot(ex, ey)
     lo, hi = f_lo, f_hi
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
-    v1 = _value_for_tau(p, a + x1 * (b - a), free, tol)
-    v2 = _value_for_tau(p, a + x2 * (b - a), free, tol)
+    v1 = _value_for_tau(px, py, ax + x1 * ex, ay + x1 * ey, free, tol)
+    v2 = _value_for_tau(px, py, ax + x2 * ex, ay + x2 * ey, free, tol)
     best = min(v1, v2)
     while (hi - lo) * span > refine_tol:
         if v1 <= v2:
             hi, x2, v2 = x2, x1, v1
             x1 = hi - _INV_PHI * (hi - lo)
-            v1 = _value_for_tau(p, a + x1 * (b - a), free, tol)
+            v1 = _value_for_tau(px, py, ax + x1 * ex, ay + x1 * ey, free, tol)
         else:
             lo, x1, v1 = x1, x2, v2
             x2 = lo + _INV_PHI * (hi - lo)
-            v2 = _value_for_tau(p, a + x2 * (b - a), free, tol)
+            v2 = _value_for_tau(px, py, ax + x2 * ex, ay + x2 * ey, free, tol)
         best = min(best, v1, v2)
     return best
-
-
-def _check_count(name: str, n) -> int:
-    if int(n) != n or n < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {n!r}")
-    return int(n)
 
 
 def _check_refine_tol(refine_tol) -> float:
@@ -298,16 +298,18 @@ def _check_refine_tol(refine_tol) -> float:
     return float(refine_tol)
 
 
-def _optimize_over_loci(p, loci, free, tol, resolution, refine_tol):
+def _optimize_over_loci(px, py, loci, free, tol, resolution, refine_tol):
     """Minimum mixing weight over candidate noise points sampled along the
     given (a, b) loci, plus local golden refinement around the best sample."""
     best = math.inf
     best_locus = None
     best_idx = 0
     for a, b in loci:
+        (ax, ay), (bx, by) = a, b
+        ex, ey = bx - ax, by - ay
         for j in range(resolution + 1):
             f = j / resolution
-            v = _value_for_tau(p, a + f * (b - a), free, tol)
+            v = _value_for_tau(px, py, ax + f * ex, ay + f * ey, free, tol)
             if v < best:
                 best, best_locus, best_idx = v, (a, b), j
     if best_locus is not None and math.isfinite(best):
@@ -315,7 +317,8 @@ def _optimize_over_loci(p, loci, free, tol, resolution, refine_tol):
         f_lo = max(0.0, (best_idx - 1) / resolution)
         f_hi = min(1.0, (best_idx + 1) / resolution)
         if f_hi > f_lo:
-            best = min(best, _golden_refine(p, a, b, f_lo, f_hi, free, tol, refine_tol))
+            best = min(best, _golden_refine(px, py, a, b, f_lo, f_hi, free, tol,
+                                            refine_tol))
     return best
 
 
@@ -329,16 +332,16 @@ def absolute_robustness_2d(
     set; math.inf when no finite mixture works.  ``resolution`` must be an
     integer >= 1 and ``refine_tol`` finite and > 0 (ValidationError
     otherwise)."""
-    resolution = _check_count("resolution", resolution)
+    resolution = check_count("resolution", resolution)
     refine_tol = _check_refine_tol(refine_tol)
     tol = TOLS.geometry_membership
     q = _pt(p)
     if not scene.contains(q, tol):
-        raise ValidationError(f"point {q.tolist()} lies outside the state space")
+        raise ValidationError(f"point {list(q)} lies outside the state space")
     if scene.free.contains(q, tol):
         return 0.0
     loci = list(_edge_loci_of_free(scene.free))
-    return _optimize_over_loci(q, loci, scene.free, tol, resolution, refine_tol)
+    return _optimize_over_loci(*q, loci, scene.free, tol, resolution, refine_tol)
 
 
 def global_robustness_2d(
@@ -354,23 +357,23 @@ def global_robustness_2d(
     so candidates sweep the state-space boundary only.  ``resolution`` and
     ``refine_tol`` are validated as in :func:`absolute_robustness_2d`.
     """
-    resolution = _check_count("resolution", resolution)
+    resolution = check_count("resolution", resolution)
     refine_tol = _check_refine_tol(refine_tol)
     tol = TOLS.geometry_membership
     q = _pt(p)
     if not scene.contains(q, tol):
-        raise ValidationError(f"point {q.tolist()} lies outside the state space")
+        raise ValidationError(f"point {list(q)} lies outside the state space")
     if scene.free.contains(q, tol):
         return 0.0
-    loci = list(_edge_loci(scene.state_space, closed=True))
-    return _optimize_over_loci(q, loci, scene.free, tol, resolution, refine_tol)
+    loci = list(_edges(scene.state_space))
+    return _optimize_over_loci(*q, loci, scene.free, tol, resolution, refine_tol)
 
 
 def _edge_loci_of_free(free: PlanarFreeSet):
     for a, b in free.segments:
         yield a, b
     for poly in free.polygons:
-        yield from _edge_loci(poly, closed=True)
+        yield from _edges(poly)
 
 
 def planar_star_probe(
@@ -387,21 +390,22 @@ def planar_star_probe(
     ``samples`` and ``mix_points`` must be integers >= 1 (ValidationError
     otherwise); with no mixtures the probe would pass without testing.
     """
-    samples = _check_count("samples", samples)
-    mix_points = _check_count("mix_points", mix_points)
+    samples = check_count("samples", samples)
+    mix_points = check_count("mix_points", mix_points)
     if free.star_center is None:
         raise ConfigurationError("free set declares no star center to probe")
     tol = resolve(tol, TOLS.geometry_membership)
-    c = free.star_center
+    cx, cy = free.star_center
     bad: list[tuple[tuple[float, float], float]] = []
-    for a, b in _edge_loci_of_free(free):
+    for (ax, ay), (bx, by) in _edge_loci_of_free(free):
         for j in range(samples + 1):
-            q = a + (j / samples) * (b - a)
+            f = j / samples
+            qx, qy = ax + f * (bx - ax), ay + f * (by - ay)
             for k in range(mix_points):
                 alpha = (k + 1) / (mix_points + 1)
-                mix = (1.0 - alpha) * q + alpha * c
+                mix = ((1.0 - alpha) * qx + alpha * cx, (1.0 - alpha) * qy + alpha * cy)
                 if not free.contains(mix, tol):
-                    bad.append(((float(q[0]), float(q[1])), alpha))
+                    bad.append(((qx, qy), alpha))
     return bad
 
 
@@ -460,15 +464,14 @@ def scene_counterexample2(
         raise ValidationError("edge lengths must be positive")
     if not 0.0 < angle < math.pi:
         raise ValidationError(f"angle must be in (0, pi), got {angle!r}")
-    ea = np.array([1.0, 0.0])
-    eb = np.array([math.cos(angle), math.sin(angle)])
-    sigma_a = (a / 2.0) * ea
-    sigma_b = (2.0 * b / 3.0) * eb
+    cos, sin = math.cos(angle), math.sin(angle)
+    sigma_a = (a / 2.0, 0.0)
+    sigma_b = (2.0 * b / 3.0 * cos, 2.0 * b / 3.0 * sin)
     free = PlanarFreeSet(
         segments=[(sigma_a, sigma_a), (sigma_b, sigma_b)],
         star_center=None,
     )
-    tri = [(0.0, 0.0), tuple(a * ea), tuple(b * eb)]
+    tri = [(0.0, 0.0), (a, 0.0), (b * cos, b * sin)]
     return PlanarScene(tri, free)
 
 

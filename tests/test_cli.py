@@ -3,16 +3,19 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import robustlab
 from robustlab import audit as audit_mod
 from robustlab.cli import main
+from robustlab.errors import ValidationError
 from robustlab.engines import (
     discord_levelset_grid,
     discord_robustness_axis_opt,
@@ -267,8 +270,100 @@ class TestCounterexample:
         code, _, _ = run_cli(capsys, "counterexample", "--id", "1", "--sweep", "0:1:-0.1")
         assert code == 2
 
+    @pytest.mark.parametrize("sweep, word", [
+        ("0:inf:0.1", "finite"),     # never ended, with memory growing
+        ("nan:1:0.1", "finite"),     # printed only the header, exit 0
+        ("0:1:nan", "finite"),
+        ("-inf:0:0.1", "finite"),
+        ("-1:1:1e-9", "points"),
+        ("0:1e300:1", "points"),
+    ])
+    def test_unbounded_sweep_exits_two(self, sweep, word):
+        proc = run_subprocess("counterexample", "--id", "1", "--sweep", sweep, timeout=10.0)
+        assert_rejected(proc, word)
+
+    def test_sweep_point_cap(self):
+        from robustlab.cli import MAX_SWEEP_POINTS, _parse_sweep
+
+        assert MAX_SWEEP_POINTS == 10_000
+        assert len(_parse_sweep("0:1:0.0001")) == MAX_SWEEP_POINTS
+        with pytest.raises(ValidationError, match="points"):
+            _parse_sweep("0:1.00005:0.0001")
+
+    def test_counterexample_leaves_numpy_unimported(self):
+        # the same entry point as `python -m robustlab.cli counterexample ...`
+        script = (
+            "import runpy, sys\n"
+            "sys.argv = ['robustlab', 'counterexample', '--id', '1', '--t', '0.1']\n"
+            "try:\n"
+            "    runpy.run_module('robustlab.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, sorted(m for m in sys.modules if m.startswith('numpy')),"
+            " file=sys.stderr)\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.stderr.strip() == "0 []"
+        assert proc.stdout.splitlines() == ["t,exact,numeric", "0.1,0.1,0.1"]
+
+
+_NUMBER = st.one_of(
+    st.floats(0.0, 0.5), st.floats(-1.5, 1.5), st.floats(allow_nan=True, allow_infinity=True)
+).map(repr)
+# steps below 0.05 are drawn only where the sweep is rejected or leaves the
+# families' range at once, so every run does at most ~60 solves
+_STEP = st.one_of(
+    st.floats(0.05, 1.0), st.sampled_from([0.0, -0.1, 1e-9, math.inf, math.nan])
+).map(repr)
+_SWEEP = st.tuples(_NUMBER, _NUMBER, _STEP).map(":".join)
+
+
+@st.composite
+def counterexample_argv(draw):
+    argv = ["counterexample", "--id", draw(st.sampled_from(["1", "2"]))]
+    branch = draw(st.sampled_from([None, "a", "b"]))
+    if branch is not None:
+        argv += ["--branch", branch]
+    points = draw(st.sampled_from([("--t",), ("--sweep",), ("--t", "--sweep"), ()]))
+    for flag, values in (("--t", _NUMBER), ("--sweep", _SWEEP), ("--delta", _NUMBER),
+                         ("--resolution", st.integers(-2, 128).map(str))):
+        if flag in points or (flag not in ("--t", "--sweep") and draw(st.booleans())):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+class TestCounterexampleArguments:
+    """Every counterexample invocation exits 0 or 2, in bounded time, with
+    no traceback."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(argv=counterexample_argv())
+    def test_exit_codes(self, argv):
+        proc = run_subprocess(*argv, timeout=20.0)
+        assert proc.returncode in (0, 2), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
+        if proc.returncode == 2:
+            assert proc.stderr.startswith(("error:", "usage:")), (argv, proc.stderr)
+        else:
+            assert proc.stdout.startswith("t,exact,numeric\n"), argv
+
 
 class TestLevelset:
+    @pytest.mark.parametrize("args, word", [
+        (("--r", "nan"), "level"),   # marked every row inside=0 with exit 0
+        (("--r", "-0.1"), "level"),
+        (("--grid", "1"), "grid"),
+    ])
+    def test_bad_input_exits_two(self, args, word):
+        assert_rejected(run_subprocess("levelset", *args), word)
+
+    @pytest.mark.parametrize("r, grid, word", [
+        (math.nan, 5, "level"), (-1.0, 5, "level"),
+        (0.3, 2.5, "grid"), (0.3, 1, "grid"), (0.3, math.nan, "grid"), (0.3, math.inf, "grid"),
+    ])
+    def test_library_rejects_bad_input(self, r, grid, word):
+        with pytest.raises(ValidationError, match=word):
+            discord_levelset_grid(r, grid)
+
     def test_matches_library(self, capsys):
         rows = run_csv(capsys, "levelset", "--r", "0.3", "--grid", "5")
         data = discord_levelset_grid(0.3, 5)

@@ -245,7 +245,7 @@ class TestAxisOpt:
         res = discord_robustness_axis_opt((0.5, 0.3, 0.1), grid=16, xatol=1e-300)
         assert res.value == pytest.approx(0.3, abs=1e-9)
 
-    @pytest.mark.parametrize("grid", [1, 0, -3, 2.5])
+    @pytest.mark.parametrize("grid", [1, 0, -3, 2.5, math.nan, math.inf])
     def test_bad_grid(self, grid):
         with pytest.raises(ValidationError, match="grid"):
             discord_robustness_axis_opt((0.5, 0.3, 0.0), grid=grid)

@@ -310,3 +310,12 @@ class TestStarConvexityProbe:
         )
         with pytest.raises(ConfigurationError):
             star_convexity_probe(no_sampler)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"samples": 0}, {"samples": -3}, {"samples": 2.5},
+        {"mix_points": 0}, {"mix_points": math.nan},
+    ])
+    def test_empty_probe_rejected(self, kwargs):
+        # an empty probe checks nothing and would report passed=True
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            star_convexity_probe(oracle_by_name("ppt"), **kwargs)

@@ -113,6 +113,12 @@ class TestConstruction:
         assert not free.contains((0.5, 0.1))
         assert not free.contains((1.5, 0.5))
 
+    @pytest.mark.parametrize("point", ["12", (1.0,), (0.0, 0.5, 1.0), [[0.0, 0.5]],
+                                       (math.nan, 0.5), (0.0, math.inf)])
+    def test_malformed_point_rejected(self, point):
+        with pytest.raises(ValidationError, match="planar point"):
+            absolute_robustness_2d(point, scene_counterexample1())
+
     def test_out_of_space_point_rejected(self):
         scene = scene_counterexample1()
         with pytest.raises(ValidationError, match="outside the state space"):
@@ -254,6 +260,7 @@ class TestAgainstIndependentOracle:
     @pytest.mark.parametrize("kwargs", [
         {"resolution": 0}, {"resolution": -2}, {"resolution": 2.5},
         {"refine_tol": 0.0}, {"refine_tol": -1.0}, {"refine_tol": math.nan},
+        {"resolution": math.nan},
     ])
     def test_bad_parameters(self, solver, kwargs):
         with pytest.raises(ValidationError, match=next(iter(kwargs))):
