@@ -5,7 +5,8 @@ fails.
 
 The public names below are loaded on first use (PEP 562), so importing
 the package costs nothing and a caller pays only for the submodules it
-touches: the planar engine, for one, runs without numpy.
+touches: the planar engine and the Bell-diagonal closed forms, for two,
+run without numpy.
 """
 
 from importlib import import_module
@@ -19,8 +20,12 @@ _EXPORTS = {
         "StarConvexityViolationError",
         "ValidationError",
     ),
-    "qstates": (
+    "bds": (
         "BellDiagonalParams",
+        "discord_levelset_grid",
+        "discord_robustness_bds",
+    ),
+    "qstates": (
         "BlochTwoQubit",
         "DensityMatrix",
         "bell_diagonal",
@@ -57,9 +62,7 @@ _EXPORTS = {
         "LipschitzConstant",
         "RobustnessResult",
         "bound_from_kappa_ball",
-        "discord_levelset_grid",
         "discord_robustness_axis_opt",
-        "discord_robustness_bds",
         "discord_robustness_bounds",
         "lipschitz_from_kappa_ball",
         "lipschitz_full_rank",

@@ -28,10 +28,12 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .qstates import BellDiagonalParams, DensityMatrix
+    from .bds import BellDiagonalParams
+    from .qstates import DensityMatrix
 
 # Each handler imports only the modules it uses, and calls library functions
-# through their owning module, so `counterexample` never loads numpy.
+# through their owning module, so `counterexample`, `levelset` and the closed
+# form of `discord --bds` never load numpy.
 
 SCHEMA_VERSION = 1
 
@@ -82,7 +84,7 @@ def _emit(payload, fmt: str, out: Optional[str]) -> None:
 
 
 def _parse_bds(text: str) -> BellDiagonalParams:
-    from . import qstates
+    from . import bds
 
     parts = text.split(",")
     if len(parts) != 3:
@@ -91,7 +93,7 @@ def _parse_bds(text: str) -> BellDiagonalParams:
         vals = tuple(float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"--bds expects numbers, got {text!r}") from None
-    return qstates.BellDiagonalParams(*vals)
+    return bds.BellDiagonalParams(*vals)
 
 
 def _load_state(path: str) -> DensityMatrix:
@@ -155,8 +157,6 @@ def _parse_sweep(text: str) -> list[float]:
 
 
 def _cmd_discord(args) -> tuple[int, dict]:
-    from . import engines
-
     if args.bds is not None:
         params = _parse_bds(args.bds)
     else:
@@ -168,12 +168,16 @@ def _cmd_discord(args) -> tuple[int, dict]:
                 "state is not Bell-diagonal; use discord-bounds for general states"
             )
     if args.method == "closed-form":
+        from . import bds
+
         payload = {
             "v": SCHEMA_VERSION,
-            "value": engines.discord_robustness_bds(params),
+            "value": bds.discord_robustness_bds(params),
             "method": "closed-form",
         }
     else:
+        from . import engines
+
         res = engines.discord_robustness_axis_opt(params, grid=args.grid)
         payload = {
             "v": SCHEMA_VERSION,
@@ -267,11 +271,11 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
 
 
 def _cmd_levelset(args) -> tuple[int, dict]:
-    from . import engines
+    from . import bds
 
-    data = engines.discord_levelset_grid(args.r, args.grid)
     rows = [
-        (row[0], row[1], row[2], row[3], int(row[4])) for row in data
+        (c1, c2, c3, value, int(inside))
+        for c1, c2, c3, value, inside in bds.discord_levelset_grid(args.r, args.grid)
     ]
     return 0, {
         "v": SCHEMA_VERSION,

@@ -57,9 +57,12 @@ def resolve(value: float | None, default: float) -> float:
     return default if value is None else float(value)
 
 
-def check_count(name: str, n, least: int = 1) -> int:
-    """Return ``n`` as an int if it is an integer >= ``least``; raise
-    ValidationError otherwise (NaN and infinities included)."""
+def check_count(name: str, n, least: int = 1, most: int | None = None) -> int:
+    """Return ``n`` as an int if it is an integer >= ``least`` (and <=
+    ``most`` when given); raise ValidationError otherwise (NaN and
+    infinities included)."""
     if not (n >= least and n % 1 == 0):
         raise ValidationError(f"{name} must be an integer >= {least}, got {n!r}")
+    if most is not None and n > most:
+        raise ValidationError(f"{name} must be at most {most}, got {n!r}")
     return int(n)

@@ -22,10 +22,11 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from .bds import BellDiagonalParams, discord_levelset_grid, discord_robustness_bds
 from .config import TOLS, check_count, resolve
 from .errors import IllConditionedError, StarConvexityViolationError, ValidationError
 from .operator_core import kron, support_inv_sqrt
-from .qstates import PAULI, BellDiagonalParams, DensityMatrix, bell_diagonal, bloch_decompose
+from .qstates import PAULI, DensityMatrix, bell_diagonal, bloch_decompose
 
 if TYPE_CHECKING:
     from .free_sets import FreeSetOracle
@@ -198,6 +199,8 @@ _AXIS_SIGNS, _AXIS_VECS = np.linalg.eigh(np.stack([m.real for m in _AXIS_KRON]))
 _AXIS_SIGNS = np.rint(_AXIS_SIGNS)
 _ZOOM_STEPS = np.linspace(0.0, 1.0, 33)  # bracket fractions of every zoom round
 _ZOOM_ROUNDS = 64  # hard bound on zoom rounds
+# the grid scan evaluates 3*grid pencils in one stacked eigensolve
+MAX_AXIS_GRID = 10_000
 
 
 def _axis_state(axis: int, k: float) -> DensityMatrix:
@@ -250,19 +253,6 @@ def _axis_grid(lo: np.ndarray, hi: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return np.where(near_edge, np.sign(ks), ks)
 
 
-def discord_robustness_bds(
-    c: BellDiagonalParams | tuple[float, float, float]
-) -> float:
-    """Closed-form discord robustness of a Bell-diagonal state.
-
-    Equals the middle of the sorted absolute correlations, i.e.
-    max over pairs of the pairwise minimum of |c_i|.
-    """
-    if not isinstance(c, BellDiagonalParams):
-        c = BellDiagonalParams(*c)
-    return float(sorted(abs(v) for v in c.as_tuple())[1])
-
-
 def discord_robustness_axis_opt(
     c: BellDiagonalParams | tuple[float, float, float],
     grid: int = 64,
@@ -279,12 +269,12 @@ def discord_robustness_axis_opt(
     narrowing (at most _ZOOM_ROUNDS rounds).  Every round
     evaluates all three axes in one batch.  Ties between axes resolve to
     the lowest axis index, making witnesses deterministic.  ``grid`` must
-    be an integer >= 2 and ``xatol`` finite and > 0 (ValidationError
-    otherwise).
+    be an integer in [2, MAX_AXIS_GRID] and ``xatol`` finite and > 0
+    (ValidationError otherwise).
     """
     if not isinstance(c, BellDiagonalParams):
         c = BellDiagonalParams(*c)
-    grid = check_count("grid", grid, least=2)
+    grid = check_count("grid", grid, least=2, most=MAX_AXIS_GRID)
     xatol = resolve(xatol, TOLS.axis_opt_xatol)
     if not (math.isfinite(xatol) and xatol > 0.0):
         raise ValidationError(f"xatol must be finite and > 0, got {xatol!r}")
@@ -355,32 +345,6 @@ def discord_robustness_axis_opt(
         iterations=evals,
         bracket_width=width,
     )
-
-
-def discord_levelset_grid(r: float, grid: int, slack: float = 1e-12) -> np.ndarray:
-    """Sample the region {discord robustness <= r} over the Bell-diagonal
-    tetrahedron.
-
-    Returns one row (c1, c2, c3, value, inside) per grid point of the
-    cube [-1, 1]^3 that satisfies the four positivity inequalities, where
-    value is the middle sorted absolute correlation and inside flags
-    value <= r (with a small slack so exact-boundary grid points count
-    as inside).  ``r`` must be a number >= 0 (not NaN) and ``grid`` an
-    integer >= 2 (ValidationError otherwise).
-    """
-    if not r >= 0.0:  # also rejects NaN, which would mark every point outside
-        raise ValidationError(f"level must be a number >= 0, got {r!r}")
-    grid = check_count("grid", grid, least=2)
-    axis = np.linspace(-1.0, 1.0, grid)
-    c = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    signs = np.array(
-        [[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]]
-    )
-    weights = (1.0 + c @ signs.T) / 4.0
-    c = c[np.min(weights, axis=1) >= -TOLS.bds_positivity]
-    value = np.sort(np.abs(c), axis=1)[:, 1]
-    inside = value <= r + slack
-    return np.column_stack([c, value, inside.astype(float)])
 
 
 def discord_robustness_bounds(rho: DensityMatrix) -> tuple[float, float]:

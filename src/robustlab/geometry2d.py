@@ -50,6 +50,9 @@ __all__ = [
 _Point = Sequence[float]
 _Pt = tuple[float, float]
 
+# a solve samples resolution + 1 points per locus, so its cost is linear in it
+MAX_RESOLUTION = 10_000
+
 
 def _pt(p: _Point) -> _Pt:
     if isinstance(p, (str, bytes)):
@@ -330,9 +333,9 @@ def absolute_robustness_2d(
 ) -> float:
     """Least s with (p + s*tau)/(1+s) free for some noise tau in the free
     set; math.inf when no finite mixture works.  ``resolution`` must be an
-    integer >= 1 and ``refine_tol`` finite and > 0 (ValidationError
-    otherwise)."""
-    resolution = check_count("resolution", resolution)
+    integer in [1, MAX_RESOLUTION] and ``refine_tol`` finite and > 0
+    (ValidationError otherwise)."""
+    resolution = check_count("resolution", resolution, most=MAX_RESOLUTION)
     refine_tol = _check_refine_tol(refine_tol)
     tol = TOLS.geometry_membership
     q = _pt(p)
@@ -357,7 +360,7 @@ def global_robustness_2d(
     so candidates sweep the state-space boundary only.  ``resolution`` and
     ``refine_tol`` are validated as in :func:`absolute_robustness_2d`.
     """
-    resolution = check_count("resolution", resolution)
+    resolution = check_count("resolution", resolution, most=MAX_RESOLUTION)
     refine_tol = _check_refine_tol(refine_tol)
     tol = TOLS.geometry_membership
     q = _pt(p)

@@ -20,10 +20,12 @@ Conventions pinned here and relied on everywhere else:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bds import BellDiagonalParams
 from .config import TOLS
 from .errors import PositivityError, ValidationError
 from .operator_core import as_complex_matrix, kron, require_hermitian, trace_norm
@@ -82,7 +84,7 @@ class DensityMatrix:
         dims = tuple(int(d) for d in dims)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-        if int(np.prod(dims)) != a.shape[0]:
+        if math.prod(dims) != a.shape[0]:
             raise ValidationError(
                 f"dims {dims} inconsistent with matrix dimension {a.shape[0]}"
             )
@@ -117,51 +119,6 @@ class BlochTwoQubit:
     x: np.ndarray
     y: np.ndarray
     T: np.ndarray
-
-
-@dataclass(frozen=True)
-class BellDiagonalParams:
-    """Correlation triple (c1, c2, c3) of a Bell-diagonal state.
-
-    Validity requires the four tetrahedron inequalities
-    1-c1-c2-c3 >= 0, 1-c1+c2+c3 >= 0, 1+c1-c2+c3 >= 0, 1+c1+c2-c3 >= 0;
-    the error message names the first one violated.
-    """
-
-    c1: float
-    c2: float
-    c3: float
-
-    def __post_init__(self):
-        c1, c2, c3 = float(self.c1), float(self.c2), float(self.c3)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c3", c3)
-        slack = TOLS.bds_positivity
-        constraints = (
-            ("1-c1-c2-c3 >= 0", 1.0 - c1 - c2 - c3),
-            ("1-c1+c2+c3 >= 0", 1.0 - c1 + c2 + c3),
-            ("1+c1-c2+c3 >= 0", 1.0 + c1 - c2 + c3),
-            ("1+c1+c2-c3 >= 0", 1.0 + c1 + c2 - c3),
-        )
-        for name, value in constraints:
-            if value < -slack:
-                raise PositivityError(f"{name} violated (got {value:.6g})")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.c1, self.c2, self.c3)
-
-    def weights(self) -> np.ndarray:
-        """Bell-basis weights in (phi+, phi-, psi+, psi-) order."""
-        c1, c2, c3 = self.c1, self.c2, self.c3
-        return np.array(
-            [
-                (1.0 + c1 - c2 + c3) / 4.0,
-                (1.0 - c1 + c2 + c3) / 4.0,
-                (1.0 + c1 + c2 - c3) / 4.0,
-                (1.0 - c1 - c2 - c3) / 4.0,
-            ]
-        )
 
 
 def bell_state_vectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -200,7 +157,7 @@ def werner(p: float) -> DensityMatrix:
 
 def maximally_mixed(dims=(2, 2)) -> DensityMatrix:
     dims = tuple(int(d) for d in dims)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     return DensityMatrix(np.eye(d, dtype=complex) / d, dims, validate=False)
 
 

@@ -9,14 +9,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import robustlab
 from robustlab import audit as audit_mod
+from robustlab.bds import MAX_LEVELSET_GRID
 from robustlab.cli import main
 from robustlab.errors import ValidationError
 from robustlab.engines import (
+    MAX_AXIS_GRID,
     discord_levelset_grid,
     discord_robustness_axis_opt,
     discord_robustness_bds,
@@ -24,6 +27,7 @@ from robustlab.engines import (
     robustness_along_ray,
 )
 from robustlab.free_sets import is_unfaithful, oracle_by_name, singlet_fraction
+from robustlab.geometry2d import MAX_RESOLUTION
 from robustlab.qstates import (
     BellDiagonalParams,
     bell_diagonal,
@@ -72,6 +76,21 @@ def assert_rejected(proc, word):
     assert "Traceback" not in proc.stderr
 
 
+def run_listing_numpy(*argv):
+    """Run the CLI through its ``__main__`` entry point in a fresh interpreter;
+    its stderr ends with a line "<exit code> <numpy modules loaded>"."""
+    script = (
+        "import runpy, sys\n"
+        f"sys.argv = ['robustlab', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('robustlab.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, sorted(m for m in sys.modules if m.startswith('numpy')),"
+        " file=sys.stderr)\n"
+    )
+    return run_python("-c", script)
+
+
 def run_csv(capsys, *args):
     code, out, err = run_cli(capsys, *args)
     assert code == 0, err
@@ -102,12 +121,18 @@ class TestDiscord:
         b = run_cli(capsys, "discord", "--bds", "0.2,-0.4,0.1", "--method", "axis-opt")
         assert a == b
 
-    @pytest.mark.parametrize("grid", ["1", "0", "-4"])
+    @pytest.mark.parametrize("grid", ["1", "0", "-4", str(MAX_AXIS_GRID + 1), "10000000000"])
     def test_bad_grid_exits_two(self, grid):
         proc = run_subprocess(
             "discord", "--bds", "0.5,0.3,0", "--method", "axis-opt", "--grid", grid
         )
         assert_rejected(proc, "grid")
+
+    @pytest.mark.parametrize("method", ["closed-form", "axis-opt"])
+    def test_nan_correlation_exits_two(self, method):
+        # closed-form printed 0.0 with exit 0, axis-opt a LinAlgError traceback
+        proc = run_subprocess("discord", "--bds", "0.5,nan,0.1", "--method", method)
+        assert_rejected(proc, "finite")
 
     def test_axis_opt_leaves_scipy_optimize_unimported(self):
         script = (
@@ -260,6 +285,13 @@ class TestCounterexample:
     def test_bad_resolution_exits_two(self, args):
         assert_rejected(run_subprocess("counterexample", *args), "resolution")
 
+    @pytest.mark.parametrize("resolution", [MAX_RESOLUTION + 1, 10_000_000, 10**18])
+    def test_resolution_cap_exits_two(self, resolution):
+        # 1e5 took 4 s per point and 1e7 did not end within 10 s
+        proc = run_subprocess("counterexample", "--id", "1", "--t", "-0.5",
+                              "--resolution", str(resolution), timeout=10.0)
+        assert_rejected(proc, "resolution")
+
     def test_requires_t_or_sweep(self, capsys):
         code, _, _ = run_cli(capsys, "counterexample", "--id", "1")
         assert code == 2
@@ -291,17 +323,7 @@ class TestCounterexample:
             _parse_sweep("0:1.00005:0.0001")
 
     def test_counterexample_leaves_numpy_unimported(self):
-        # the same entry point as `python -m robustlab.cli counterexample ...`
-        script = (
-            "import runpy, sys\n"
-            "sys.argv = ['robustlab', 'counterexample', '--id', '1', '--t', '0.1']\n"
-            "try:\n"
-            "    runpy.run_module('robustlab.cli', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    print(exc.code, sorted(m for m in sys.modules if m.startswith('numpy')),"
-            " file=sys.stderr)\n"
-        )
-        proc = run_python("-c", script)
+        proc = run_listing_numpy("counterexample", "--id", "1", "--t", "0.1")
         assert proc.stderr.strip() == "0 []"
         assert proc.stdout.splitlines() == ["t,exact,numeric", "0.1,0.1,0.1"]
 
@@ -315,6 +337,10 @@ _STEP = st.one_of(
     st.floats(0.05, 1.0), st.sampled_from([0.0, -0.1, 1e-9, math.inf, math.nan])
 ).map(repr)
 _SWEEP = st.tuples(_NUMBER, _NUMBER, _STEP).map(":".join)
+# values past the cap are rejected before any solve
+_RESOLUTION = st.one_of(
+    st.integers(-2, 128), st.integers(MAX_RESOLUTION + 1, 10**18)
+).map(str)
 
 
 @st.composite
@@ -325,10 +351,22 @@ def counterexample_argv(draw):
         argv += ["--branch", branch]
     points = draw(st.sampled_from([("--t",), ("--sweep",), ("--t", "--sweep"), ()]))
     for flag, values in (("--t", _NUMBER), ("--sweep", _SWEEP), ("--delta", _NUMBER),
-                         ("--resolution", st.integers(-2, 128).map(str))):
+                         ("--resolution", _RESOLUTION)):
         if flag in points or (flag not in ("--t", "--sweep") and draw(st.booleans())):
             argv.append(f"{flag}={draw(values)}")
     return argv
+
+
+def run_checked(argv, codes):
+    """Run the CLI within 20 s and check that it exits with one of ``codes``
+    and prints no traceback; a rejection is one "error:" or argparse
+    "usage:" message."""
+    proc = run_subprocess(*argv, timeout=20.0)
+    assert proc.returncode in codes, (argv, proc.stderr)
+    assert "Traceback" not in proc.stderr, argv
+    if proc.returncode != 0:
+        assert proc.stderr.startswith(("error:", "usage:")), (argv, proc.stderr)
+    return proc
 
 
 class TestCounterexampleArguments:
@@ -338,13 +376,68 @@ class TestCounterexampleArguments:
     @settings(max_examples=30, deadline=None)
     @given(argv=counterexample_argv())
     def test_exit_codes(self, argv):
-        proc = run_subprocess(*argv, timeout=20.0)
-        assert proc.returncode in (0, 2), (argv, proc.stderr)
-        assert "Traceback" not in proc.stderr, argv
-        if proc.returncode == 2:
-            assert proc.stderr.startswith(("error:", "usage:")), (argv, proc.stderr)
-        else:
+        proc = run_checked(argv, (0, 2))
+        if proc.returncode == 0:
             assert proc.stdout.startswith("t,exact,numeric\n"), argv
+
+
+_CORRELATION = st.one_of(
+    st.floats(-1.0, 1.0), st.sampled_from([math.nan, math.inf, -math.inf]), _NUMBER.map(float)
+).map(repr)
+_BDS = st.one_of(
+    st.lists(_CORRELATION, min_size=3, max_size=3),
+    st.lists(_CORRELATION, max_size=5),  # wrong counts
+).map(",".join) | st.text("0123456789.,-+eEinfa ", max_size=16)
+
+
+@st.composite
+def discord_argv(draw):
+    argv = ["discord", f"--bds={draw(_BDS)}"]
+    if draw(st.booleans()):
+        argv.append(f"--method={draw(st.sampled_from(['closed-form', 'axis-opt', 'lbfgs']))}")
+    if draw(st.booleans()):
+        # values past the cap are rejected before the grid is built
+        grid = st.integers(-3, 80) | st.integers(MAX_AXIS_GRID + 1, 10**18)
+        argv.append(f"--grid={draw(grid)}")
+    return argv
+
+
+@st.composite
+def levelset_argv(draw):
+    argv = ["levelset"]
+    if draw(st.booleans()):
+        argv.append(f"--r={draw(_NUMBER)}")
+    # grids past the cap are rejected before any point is made; grid**3
+    # points below it, so do not draw large grids under the cap
+    argv.append(f"--grid={draw(st.integers(-3, 25) | st.integers(MAX_LEVELSET_GRID + 1, 10**18))}")
+    return argv
+
+
+class TestDiscordArguments:
+    """Every discord invocation on a correlation triple exits 0, 2 or 3, in
+    bounded time, with no traceback."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(argv=discord_argv())
+    def test_exit_codes(self, argv):
+        proc = run_checked(argv, (0, 2, 3))
+        if proc.returncode == 0:
+            c = [float(v) for v in argv[1].split("=", 1)[1].split(",")]
+            assert all(math.isfinite(v) for v in c), argv
+            value = json.loads(proc.stdout)["value"]
+            assert value == pytest.approx(sorted(abs(v) for v in c)[1], abs=1e-6), argv
+
+
+class TestLevelsetArguments:
+    """Every levelset invocation exits 0 or 2, in bounded time, with no
+    traceback."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(argv=levelset_argv())
+    def test_exit_codes(self, argv):
+        proc = run_checked(argv, (0, 2))
+        if proc.returncode == 0:
+            assert proc.stdout.startswith("c1,c2,c3,value,inside\n"), argv
 
 
 class TestLevelset:
@@ -352,6 +445,7 @@ class TestLevelset:
         (("--r", "nan"), "level"),   # marked every row inside=0 with exit 0
         (("--r", "-0.1"), "level"),
         (("--grid", "1"), "grid"),
+        (("--grid", str(MAX_LEVELSET_GRID + 1)), "grid"),  # grid**3 points
     ])
     def test_bad_input_exits_two(self, args, word):
         assert_rejected(run_subprocess("levelset", *args), word)
@@ -359,6 +453,7 @@ class TestLevelset:
     @pytest.mark.parametrize("r, grid, word", [
         (math.nan, 5, "level"), (-1.0, 5, "level"),
         (0.3, 2.5, "grid"), (0.3, 1, "grid"), (0.3, math.nan, "grid"), (0.3, math.inf, "grid"),
+        (0.3, MAX_LEVELSET_GRID + 1, "grid"), (0.3, 10**18, "grid"),
     ])
     def test_library_rejects_bad_input(self, r, grid, word):
         with pytest.raises(ValidationError, match=word):
@@ -366,11 +461,28 @@ class TestLevelset:
 
     def test_matches_library(self, capsys):
         rows = run_csv(capsys, "levelset", "--r", "0.3", "--grid", "5")
-        data = discord_levelset_grid(0.3, 5)
+        data = np.asarray(discord_levelset_grid(0.3, 5))
         assert len(rows) == 1 + data.shape[0]
         for row, ref in zip(rows[1:], data):
             assert float(row[3]) == pytest.approx(ref[3], abs=1e-12)
             assert int(row[4]) == int(ref[4])
+
+
+class TestNumpyFree:
+    @pytest.mark.parametrize("argv, code", [
+        (("discord", "--bds", "0.1,0.2,0.3"), 0),
+        (("discord", "--bds", "0.8,0.6,0.6"), 3),  # positivity rejection
+        (("levelset", "--grid", "5"), 0),
+    ])
+    def test_command_leaves_numpy_unimported(self, argv, code):
+        proc = run_listing_numpy(*argv)
+        assert proc.stderr.splitlines()[-1] == f"{code} []"
+
+    def test_bds_import_leaves_numpy_unimported(self):
+        proc = run_python("-c", "import sys, robustlab.bds\n"
+                                "print(sorted(m for m in sys.modules if 'numpy' in m))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestAudit:

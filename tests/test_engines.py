@@ -13,6 +13,7 @@ from robustlab.errors import (
     ValidationError,
 )
 from robustlab.engines import (
+    MAX_AXIS_GRID,
     _axis_pencil_values,
     _axis_rotations,
     _axis_state,
@@ -245,7 +246,7 @@ class TestAxisOpt:
         res = discord_robustness_axis_opt((0.5, 0.3, 0.1), grid=16, xatol=1e-300)
         assert res.value == pytest.approx(0.3, abs=1e-9)
 
-    @pytest.mark.parametrize("grid", [1, 0, -3, 2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("grid", [1, 0, -3, 2.5, math.nan, math.inf, MAX_AXIS_GRID + 1])
     def test_bad_grid(self, grid):
         with pytest.raises(ValidationError, match="grid"):
             discord_robustness_axis_opt((0.5, 0.3, 0.0), grid=grid)
@@ -310,7 +311,7 @@ class TestAxisPencil:
 class TestLevelsetGrid:
     def test_matches_brute_force(self):
         r, n = 0.25, 5
-        data = discord_levelset_grid(r, n)
+        data = np.asarray(discord_levelset_grid(r, n))
         axis = np.linspace(-1.0, 1.0, n)
         expect = []
         for c1 in axis:
@@ -329,7 +330,7 @@ class TestLevelsetGrid:
         assert_allclose(data, np.array(expect), atol=1e-14)
 
     def test_corner_rows(self):
-        data = discord_levelset_grid(0.3, 2)
+        data = np.asarray(discord_levelset_grid(0.3, 2))
         assert data.shape == (4, 5)  # only the four Bell corners survive
         assert_allclose(data[:, 3], 1.0)
         assert_allclose(data[:, 4], 0.0)

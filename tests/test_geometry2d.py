@@ -7,6 +7,7 @@ import pytest
 
 from robustlab.errors import ConfigurationError, ValidationError
 from robustlab.geometry2d import (
+    MAX_RESOLUTION,
     PlanarFreeSet,
     PlanarScene,
     absolute_robustness_2d,
@@ -260,11 +261,17 @@ class TestAgainstIndependentOracle:
     @pytest.mark.parametrize("kwargs", [
         {"resolution": 0}, {"resolution": -2}, {"resolution": 2.5},
         {"refine_tol": 0.0}, {"refine_tol": -1.0}, {"refine_tol": math.nan},
-        {"resolution": math.nan},
+        {"resolution": math.nan}, {"resolution": MAX_RESOLUTION + 1},
     ])
     def test_bad_parameters(self, solver, kwargs):
         with pytest.raises(ValidationError, match=next(iter(kwargs))):
             solver((0.9, 1.1), triangle_scene(), **kwargs)
+
+    def test_resolution_cap_accepted(self):
+        assert MAX_RESOLUTION == 10_000
+        p = (0.9, 1.1)
+        v = global_robustness_2d(p, triangle_scene(), resolution=MAX_RESOLUTION)
+        assert v == pytest.approx(reference_robustness(p, TRI, BOX), abs=1e-6)
 
 
 def shear_scene(scene, m):

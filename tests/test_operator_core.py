@@ -114,6 +114,13 @@ class TestValidation:
             as_complex_matrix([[np.nan, 0], [0, 1]])
         with pytest.raises(ValidationError):
             as_complex_matrix([[0, 1j * np.inf], [0, 1]])
+        # the only bad entry has one finite part
+        for bad in (complex(0.0, math.inf), complex(math.nan, 0.0),
+                    complex(0.0, math.nan), complex(-math.inf, 1.0)):
+            m = np.eye(3, dtype=complex)
+            m[1, 2] = bad
+            with pytest.raises(ValidationError, match="finite"):
+                as_complex_matrix(m)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError, match="not hermitian"):

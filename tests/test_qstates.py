@@ -41,7 +41,7 @@ class TestDensityMatrix:
             rho.mat[0, 0] = 0.3
 
     def test_dims_mismatch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="inconsistent"):
             DensityMatrix(np.eye(4) / 4.0, (2, 3))
 
     def test_trace_check(self):
