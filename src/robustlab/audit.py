@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import TOLS, resolve
+from .config import TOLS, check_count, check_finite, resolve
 from .errors import ConfigurationError
 from .engines import robustness_along_ray
 from .free_sets import FreeSetOracle, sample_trace_ball
@@ -52,20 +52,26 @@ __all__ = [
 Measure = Callable[[DensityMatrix], float]
 Channel = Callable[[DensityMatrix], DensityMatrix]
 
+_DIM = 4  # audits draw two-qubit states
+
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Batch size, seed and an optional override of the audit tolerance."""
+    """Batch size, seed and an optional override of the audit tolerance.
+
+    ``seed`` must be an integer >= 0 and ``tolerance`` None or a finite
+    number >= 0 (ValidationError otherwise).
+    """
 
     samples: int = 100
     seed: int = 0
     tolerance: Optional[float] = None
-    dims: tuple[int, int] = (2, 2)
-    sampler: str = "gaussian-purification"
 
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
+    def __post_init__(self):
+        object.__setattr__(self, "seed", check_count("seed", self.seed, least=0))
+        if self.tolerance is not None:
+            tol = check_finite("tolerance", self.tolerance, strict=False)
+            object.__setattr__(self, "tolerance", tol)
 
 
 # --- Lipschitz ---------------------------------------------------------------
@@ -90,7 +96,7 @@ def lipschitz_pairs(cfg: AuditConfig) -> list[tuple[str, DensityMatrix, DensityM
     trace-ball neighbors at two scales, and boundary-straddling pairs
     (a rank-deficient state against its slightly smoothed version)."""
     rng = np.random.default_rng(cfg.seed)
-    d = cfg.dim
+    d = _DIM
     pairs: list[tuple[str, DensityMatrix, DensityMatrix]] = []
     for _ in range(cfg.samples):
         pairs.append(
@@ -125,8 +131,10 @@ def audit_lipschitz(
 
     A pair counts as a violation when the ratio exceeds L by more than the
     relative slack; pairs with an infinite value on either side, or with
-    negligible distance, are skipped and counted separately.
+    negligible distance, are skipped and counted separately.  ``L`` must be
+    finite and >= 0 (ValidationError otherwise).
     """
+    L = check_finite("L", L, strict=False)
     if pairs is None:
         pairs = lipschitz_pairs(cfg)
     slack = resolve(cfg.tolerance, TOLS.lipschitz_violation_slack)
@@ -209,7 +217,7 @@ def audit_faithfulness(
     attempts = 0
     while len(nonfree) < cfg.samples and attempts < 100 * cfg.samples:
         attempts += 1
-        rho = random_density(cfg.dim, seed=rng)
+        rho = random_density(_DIM, seed=rng)
         if not oracle.member(rho):
             nonfree.append(rho)
     free_vals = [measure(rho) for rho in free]
@@ -316,7 +324,7 @@ def audit_monotonicity(
                     f"channel {name!r} maps a free state out of {oracle.name!r}; "
                     f"monotonicity against it is not meaningful"
                 )
-    states = [random_density(cfg.dim, seed=rng) for _ in range(cfg.samples)]
+    states = [random_density(_DIM, seed=rng) for _ in range(cfg.samples)]
     base_vals = [measure(s) for s in states]
     checked = violations = skipped = 0
     worst = 0.0
@@ -387,7 +395,7 @@ def audit_convexity(
     tol = resolve(cfg.tolerance, 2.0 * TOLS.ray_bisection)
     rng = np.random.default_rng(cfg.seed)
     draw = sampler if sampler is not None else (
-        lambda g: random_density(cfg.dim, seed=g)
+        lambda g: random_density(_DIM, seed=g)
     )
     pairs = list(extra_pairs) + [
         (draw(rng), draw(rng)) for _ in range(cfg.samples)

@@ -23,6 +23,9 @@ __all__ = [
 
 # the level-set grid holds grid**3 candidate points: 101 is about a million
 MAX_LEVELSET_GRID = 101
+# level-set points with value <= r + this count as inside, so that grid
+# points exactly on the boundary do despite rounding
+_LEVEL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ def discord_robustness_bds(
 
 
 def discord_levelset_grid(
-    r: float, grid: int, slack: float = 1e-12
+    r: float, grid: int
 ) -> list[tuple[float, float, float, float, float]]:
     """Sample the region {discord robustness <= r} over the Bell-diagonal
     tetrahedron.
@@ -107,7 +110,7 @@ def discord_levelset_grid(
     grid = check_count("grid", grid, least=2, most=MAX_LEVELSET_GRID)
     step = 2.0 / (grid - 1)
     axis = [-1.0 + i * step for i in range(grid - 1)] + [1.0]
-    limit = r + slack
+    limit = r + _LEVEL_SLACK
     rows = []
     for c1 in axis:
         for c2 in axis:

@@ -1,13 +1,16 @@
-"""Centralized numerical tolerances.
+"""Centralized numerical tolerances and argument checks.
 
 Every threshold used by the library lives in one frozen record so that the
-defaults are auditable in a single place.  Functions take explicit keyword
-overrides where a caller might reasonably want a different value; passing
-``None`` means "use the default from TOLS".
+values are auditable in a single place, and the library reads them from
+TOLS directly.  Only a few solver and audit parameters take a per-call
+override (the ray's ``tol`` and ``s_max``, the axis optimizer's ``xatol``,
+``AuditConfig.tolerance`` and ``bds_params_of(tol)``); passing ``None``
+there means "use the default from TOLS".
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -17,7 +20,6 @@ from .errors import ValidationError
 class Tolerances:
     # matrix-level structure
     hermiticity: float = 1e-12        # max |H - H^dag| accepted as Hermitian
-    reconstruction_per_dim: float = 1e-10   # |H - V L V^dag| <= this * dim
 
     # state-level structure
     trace_one: float = 1e-10          # |tr(rho) - 1|
@@ -66,3 +68,14 @@ def check_count(name: str, n, least: int = 1, most: int | None = None) -> int:
     if most is not None and n > most:
         raise ValidationError(f"{name} must be at most {most}, got {n!r}")
     return int(n)
+
+
+def check_finite(name: str, v, *, strict: bool) -> float:
+    """Return ``v`` as a float if it is finite and > 0 (>= 0 when not
+    ``strict``); raise ValidationError otherwise (NaN included)."""
+    v = float(v)
+    if not (math.isfinite(v) and (v > 0.0 if strict else v >= 0.0)):
+        raise ValidationError(
+            f"{name} must be finite and {'>' if strict else '>='} 0, got {v!r}"
+        )
+    return v

@@ -23,9 +23,9 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .bds import BellDiagonalParams, discord_levelset_grid, discord_robustness_bds
-from .config import TOLS, check_count, resolve
+from .config import TOLS, check_count, check_finite, resolve
 from .errors import IllConditionedError, StarConvexityViolationError, ValidationError
-from .operator_core import kron, support_inv_sqrt
+from .operator_core import eig_hermitian, kron
 from .qstates import PAULI, DensityMatrix, bell_diagonal, bloch_decompose
 
 if TYPE_CHECKING:
@@ -77,13 +77,16 @@ class LipschitzConstant:
     provenance: str
 
 
+# the ray's coarse scan tests this many points in (0, s_max] before bisecting
+_RAY_SCAN_POINTS = 8
+
+
 def robustness_along_ray(
     rho: DensityMatrix,
     sigma: DensityMatrix,
     oracle: FreeSetOracle,
     s_max: float | None = None,
     tol: float | None = None,
-    scan_points: int = 8,
 ) -> RobustnessResult:
     """Least s >= 0 with (rho + s sigma)/(1+s) in the oracle's set.
 
@@ -96,11 +99,10 @@ def robustness_along_ray(
     """
     if rho.dims != sigma.dims:
         raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
-    tol = resolve(tol, TOLS.ray_bisection)
-    s_max = 2.0 * rho.dim if s_max is None else float(s_max)
-    for name, v in (("tol", tol), ("s_max", s_max)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
+    tol = check_finite("tol", resolve(tol, TOLS.ray_bisection), strict=True)
+    s_max = check_finite(
+        "s_max", 2.0 * rho.dim if s_max is None else s_max, strict=True
+    )
     evals = 0
 
     def mix(s: float) -> DensityMatrix:
@@ -122,7 +124,7 @@ def robustness_along_ray(
             bracket_width=0.0,
         )
 
-    grid = np.linspace(0.0, float(s_max), scan_points + 1)
+    grid = np.linspace(0.0, s_max, _RAY_SCAN_POINTS + 1)
     flags = [False] + [member(s) for s in grid[1:]]
     if any(flags[i] and not flags[i + 1] for i in range(len(flags) - 1)):
         raise StarConvexityViolationError(
@@ -160,30 +162,57 @@ def robustness_along_ray(
     )
 
 
-def min_scaling_robustness(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    cutoff: float | None = None,
-    leak_tol: float | None = None,
-) -> float:
+def _min_scaling_values(rot: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Least s >= 0 with rho <= (1+s) sigma, given rho in sigma's eigenbasis.
+
+    ``rot`` = V^dag rho V and ``w`` the eigenvalues of sigma (columns of V),
+    with shapes (..., d, d) and (..., d) that broadcast.  The support of
+    sigma is its eigenvalues >= 10*cutoff and its kernel those <= cutoff/10;
+    one strictly between raises IllConditionedError rather than guessing
+    the rank.  If the weight of rho outside the support exceeds
+    ``TOLS.support_leak``, supp(rho) is not inside supp(sigma) and the value
+    is inf; otherwise it is max(0, lambda_max(D R D) - 1) with D the
+    diagonal inverse square root on the support -- one stacked eigvalsh.
+    """
+    lo, hi = TOLS.support_cutoff / 10.0, TOLS.support_cutoff * 10.0
+    bad = (w > lo) & (w < hi)
+    if np.any(bad):
+        raise IllConditionedError(
+            f"eigenvalue {w[bad][0]:.3e} falls in the ambiguous band "
+            f"({lo:.1e}, {hi:.1e}); cannot decide the support rank"
+        )
+    keep = w >= hi
+    diag = np.diagonal(rot, axis1=-2, axis2=-1).real
+    leak = 1.0 - np.sum(np.where(keep, diag, 0.0), axis=-1)
+    d = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+    lam = np.linalg.eigvalsh(d[..., :, None] * rot * d[..., None, :])[..., -1]
+    return np.where(leak > TOLS.support_leak, math.inf, np.maximum(0.0, lam - 1.0))
+
+
+def min_scaling_robustness(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Least s >= 0 with rho <= (1+s) sigma, or inf if unsupported.
 
     If the support of rho is not contained in the support of sigma no
     finite scaling works and the value is inf.  Otherwise the answer is
     max(0, lambda_max(S rho S) - 1) with S the support inverse square
-    root of sigma.
+    root of sigma, evaluated in sigma's eigenbasis.  An eigenvalue of sigma
+    too close to the support cutoff raises IllConditionedError.
+
+    The eigenvalues of sigma come from a numerical eigensolve, so near a
+    singular sigma the relative error grows like eps/lambda_min, with
+    lambda_min the least eigenvalue on the support: against a 40-digit
+    reference it reached 1e-11 for Bell-diagonal axis states with
+    1 - |k| >= 1e-5 and 2e-10 with 1 - |k| >= 1e-6.  The axis optimizer
+    does not have this error, since it uses the exact eigenvalues of its
+    pencils.
     """
     if rho.dims != sigma.dims:
         raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
-    leak_tol = resolve(leak_tol, TOLS.support_leak)
-    s_mat, proj = support_inv_sqrt(sigma.mat, cutoff)
-    leak = 1.0 - float(np.real(np.einsum("ij,ji->", proj, rho.mat)))
-    if leak > leak_tol:
-        return math.inf
-    m = s_mat @ rho.mat @ s_mat
-    m = (m + m.conj().T) / 2.0  # hermitianize rounding noise before eigvalsh
-    lam = float(np.linalg.eigvalsh(m)[-1])
-    return max(0.0, lam - 1.0)
+    spec = eig_hermitian(sigma.mat)
+    v = spec.eigenvectors
+    rot = v.conj().T @ rho.mat @ v
+    rot = 0.5 * (rot + rot.conj().T)  # hermitianize rounding noise before eigvalsh
+    return float(_min_scaling_values(rot, spec.eigenvalues))
 
 
 # --- discord robustness over Bell-diagonal states ---------------------------
@@ -221,33 +250,19 @@ def _axis_pencil_values(rot: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """min_scaling_robustness(rho, _axis_state(a, k)) for every axis a and
     every k in row a of ``ks`` (shape (3, n)), given rot = _axis_rotations(rho).
 
-    The scalar engine up to a similarity transform: the support weights of
-    sigma are (1 + k x_a)/4, the support leak is the rotated diagonal outside
-    the support, and lambda_max(S rho S) is lambda_max(D R_a D) with D the
-    diagonal inverse square root on the support -- one stacked eigvalsh.
-    """
+    Each R_a is rho in the k-independent eigenbasis of the pencil, whose
+    eigenvalues are (1 + k x_a)/4, so all 3n values take one batched call
+    of the min-scaling evaluator."""
     w = 0.25 * (1.0 + ks[:, :, None] * _AXIS_SIGNS[:, None, :])  # (3, n, 4)
-    lo, hi = TOLS.support_cutoff / 10.0, TOLS.support_cutoff * 10.0
-    bad = (w > lo) & (w < hi)
-    if np.any(bad):
-        raise IllConditionedError(
-            f"eigenvalue {w[bad][0]:.3e} falls in the ambiguous band "
-            f"({lo:.1e}, {hi:.1e}); cannot decide the support rank"
-        )
-    keep = w >= hi
-    diag = np.diagonal(rot, axis1=1, axis2=2)[:, None, :]
-    leak = 1.0 - np.sum(np.where(keep, diag, 0.0), axis=-1)
-    d = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    lam = np.linalg.eigvalsh(d[..., :, None] * rot[:, None] * d[..., None, :])[..., -1]
-    return np.where(leak > TOLS.support_leak, math.inf, np.maximum(0.0, lam - 1.0))
+    return _min_scaling_values(rot[:, None], w)
 
 
 def _axis_grid(lo: np.ndarray, hi: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Points lo + (hi - lo) * steps for every axis, shape (3, len(steps)).
 
     A point whose vanishing support weight (1 - |k|)/4 would fall below
-    10*cutoff (that is, 1 - |k| < 40*cutoff) snaps to k = +-1, so no point
-    lands in the ambiguous band of the support decision."""
+    10*cutoff (that is, 1 - |k| < 40*cutoff) snaps to k = +-1, so the
+    min-scaling evaluator can decide the support rank at every point."""
     ks = lo[:, None] + (hi - lo)[:, None] * steps
     near_edge = 0.25 * (1.0 - np.abs(ks)) < TOLS.support_cutoff * 10.0
     return np.where(near_edge, np.sign(ks), ks)
@@ -275,9 +290,7 @@ def discord_robustness_axis_opt(
     if not isinstance(c, BellDiagonalParams):
         c = BellDiagonalParams(*c)
     grid = check_count("grid", grid, least=2, most=MAX_AXIS_GRID)
-    xatol = resolve(xatol, TOLS.axis_opt_xatol)
-    if not (math.isfinite(xatol) and xatol > 0.0):
-        raise ValidationError(f"xatol must be finite and > 0, got {xatol!r}")
+    xatol = check_finite("xatol", resolve(xatol, TOLS.axis_opt_xatol), strict=True)
     rho = bell_diagonal(c)
     rot = _axis_rotations(rho)
     axes = np.arange(3)

@@ -69,13 +69,12 @@ class FreeSetOracle:
             )
 
 
-def is_ppt(rho: DensityMatrix, tol: float | None = None) -> bool:
+def is_ppt(rho: DensityMatrix) -> bool:
     """Positive partial transpose test (separability for two qubits)."""
     if len(rho.dims) != 2:
         raise ValidationError(f"PPT needs a bipartite state, got dims {rho.dims}")
-    tol = resolve(tol, TOLS.ppt)
     pt = partial_transpose(rho.mat, rho.dims, 1)
-    return float(np.linalg.eigvalsh(pt)[0]) >= -tol
+    return float(np.linalg.eigvalsh(pt)[0]) >= -TOLS.ppt
 
 
 def discord_defect(rho: DensityMatrix) -> float:
@@ -92,8 +91,8 @@ def discord_defect(rho: DensityMatrix) -> float:
     return float(b.y @ b.y + np.sum(b.T * b.T) - k_max)
 
 
-def has_zero_discord(rho: DensityMatrix, tol: float | None = None) -> bool:
-    return discord_defect(rho) <= resolve(tol, TOLS.discord_membership)
+def has_zero_discord(rho: DensityMatrix) -> bool:
+    return discord_defect(rho) <= TOLS.discord_membership
 
 
 def separable_ball_radius(d_a: int = 2, d_b: int = 2) -> float:
@@ -154,14 +153,14 @@ def singlet_fraction(rho: DensityMatrix) -> float:
     return float(np.linalg.eigvalsh(rho_m.real)[-1])
 
 
-def is_unfaithful(rho: DensityMatrix, margin: float | None = None) -> bool:
+def is_unfaithful(rho: DensityMatrix) -> bool:
     """Whether no local strategy pushes the Bell overlap above 1/d.
 
     Exact for every two-qubit state, since :func:`singlet_fraction` is.
-    The comparison uses a one-sided slack ``margin`` above 1/d.
+    The comparison uses the one-sided slack ``TOLS.unfaithful_margin``
+    above 1/d.
     """
-    margin = resolve(margin, TOLS.unfaithful_margin)
-    return singlet_fraction(rho) <= 0.5 + margin
+    return singlet_fraction(rho) <= 0.5 + TOLS.unfaithful_margin
 
 
 # --- member samplers ---------------------------------------------------------
@@ -264,17 +263,16 @@ def unfaithful_oracle() -> FreeSetOracle:
     )
 
 
-def bds_axes_oracle(tol: float | None = None) -> FreeSetOracle:
+def bds_axes_oracle() -> FreeSetOracle:
     """Bell-diagonal states on a coordinate axis of the tetrahedron
     (at most one nonzero c_i); the zero-discord states within that family."""
-    tol = resolve(tol, TOLS.discord_membership)
 
     def member(rho: DensityMatrix) -> bool:
         params = bds_params_of(rho)
         if params is None:
             return False
         middle = sorted(abs(v) for v in params.as_tuple())[1]
-        return middle <= tol
+        return middle <= TOLS.discord_membership
 
     return FreeSetOracle(
         name="bds-axes",

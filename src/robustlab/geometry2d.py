@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .config import TOLS, check_count, resolve
+from .config import TOLS, check_count
 from .errors import ConfigurationError, ValidationError
 
 __all__ = [
@@ -52,6 +52,8 @@ _Pt = tuple[float, float]
 
 # a solve samples resolution + 1 points per locus, so its cost is linear in it
 MAX_RESOLUTION = 10_000
+# golden-section refinement stops once its bracket of noise points is this short
+_REFINE_TOL = 1e-9
 
 
 def _pt(p: _Point) -> _Pt:
@@ -113,8 +115,8 @@ class PlanarFreeSet:
         if self.star_center is not None and not self.contains(self.star_center):
             raise ConfigurationError("declared star center is not in the free set")
 
-    def contains(self, p: _Point, tol: float | None = None) -> bool:
-        tol = resolve(tol, TOLS.geometry_membership)
+    def contains(self, p: _Point) -> bool:
+        tol = TOLS.geometry_membership
         qx, qy = _pt(p)
         for a, b in self.segments:
             if _point_segment_dist(qx, qy, a, b) <= tol:
@@ -142,9 +144,8 @@ class PlanarScene:
                     f"free-set vertex {list(v)} lies outside the state space"
                 )
 
-    def contains(self, p: _Point, tol: float | None = None) -> bool:
-        tol = resolve(tol, TOLS.geometry_membership)
-        return _in_convex_polygon(*_pt(p), self.state_space, tol)
+    def contains(self, p: _Point) -> bool:
+        return _in_convex_polygon(*_pt(p), self.state_space, TOLS.geometry_membership)
 
 
 def _free_vertices(free: PlanarFreeSet):
@@ -269,7 +270,7 @@ def _value_for_tau(px, py, tx, ty, free, tol):
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_refine(px, py, a, b, f_lo, f_hi, free, tol, refine_tol):
+def _golden_refine(px, py, a, b, f_lo, f_hi, free, tol):
     """Golden-section scan of tau = a + f*(b - a) for f in [f_lo, f_hi],
     returning the best value seen (the objective may be piecewise flat or
     infinite; we only need an upper envelope, never a certified minimum)."""
@@ -282,7 +283,7 @@ def _golden_refine(px, py, a, b, f_lo, f_hi, free, tol, refine_tol):
     v1 = _value_for_tau(px, py, ax + x1 * ex, ay + x1 * ey, free, tol)
     v2 = _value_for_tau(px, py, ax + x2 * ex, ay + x2 * ey, free, tol)
     best = min(v1, v2)
-    while (hi - lo) * span > refine_tol:
+    while (hi - lo) * span > _REFINE_TOL:
         if v1 <= v2:
             hi, x2, v2 = x2, x1, v1
             x1 = hi - _INV_PHI * (hi - lo)
@@ -295,13 +296,7 @@ def _golden_refine(px, py, a, b, f_lo, f_hi, free, tol, refine_tol):
     return best
 
 
-def _check_refine_tol(refine_tol) -> float:
-    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
-        raise ValidationError(f"refine_tol must be finite and > 0, got {refine_tol!r}")
-    return float(refine_tol)
-
-
-def _optimize_over_loci(px, py, loci, free, tol, resolution, refine_tol):
+def _optimize_over_loci(px, py, loci, free, tol, resolution):
     """Minimum mixing weight over candidate noise points sampled along the
     given (a, b) loci, plus local golden refinement around the best sample."""
     best = math.inf
@@ -320,8 +315,7 @@ def _optimize_over_loci(px, py, loci, free, tol, resolution, refine_tol):
         f_lo = max(0.0, (best_idx - 1) / resolution)
         f_hi = min(1.0, (best_idx + 1) / resolution)
         if f_hi > f_lo:
-            best = min(best, _golden_refine(px, py, a, b, f_lo, f_hi, free, tol,
-                                            refine_tol))
+            best = min(best, _golden_refine(px, py, a, b, f_lo, f_hi, free, tol))
     return best
 
 
@@ -329,47 +323,40 @@ def absolute_robustness_2d(
     p: _Point,
     scene: PlanarScene,
     resolution: int = 64,
-    refine_tol: float = 1e-9,
 ) -> float:
     """Least s with (p + s*tau)/(1+s) free for some noise tau in the free
     set; math.inf when no finite mixture works.  ``resolution`` must be an
-    integer in [1, MAX_RESOLUTION] and ``refine_tol`` finite and > 0
-    (ValidationError otherwise)."""
+    integer in [1, MAX_RESOLUTION] (ValidationError otherwise)."""
     resolution = check_count("resolution", resolution, most=MAX_RESOLUTION)
-    refine_tol = _check_refine_tol(refine_tol)
-    tol = TOLS.geometry_membership
     q = _pt(p)
-    if not scene.contains(q, tol):
+    if not scene.contains(q):
         raise ValidationError(f"point {list(q)} lies outside the state space")
-    if scene.free.contains(q, tol):
+    if scene.free.contains(q):
         return 0.0
     loci = list(_edge_loci_of_free(scene.free))
-    return _optimize_over_loci(*q, loci, scene.free, tol, resolution, refine_tol)
+    return _optimize_over_loci(*q, loci, scene.free, TOLS.geometry_membership, resolution)
 
 
 def global_robustness_2d(
     p: _Point,
     scene: PlanarScene,
     resolution: int = 64,
-    refine_tol: float = 1e-9,
 ) -> float:
     """Least s with (p + s*tau)/(1+s) free for some noise tau anywhere in
     the state space; math.inf when no finite mixture works.
 
     Along each ray from p the farthest admissible noise point is optimal,
-    so candidates sweep the state-space boundary only.  ``resolution`` and
-    ``refine_tol`` are validated as in :func:`absolute_robustness_2d`.
+    so candidates sweep the state-space boundary only.  ``resolution`` is
+    validated as in :func:`absolute_robustness_2d`.
     """
     resolution = check_count("resolution", resolution, most=MAX_RESOLUTION)
-    refine_tol = _check_refine_tol(refine_tol)
-    tol = TOLS.geometry_membership
     q = _pt(p)
-    if not scene.contains(q, tol):
+    if not scene.contains(q):
         raise ValidationError(f"point {list(q)} lies outside the state space")
-    if scene.free.contains(q, tol):
+    if scene.free.contains(q):
         return 0.0
     loci = list(_edges(scene.state_space))
-    return _optimize_over_loci(*q, loci, scene.free, tol, resolution, refine_tol)
+    return _optimize_over_loci(*q, loci, scene.free, TOLS.geometry_membership, resolution)
 
 
 def _edge_loci_of_free(free: PlanarFreeSet):
@@ -383,7 +370,6 @@ def planar_star_probe(
     free: PlanarFreeSet,
     samples: int = 64,
     mix_points: int = 7,
-    tol: float | None = None,
 ) -> list[tuple[tuple[float, float], float]]:
     """Probe star-convexity of the free set about its declared center.
 
@@ -397,7 +383,6 @@ def planar_star_probe(
     mix_points = check_count("mix_points", mix_points)
     if free.star_center is None:
         raise ConfigurationError("free set declares no star center to probe")
-    tol = resolve(tol, TOLS.geometry_membership)
     cx, cy = free.star_center
     bad: list[tuple[tuple[float, float], float]] = []
     for (ax, ay), (bx, by) in _edge_loci_of_free(free):
@@ -407,7 +392,7 @@ def planar_star_probe(
             for k in range(mix_points):
                 alpha = (k + 1) / (mix_points + 1)
                 mix = ((1.0 - alpha) * qx + alpha * cx, (1.0 - alpha) * qy + alpha * cy)
-                if not free.contains(mix, tol):
+                if not free.contains(mix):
                     bad.append(((qx, qy), alpha))
     return bad
 

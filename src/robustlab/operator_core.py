@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOLS, resolve
-from .errors import IllConditionedError, ValidationError
+from .config import TOLS
+from .errors import ValidationError
 
 __all__ = [
     "Spectrum",
@@ -22,7 +22,6 @@ __all__ = [
     "trace_norm",
     "kron",
     "partial_transpose",
-    "support_inv_sqrt",
 ]
 
 
@@ -36,14 +35,13 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def require_hermitian(h, tol: float | None = None) -> np.ndarray:
+def require_hermitian(h) -> np.ndarray:
     """Validate hermiticity and return the matrix, else raise ValidationError."""
     a = as_complex_matrix(h)
-    tol = resolve(tol, TOLS.hermiticity)
     dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > tol:
+    if dev > TOLS.hermiticity:
         raise ValidationError(
-            f"not hermitian: max |H - H^dag| = {dev:.3e} exceeds {tol:.1e}"
+            f"not hermitian: max |H - H^dag| = {dev:.3e} exceeds {TOLS.hermiticity:.1e}"
         )
     return a
 
@@ -64,20 +62,20 @@ class Spectrum:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def eig_hermitian(h, tol: float | None = None) -> Spectrum:
+def eig_hermitian(h) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix (ascending eigenvalues).
 
     Input hermiticity is validated first; the decomposition itself is the
     LAPACK one.
     """
-    a = require_hermitian(h, tol)
+    a = require_hermitian(h)
     w, v = np.linalg.eigh(a)
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
-def trace_norm(h, tol: float | None = None) -> float:
+def trace_norm(h) -> float:
     """Trace norm (sum of |eigenvalues|) of a Hermitian matrix."""
-    spec = eig_hermitian(h, tol)
+    spec = eig_hermitian(h)
     return float(np.sum(np.abs(spec.eigenvalues)))
 
 
@@ -106,33 +104,3 @@ def partial_transpose(mat, dims: tuple[int, int], subsystem: int) -> np.ndarray:
     else:
         t = t.transpose(0, 3, 2, 1)
     return t.reshape(da * db, da * db).copy()
-
-
-def support_inv_sqrt(
-    mat, cutoff: float | None = None, tol: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse square root of a PSD matrix on its support.
-
-    Returns ``(s, p)`` where ``s`` inverts the square root on the support
-    and annihilates the kernel, and ``p`` is the support projector.
-    Eigenvalues at or below ``cutoff / 10`` are treated as zero and those at
-    or above ``cutoff * 10`` as invertible; anything strictly between lands
-    in an ambiguous band and raises IllConditionedError rather than
-    guessing the rank.
-    """
-    cutoff = resolve(cutoff, TOLS.support_cutoff)
-    spec = eig_hermitian(mat, tol)
-    w, v = spec.eigenvalues, spec.eigenvectors
-    lo, hi = cutoff / 10.0, cutoff * 10.0
-    bad = (w > lo) & (w < hi)
-    if np.any(bad):
-        raise IllConditionedError(
-            f"eigenvalue {w[bad][0]:.3e} falls in the ambiguous band "
-            f"({lo:.1e}, {hi:.1e}); cannot decide the support rank"
-        )
-    keep = w >= hi
-    inv_root = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    ones = np.where(keep, 1.0, 0.0)
-    s = (v * inv_root) @ v.conj().T
-    p = (v * ones) @ v.conj().T
-    return s, p

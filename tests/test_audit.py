@@ -21,7 +21,7 @@ from robustlab.audit import (
     ray_measure,
 )
 from robustlab.engines import discord_robustness_bds
-from robustlab.errors import ConfigurationError
+from robustlab.errors import ConfigurationError, ValidationError
 from robustlab.free_sets import bds_params_of, oracle_by_name
 from robustlab.qstates import (
     DensityMatrix,
@@ -39,9 +39,21 @@ def bds_measure(rho):
 
 
 class TestAuditConfig:
-    def test_dim(self):
-        assert AuditConfig().dim == 4
-        assert AuditConfig(dims=(2, 3)).dim == 6
+    def test_accepts_boundary_values(self):
+        cfg = AuditConfig(seed=0, tolerance=0.0)
+        assert (cfg.seed, cfg.tolerance) == (0, 0.0)
+        assert AuditConfig(seed=2.0).seed == 2  # an integral float is an integer
+        assert AuditConfig().tolerance is None
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, math.inf])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            AuditConfig(seed=seed)
+
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, math.inf])
+    def test_bad_tolerance(self, tolerance):
+        with pytest.raises(ValidationError, match="tolerance"):
+            AuditConfig(tolerance=tolerance)
 
 
 class TestLipschitzPairs:
@@ -93,6 +105,18 @@ class TestAuditLipschitz:
         bad = audit_lipschitz(bds_measure, 0.5, cfg, pairs=pairs)
         assert not bad.passed
         assert bad.violations == 1
+
+    @pytest.mark.parametrize("L", [math.nan, -1.0, math.inf, -math.inf])
+    def test_bad_constant(self, L):
+        def measure(rho):
+            raise AssertionError("evaluated before the constant was checked")
+
+        with pytest.raises(ValidationError, match="L must be finite and >= 0"):
+            audit_lipschitz(measure, L, AuditConfig(samples=2))
+
+    def test_zero_constant_accepted(self):
+        rep = audit_lipschitz(lambda rho: 1.0, 0.0, AuditConfig(samples=2))
+        assert rep.passed and rep.L_claimed == 0.0
 
     def test_infinite_values_skipped(self):
         rep = audit_lipschitz(lambda rho: math.inf, 1.0, AuditConfig(samples=5))

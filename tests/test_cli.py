@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +442,37 @@ class TestLevelsetArguments:
             assert proc.stdout.startswith("c1,c2,c3,value,inside\n"), argv
 
 
+@st.composite
+def audit_argv(draw):
+    check = draw(st.sampled_from(["lipschitz", "faithfulness", "monotonicity", "convexity"]))
+    argv = ["audit", f"--check={check}", f"--samples={draw(st.integers(-2, 3))}"]
+    for flag, values in (("--L", _NUMBER), ("--tol", _NUMBER),
+                         ("--seed", st.integers(-3, 2**70).map(str))):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+class TestAuditArguments:
+    """Every audit invocation exits 0, 1 or 2 within 20 s, and nothing
+    escapes cli.main; run in process, since each batch is small."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(argv=audit_argv())
+    def test_exit_codes(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 20.0, argv
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+            assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        else:
+            assert json.loads(out.getvalue())["passed"] is (code == 0), argv
+
+
 class TestLevelset:
     @pytest.mark.parametrize("args, word", [
         (("--r", "nan"), "level"),   # marked every row inside=0 with exit 0
@@ -531,6 +564,17 @@ class TestAudit:
     def test_empty_batch_exits_two(self, check, samples):
         proc = run_subprocess("audit", "--check", check, "--samples", samples)
         assert_rejected(proc, "--samples")
+
+    @pytest.mark.parametrize("args, word", [
+        (("--check", "lipschitz", "--L", "nan"), "L must"),  # passed every pair
+        (("--check", "lipschitz", "--L", "-1"), "L must"),   # failed every pair
+        (("--check", "lipschitz", "--seed", "-1"), "seed"),  # numpy traceback
+        (("--check", "lipschitz", "--tol", "nan"), "tolerance"),  # passed
+        (("--check", "convexity", "--tol", "-1"), "tolerance"),   # gap 0.0 violations
+    ])
+    def test_bad_audit_arguments_exit_two(self, args, word):
+        proc = run_subprocess("audit", *args, "--samples", "5")
+        assert_rejected(proc, word)
 
     def test_ball_free_set_without_kappa_needs_L(self, capsys):
         code, _, err = run_cli(

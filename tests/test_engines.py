@@ -163,6 +163,28 @@ class TestMinScaling:
             slow = independent_min_scaling(rho, sigma)
             assert fast == pytest.approx(slow, abs=1e-8)
 
+    def test_random_rank_two_sigma(self, rng):
+        # Reference: restrict both states to the range of G, taking its
+        # orthonormal basis from a QR of G (no eigensolve of sigma), and
+        # solve the 2x2 pencil rho_Q x = mu sigma_Q x; the value is
+        # max mu - 1.  A state with weight outside the range gives inf.
+        for _ in range(20):
+            g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+            q, _ = np.linalg.qr(g)
+            sigma = g @ g.conj().T
+            sigma /= sigma.trace().real
+            h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            rho = q @ h @ h.conj().T @ q.conj().T
+            rho /= rho.trace().real
+            sig_q, rho_q = q.conj().T @ sigma @ q, q.conj().T @ rho @ q
+            mu = np.max(np.linalg.eigvals(np.linalg.solve(sig_q, rho_q)).real)
+            got = min_scaling_robustness(
+                DensityMatrix(rho, (2, 2)), DensityMatrix(sigma, (2, 2))
+            )
+            assert got == pytest.approx(max(0.0, mu - 1.0), rel=1e-9, abs=1e-12)
+            outside = random_density(4, seed=rng)
+            assert min_scaling_robustness(outside, DensityMatrix(sigma, (2, 2))) == math.inf
+
     def test_dims_mismatch(self):
         with pytest.raises(ValidationError):
             min_scaling_robustness(

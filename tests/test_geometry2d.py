@@ -260,7 +260,7 @@ class TestAgainstIndependentOracle:
     @pytest.mark.parametrize("solver", [absolute_robustness_2d, global_robustness_2d])
     @pytest.mark.parametrize("kwargs", [
         {"resolution": 0}, {"resolution": -2}, {"resolution": 2.5},
-        {"refine_tol": 0.0}, {"refine_tol": -1.0}, {"refine_tol": math.nan},
+        {"resolution": math.inf}, {"resolution": -math.inf}, {"resolution": 0.5},
         {"resolution": math.nan}, {"resolution": MAX_RESOLUTION + 1},
     ])
     def test_bad_parameters(self, solver, kwargs):

@@ -1,5 +1,4 @@
-"""Linear-algebra layer: eigensolvers, trace norm, partial transpose,
-support inverse square root."""
+"""Linear-algebra layer: eigensolvers, trace norm, partial transpose."""
 
 import math
 
@@ -8,8 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from robustlab.config import TOLS
-from robustlab.errors import IllConditionedError, ValidationError
+from robustlab.errors import ValidationError
 from robustlab.operator_core import (
     Spectrum,
     as_complex_matrix,
@@ -17,7 +15,6 @@ from robustlab.operator_core import (
     kron,
     partial_transpose,
     require_hermitian,
-    support_inv_sqrt,
     trace_norm,
 )
 
@@ -125,12 +122,9 @@ class TestValidation:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError, match="not hermitian"):
             require_hermitian([[0.0, 1.0], [0.0, 0.0]])
-
-    def test_tolerance_override(self):
-        almost = np.array([[0.0, 1.0], [1.0 + 5e-10, 0.0]])
-        with pytest.raises(ValidationError):
-            require_hermitian(almost)
-        require_hermitian(almost, tol=1e-9)  # explicit slack accepts it
+        # a deviation of 5e-10 is far above TOLS.hermiticity = 1e-12
+        with pytest.raises(ValidationError, match="not hermitian"):
+            require_hermitian([[0.0, 1.0], [1.0 + 5e-10, 0.0]])
 
 
 class TestEigHermitian:
@@ -147,7 +141,7 @@ class TestEigHermitian:
             h = random_hermitian(rng, 4)
             spec = eig_hermitian(h)
             err = np.max(np.abs(spec.reconstruct() - h))
-            assert err <= TOLS.reconstruction_per_dim * 4
+            assert err <= 1e-10 * 4
 
     def test_eigenvalue_sum_is_trace(self, rng):
         for n in (2, 3, 4, 8):
@@ -266,44 +260,6 @@ class TestPartialTranspose:
             partial_transpose(np.eye(4), (2, 3), 1)
         with pytest.raises(ValidationError):
             partial_transpose(np.eye(4), (2, 2), 2)
-
-
-class TestSupportInvSqrt:
-    def test_full_rank(self):
-        s, p = support_inv_sqrt(np.eye(4) / 4.0)
-        assert_allclose(s, 2.0 * np.eye(4), atol=1e-12)
-        assert_allclose(p, np.eye(4), atol=1e-12)
-
-    def test_rank_two_diagonal(self):
-        s, p = support_inv_sqrt(np.diag([0.5, 0.5, 0.0, 0.0]))
-        assert_allclose(s, np.diag([np.sqrt(2.0), np.sqrt(2.0), 0.0, 0.0]), atol=1e-12)
-        assert_allclose(p, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-12)
-
-    def test_random_low_rank_consistency(self, rng):
-        for _ in range(10):
-            g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-            sigma = g @ g.conj().T
-            sigma /= sigma.trace().real
-            s, p = support_inv_sqrt(sigma)
-            assert np.max(np.abs(s @ sigma @ s - p)) <= 1e-9
-            assert np.max(np.abs(p @ p - p)) <= 1e-10
-            assert np.max(np.abs(s @ p - s)) <= 1e-10
-
-    def test_inverse_on_full_rank(self, rng):
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        sigma = g @ g.conj().T + 0.5 * np.eye(3)
-        s, _ = support_inv_sqrt(sigma)
-        assert_allclose(s @ s, np.linalg.inv(sigma), atol=1e-10)
-
-    def test_ambiguous_band_raises(self):
-        with pytest.raises(IllConditionedError, match="ambiguous band"):
-            support_inv_sqrt(np.diag([1.0, 5e-10]))
-
-    def test_cutoff_override(self):
-        # with a larger cutoff the tiny eigenvalue is cleanly zero
-        s, p = support_inv_sqrt(np.diag([1.0, 5e-10]), cutoff=1e-6)
-        assert_allclose(p, np.diag([1.0, 0.0]), atol=1e-12)
-        assert_allclose(s, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
