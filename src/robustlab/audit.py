@@ -201,7 +201,12 @@ class FaithfulnessReport:
 
     @property
     def passed(self) -> bool:
-        return self.free_nonzero == 0 and self.nonfree_zero == 0
+        return (
+            self.free_nonzero == 0
+            and self.nonfree_zero == 0
+            and self.free_checked > 0
+            and self.nonfree_checked > 0
+        )
 
 
 def audit_faithfulness(

@@ -165,27 +165,36 @@ def robustness_along_ray(
 def _min_scaling_values(rot: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Least s >= 0 with rho <= (1+s) sigma, given rho in sigma's eigenbasis.
 
-    ``rot`` = V^dag rho V and ``w`` the eigenvalues of sigma (columns of V),
-    with shapes (..., d, d) and (..., d) that broadcast.  The support of
-    sigma is its eigenvalues >= 10*cutoff and its kernel those <= cutoff/10;
-    one strictly between raises IllConditionedError rather than guessing
-    the rank.  If the weight of rho outside the support exceeds
-    ``TOLS.support_leak``, supp(rho) is not inside supp(sigma) and the value
-    is inf; otherwise it is max(0, lambda_max(D R D) - 1) with D the
-    diagonal inverse square root on the support -- one stacked eigvalsh.
+    ``w`` holds the eigenvalues of sigma (columns of V), shape (..., d).
+    ``rot`` is either the matrix V^dag rho V, shape (..., d, d), or -- for a
+    rho that commutes with sigma -- rho's eigenvalues on those eigenvectors,
+    shape (..., d) in the order of ``w``; the two arrays broadcast and have
+    the same number of leading axes.  The support of sigma is its
+    eigenvalues >= 10*cutoff and its kernel those <= cutoff/10; one strictly
+    between raises IllConditionedError rather than guessing the rank.  If
+    the weight of rho outside the support exceeds ``TOLS.support_leak``,
+    supp(rho) is not inside supp(sigma) and the value is inf; otherwise it
+    is max(0, lambda_max(D R D) - 1) with D the diagonal inverse square root
+    on the support: one stacked eigvalsh for the matrix form, and the
+    largest ratio mu_i/w_i over the support (0 on the kernel, as D R D has)
+    for the commuting form.
     """
     lo, hi = TOLS.support_cutoff / 10.0, TOLS.support_cutoff * 10.0
     bad = (w > lo) & (w < hi)
-    if np.any(bad):
+    if bad.any():
         raise IllConditionedError(
             f"eigenvalue {w[bad][0]:.3e} falls in the ambiguous band "
             f"({lo:.1e}, {hi:.1e}); cannot decide the support rank"
         )
     keep = w >= hi
-    diag = np.diagonal(rot, axis1=-2, axis2=-1).real
-    leak = 1.0 - np.sum(np.where(keep, diag, 0.0), axis=-1)
-    d = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    lam = np.linalg.eigvalsh(d[..., :, None] * rot * d[..., None, :])[..., -1]
+    if rot.ndim == w.ndim:  # the spectrum of a rho commuting with sigma
+        diag = rot
+        lam = np.where(keep, rot / np.where(keep, w, 1.0), 0.0).max(axis=-1)
+    else:
+        diag = np.diagonal(rot, axis1=-2, axis2=-1).real
+        d = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+        lam = np.linalg.eigvalsh(d[..., :, None] * rot * d[..., None, :])[..., -1]
+    leak = 1.0 - np.where(keep, diag, 0.0).sum(axis=-1)
     return np.where(leak > TOLS.support_leak, math.inf, np.maximum(0.0, lam - 1.0))
 
 
@@ -226,9 +235,12 @@ _EYE4 = np.eye(4, dtype=complex)
 # signs exactly +-1 (sigma_a x sigma_a squares to the identity).
 _AXIS_SIGNS, _AXIS_VECS = np.linalg.eigh(np.stack([m.real for m in _AXIS_KRON]))
 _AXIS_SIGNS = np.rint(_AXIS_SIGNS)
+# eigh sorts ascending: columns 0-1 span each pencil's -1 eigenspace and
+# columns 2-3 its +1 eigenspace, the two blocks _axis_spectra diagonalizes
+assert (_AXIS_SIGNS == (-1.0, -1.0, 1.0, 1.0)).all(), _AXIS_SIGNS
 _ZOOM_STEPS = np.linspace(0.0, 1.0, 33)  # bracket fractions of every zoom round
 _ZOOM_ROUNDS = 64  # hard bound on zoom rounds
-# the grid scan evaluates 3*grid pencils in one stacked eigensolve
+# the grid scan evaluates 3*grid pencils in one batch
 MAX_AXIS_GRID = 10_000
 
 
@@ -238,23 +250,29 @@ def _axis_state(axis: int, k: float) -> DensityMatrix:
     return DensityMatrix(mat, (2, 2), validate=False)
 
 
-def _axis_rotations(rho: DensityMatrix) -> np.ndarray:
-    """R_a = V_a^T rho V_a for the three axis pencils, shape (3, 4, 4).
+def _axis_spectra(rho: DensityMatrix) -> np.ndarray:
+    """Eigenvalues of rho on the -1 and +1 eigenspaces of each axis pencil,
+    shape (3, 4) in the order of ``_AXIS_SIGNS``.
 
-    rho must be real (every Bell-diagonal state is)."""
+    rho must be Bell diagonal: it is real and commutes with every
+    sigma_a x sigma_a, so R_a = V_a^T rho V_a is block diagonal on the two
+    eigenspaces and one stacked eigvalsh of the (3, 2, 2, 2) diagonal
+    blocks gives its whole spectrum."""
     rot = np.einsum("aji,jk,akl->ail", _AXIS_VECS, rho.mat.real, _AXIS_VECS)
-    return 0.5 * (rot + rot.transpose(0, 2, 1))
+    blocks = np.stack([rot[:, :2, :2], rot[:, 2:, 2:]], axis=1)
+    return np.linalg.eigvalsh(blocks).reshape(3, 4)
 
 
-def _axis_pencil_values(rot: np.ndarray, ks: np.ndarray) -> np.ndarray:
+def _axis_pencil_values(mu: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """min_scaling_robustness(rho, _axis_state(a, k)) for every axis a and
-    every k in row a of ``ks`` (shape (3, n)), given rot = _axis_rotations(rho).
+    every k in row a of ``ks`` (shape (3, n)), given mu = _axis_spectra(rho).
 
-    Each R_a is rho in the k-independent eigenbasis of the pencil, whose
-    eigenvalues are (1 + k x_a)/4, so all 3n values take one batched call
-    of the min-scaling evaluator."""
+    The eigenvalues of sigma_a(k) are (1 + k x_a)/4 on eigenspaces that do
+    not depend on k, and rho commutes with it, so all 3n values are one
+    batched call of the min-scaling evaluator in its commuting form:
+    arithmetic only, no eigensolve."""
     w = 0.25 * (1.0 + ks[:, :, None] * _AXIS_SIGNS[:, None, :])  # (3, n, 4)
-    return _min_scaling_values(rot[:, None], w)
+    return _min_scaling_values(mu[:, None], w)
 
 
 def _axis_grid(lo: np.ndarray, hi: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -281,8 +299,10 @@ def discord_robustness_axis_opt(
     convex in k, so the neighbours of the best point always bracket the
     optimum: a ``grid``-point scan is followed by zoom rounds into those
     brackets until every bracket is at most ``xatol`` wide or stops
-    narrowing (at most _ZOOM_ROUNDS rounds).  Every round
-    evaluates all three axes in one batch.  Ties between axes resolve to
+    narrowing (at most _ZOOM_ROUNDS rounds).  rho commutes with every
+    pencil, so its spectra on the pencil eigenspaces take one small
+    eigensolve per call, and every round evaluates all three axes with
+    arithmetic through the min-scaling evaluator.  Ties between axes resolve to
     the lowest axis index, making witnesses deterministic.  ``grid`` must
     be an integer in [2, MAX_AXIS_GRID] and ``xatol`` finite and > 0
     (ValidationError otherwise).
@@ -292,7 +312,7 @@ def discord_robustness_axis_opt(
     grid = check_count("grid", grid, least=2, most=MAX_AXIS_GRID)
     xatol = check_finite("xatol", resolve(xatol, TOLS.axis_opt_xatol), strict=True)
     rho = bell_diagonal(c)
-    rot = _axis_rotations(rho)
+    mu = _axis_spectra(rho)
     axes = np.arange(3)
     lo = hi = np.full(3, math.nan)  # no bracket before the grid scan
     ks = _axis_grid(np.full(3, -1.0), np.ones(3), np.linspace(0.0, 1.0, grid))
@@ -300,17 +320,17 @@ def discord_robustness_axis_opt(
     ks_best = np.zeros(3)
     evals = 0
     for _ in range(_ZOOM_ROUNDS + 1):
-        vals = _axis_pencil_values(rot, ks)
+        vals = _axis_pencil_values(mu, ks)
         evals += vals.size
-        i = np.argmin(vals, axis=1)
+        i = vals.argmin(axis=1)
         v, k = vals[axes, i], ks[axes, i]
         better = v < vals_best
         vals_best = np.where(better, v, vals_best)
         ks_best = np.where(better, k, ks_best)
         # the nearest distinct neighbours of the best point bracket the
         # optimum (points snapped to +-1 repeat)
-        below = np.max(np.where(ks < k[:, None], ks, -math.inf), axis=1)
-        above = np.min(np.where(ks > k[:, None], ks, math.inf), axis=1)
+        below = np.where(ks < k[:, None], ks, -math.inf).max(axis=1)
+        above = np.where(ks > k[:, None], ks, math.inf).min(axis=1)
         new_lo = np.where(np.isfinite(below), below, k)
         new_hi = np.where(np.isfinite(above), above, k)
         # a zoom round that returns its own bracket would repeat forever
@@ -318,10 +338,10 @@ def discord_robustness_axis_opt(
         # resolution), so that axis is as narrow as it gets
         done = (new_hi - new_lo <= xatol) | ((new_lo == lo) & (new_hi == hi))
         lo, hi = new_lo, new_hi
-        if np.all(done):
+        if done.all():
             break
         ks = _axis_grid(lo, hi, _ZOOM_STEPS)
-    best_axis = int(np.argmin(vals_best))  # first minimum: lowest axis on ties
+    best_axis = int(vals_best.argmin())  # first minimum: lowest axis on ties
     best_val = float(vals_best[best_axis])
     best_k = float(ks_best[best_axis])
     width = float(hi[best_axis] - lo[best_axis])
@@ -385,8 +405,7 @@ def _lambda_min(sigma0: DensityMatrix) -> float:
 def lipschitz_from_kappa_ball(sigma0: DensityMatrix, kappa: float) -> LipschitzConstant:
     """Constant (1 - lambda_min(sigma0))/kappa from a free ball of radius
     kappa around sigma0 (valid for star-convex free sets containing it)."""
-    if kappa <= 0:
-        raise ValidationError(f"kappa must be positive, got {kappa!r}")
+    kappa = check_finite("kappa", kappa, strict=True)
     lam = _lambda_min(sigma0)
     return LipschitzConstant(
         L=(1.0 - lam) / kappa,
@@ -397,8 +416,7 @@ def lipschitz_from_kappa_ball(sigma0: DensityMatrix, kappa: float) -> LipschitzC
 def bound_from_kappa_ball(sigma0: DensityMatrix, kappa: float) -> float:
     """Uniform robustness bound 2(1 - lambda_min(sigma0))/kappa - 1 under the
     same hypotheses as :func:`lipschitz_from_kappa_ball`."""
-    if kappa <= 0:
-        raise ValidationError(f"kappa must be positive, got {kappa!r}")
+    kappa = check_finite("kappa", kappa, strict=True)
     return 2.0 * (1.0 - _lambda_min(sigma0)) / kappa - 1.0
 
 
@@ -418,23 +436,21 @@ def lipschitz_full_rank(sigma0: DensityMatrix) -> LipschitzConstant:
 def lipschitz_separable(d_a: int, d_b: int) -> LipschitzConstant:
     """Constant min(d_a, d_b) - 1/2 for the absolute robustness of
     entanglement on a d_a x d_b system."""
-    if d_a < 2 or d_b < 2:
-        raise ValidationError("both local dimensions must be at least 2")
+    d_a = check_count("d_a", d_a, least=2)
+    d_b = check_count("d_b", d_b, least=2)
     return LipschitzConstant(
-        L=min(int(d_a), int(d_b)) - 0.5,
+        L=min(d_a, d_b) - 0.5,
         provenance=f"separable(d_a={d_a}, d_b={d_b})",
     )
 
 
 def lipschitz_teleport(d: int) -> LipschitzConstant:
     """Constant d + 1 for the robustness of teleportability on d x d."""
-    if d < 2:
-        raise ValidationError("local dimension must be at least 2")
+    d = check_count("d", d, least=2)
     return LipschitzConstant(L=float(d + 1), provenance=f"teleport(d={d})")
 
 
 def teleport_robustness_bound(d: int) -> float:
     """Uniform bound 2d + 1 on the robustness of teleportability."""
-    if d < 2:
-        raise ValidationError("local dimension must be at least 2")
+    d = check_count("d", d, least=2)
     return float(2 * d + 1)

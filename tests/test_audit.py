@@ -167,6 +167,13 @@ class TestAuditFaithfulness:
         assert not rep.passed
         assert rep.free_nonzero > 0
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_empty_audit_fails(self, samples):
+        measure = ray_measure(maximally_mixed(), oracle_by_name("ppt"))
+        rep = audit_faithfulness(measure, oracle_by_name("ppt"), AuditConfig(samples=samples))
+        assert (rep.free_checked, rep.nonfree_checked) == (0, 0)
+        assert not rep.passed
+
     def test_requires_sampler(self):
         from robustlab.free_sets import FreeSetOracle
 

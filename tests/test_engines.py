@@ -13,10 +13,12 @@ from robustlab.errors import (
     ValidationError,
 )
 from robustlab.engines import (
+    _AXIS_VECS,
     MAX_AXIS_GRID,
     _axis_pencil_values,
-    _axis_rotations,
+    _axis_spectra,
     _axis_state,
+    _min_scaling_values,
     bound_from_kappa_ball,
     discord_levelset_grid,
     discord_robustness_axis_opt,
@@ -268,6 +270,11 @@ class TestAxisOpt:
         res = discord_robustness_axis_opt((0.5, 0.3, 0.1), grid=16, xatol=1e-300)
         assert res.value == pytest.approx(0.3, abs=1e-9)
 
+    def test_iterations_at_grid_16(self):
+        # the grid scan and seven zoom rounds of 33 points on three axes
+        res = discord_robustness_axis_opt((0.5, 0.3, 0.1), grid=16)
+        assert res.iterations == 741
+
     @pytest.mark.parametrize("grid", [1, 0, -3, 2.5, math.nan, math.inf, MAX_AXIS_GRID + 1])
     def test_bad_grid(self, grid):
         with pytest.raises(ValidationError, match="grid"):
@@ -300,7 +307,7 @@ class TestAxisPencil:
                 [rng.uniform(-0.99, 0.99, size=(3, 6)), np.tile([-1.0, 0.0, 1.0], (3, 1))],
                 axis=1,
             )
-            got = _axis_pencil_values(_axis_rotations(bell_diagonal(params)), ks)
+            got = _axis_pencil_values(_axis_spectra(bell_diagonal(params)), ks)
             want = self.scalar(params, ks)
             assert np.array_equal(np.isinf(got), np.isinf(want)), params
             finite = np.isfinite(want)
@@ -316,10 +323,51 @@ class TestAxisPencil:
             p = (1.0 + signs @ c) / 4.0
             gap = 10.0 ** rng.uniform(-8, -2, size=(3, 6))  # 1 - |k|
             ks = rng.choice([-1.0, 1.0], size=(3, 6)) * (1.0 - gap)
-            got = _axis_pencil_values(_axis_rotations(bell_diagonal(tuple(c))), ks)
+            got = _axis_pencil_values(_axis_spectra(bell_diagonal(tuple(c))), ks)
             terms = 4.0 * p / (1.0 + ks[..., None] * signs.T[:, None, :])
             want = np.max(terms, axis=-1) - 1.0
             assert_allclose(got, np.maximum(want, 0.0), rtol=1e-12, atol=1e-12)
+
+    def test_pencil_blocks_decouple(self, rng):
+        # the axis optimizer keeps only the blocks of V_a^T rho V_a on the -1
+        # and +1 eigenspaces (columns 0-1 and 2-3); what couples them is
+        # rounding noise for every Bell-diagonal rho
+        for _ in range(200):
+            rho = bell_diagonal(random_bell_diagonal(rng)).mat.real
+            rot = np.einsum("aji,jk,akl->ail", _AXIS_VECS, rho, _AXIS_VECS)
+            assert np.abs(rot[:, :2, 2:]).max() <= 1e-15
+            assert np.abs(rot[:, 2:, :2]).max() <= 1e-15
+
+    def test_commuting_form_matches_matrix_form(self, rng):
+        # sigma with eigenvalues w and a rho that commutes with it, in
+        # sigma's eigenbasis: block diagonal on pairs of equal w (as for the
+        # axis pencils); kernel entries of w are exactly 0, and rho puts
+        # weight there half the time (a support leak, so inf) and otherwise
+        # at most 1e-12, below the leak threshold
+        for case in range(300):
+            pair = rng.uniform(0.0, 1.0, size=2)
+            pair[rng.random(2) < 0.3] = 0.0
+            if not pair.any():
+                pair[0] = 1.0
+            w = np.repeat(pair / (2.0 * pair.sum()), 2)
+            blocks = []
+            for weight in rng.dirichlet((1.0, 1.0)):
+                g = rng.standard_normal((2, rng.integers(1, 3)))
+                b = g @ g.T
+                blocks.append(weight * b / np.trace(b))
+            if case % 2:
+                blocks = [np.diag(np.diag(b)) for b in blocks]  # diagonal rho
+            if case % 4 < 2:  # keep rho inside the support of sigma
+                blocks = [b if p > 0 else 1e-12 * b for b, p in zip(blocks, pair)]
+                blocks = [b / sum(np.trace(c) for c in blocks) for b in blocks]
+            rot = np.zeros((4, 4))
+            rot[:2, :2], rot[2:, 2:] = blocks
+            mu = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
+            want = _min_scaling_values(rot, w)
+            got = _min_scaling_values(mu, w)
+            assert np.isinf(got) == np.isinf(want), (w, mu)
+            if np.isfinite(want):
+                assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_ambiguous_band_raises(self):
         k = 1.0 - 4.0e-10  # vanishing weight (1 - k)/4 = 1e-10 sits in the band
@@ -327,7 +375,7 @@ class TestAxisPencil:
         with pytest.raises(IllConditionedError):
             min_scaling_robustness(rho, _axis_state(0, k))
         with pytest.raises(IllConditionedError):
-            _axis_pencil_values(_axis_rotations(rho), np.full((3, 1), k))
+            _axis_pencil_values(_axis_spectra(rho), np.full((3, 1), k))
 
 
 class TestLevelsetGrid:
@@ -434,3 +482,22 @@ class TestLipschitzConstants:
             lipschitz_from_kappa_ball(maximally_mixed(), 0.0)
         with pytest.raises(ValidationError):
             bound_from_kappa_ball(maximally_mixed(), -0.1)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [lipschitz_from_kappa_ball, bound_from_kappa_ball])
+    def test_non_finite_kappa(self, build, kappa):
+        with pytest.raises(ValidationError, match="kappa must be finite"):
+            build(maximally_mixed(), kappa)
+
+    @pytest.mark.parametrize(
+        "dims", [(math.nan, 2), (2, math.nan), (2.7, 3), (3, 2.5), (math.inf, 2), (2, 1)]
+    )
+    def test_bad_separable_dims(self, dims):
+        with pytest.raises(ValidationError, match="must be an integer >= 2"):
+            lipschitz_separable(*dims)
+
+    @pytest.mark.parametrize("d", [2.5, math.nan, math.inf, 1, -3])
+    @pytest.mark.parametrize("build", [lipschitz_teleport, teleport_robustness_bound])
+    def test_bad_teleport_dim(self, build, d):
+        with pytest.raises(ValidationError, match="must be an integer >= 2"):
+            build(d)
