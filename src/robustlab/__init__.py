@@ -62,6 +62,7 @@ _EXPORTS = {
         "LipschitzConstant",
         "RobustnessResult",
         "bound_from_kappa_ball",
+        "discord_filtered_measure",
         "discord_robustness_axis_opt",
         "discord_robustness_bounds",
         "lipschitz_from_kappa_ball",
@@ -100,7 +101,6 @@ _EXPORTS = {
         "channel_measure_prepare_b",
         "default_channels",
         "discord_axis_endpoint_pairs",
-        "discord_filtered_measure",
         "lipschitz_pairs",
         "ray_measure",
     ),

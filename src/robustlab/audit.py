@@ -17,13 +17,12 @@ import numpy as np
 
 from .config import TOLS, check_count, check_finite, resolve
 from .errors import ConfigurationError
-from .engines import robustness_along_ray
+from .engines import discord_filtered_measure, robustness_along_ray
 from .free_sets import FreeSetOracle, sample_trace_ball
 from .qstates import (
     BellDiagonalParams,
     DensityMatrix,
     bell_diagonal,
-    bloch_decompose,
     random_density,
     random_unitary,
     trace_distance,
@@ -59,8 +58,8 @@ _DIM = 4  # audits draw two-qubit states
 class AuditConfig:
     """Batch size, seed and an optional override of the audit tolerance.
 
-    ``seed`` must be an integer >= 0 and ``tolerance`` None or a finite
-    number >= 0 (ValidationError otherwise).
+    ``samples`` and ``seed`` must be integers >= 0 and ``tolerance`` None
+    or a finite number >= 0 (ValidationError otherwise).
     """
 
     samples: int = 100
@@ -68,6 +67,7 @@ class AuditConfig:
     tolerance: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "samples", check_count("samples", self.samples, least=0))
         object.__setattr__(self, "seed", check_count("seed", self.seed, least=0))
         if self.tolerance is not None:
             tol = check_finite("tolerance", self.tolerance, strict=False)
@@ -164,28 +164,13 @@ def audit_lipschitz(
     )
 
 
-def ray_measure(
-    sigma: DensityMatrix,
-    oracle: FreeSetOracle,
-    s_max: float | None = None,
-    tol: float | None = None,
-) -> Measure:
+def ray_measure(sigma: DensityMatrix, oracle: FreeSetOracle) -> Measure:
     """Measure adapter: robustness along the ray toward a fixed noise state."""
 
     def m(rho: DensityMatrix) -> float:
-        return robustness_along_ray(rho, sigma, oracle, s_max=s_max, tol=tol).value
+        return robustness_along_ray(rho, sigma, oracle).value
 
     return m
-
-
-def discord_filtered_measure(rho: DensityMatrix) -> float:
-    """Middle singular value of the two-qubit correlation matrix.
-
-    On Bell-diagonal states this is the exact discord robustness; on
-    general states it is the value of the locally filtered state.
-    """
-    sv = np.linalg.svd(bloch_decompose(rho).T, compute_uv=False)
-    return float(np.sort(sv)[1])
 
 
 # --- faithfulness ------------------------------------------------------------
@@ -277,13 +262,13 @@ def channel_depolarizing(q: float) -> Channel:
     return ch
 
 
-def channel_measure_prepare_b(basis: Optional[np.ndarray] = None) -> Channel:
-    """Projective measurement on side B followed by re-preparation in the
-    same basis (columns of ``basis``; computational basis by default)."""
+def channel_measure_prepare_b() -> Channel:
+    """Projective measurement on side B in the computational basis,
+    followed by re-preparation in the same basis."""
 
     def ch(rho: DensityMatrix) -> DensityMatrix:
         d_a, d_b = rho.dims
-        v = np.eye(d_b, dtype=complex) if basis is None else np.asarray(basis)
+        v = np.eye(d_b, dtype=complex)
         out = np.zeros_like(rho.mat)
         for j in range(d_b):
             proj = np.kron(np.eye(d_a), np.outer(v[:, j], v[:, j].conj()))
@@ -359,6 +344,10 @@ def audit_monotonicity(
 # --- convexity ---------------------------------------------------------------
 
 
+# mixing weights of every convexity check
+_CONVEXITY_LAMBDAS = (0.25, 0.5, 0.75)
+
+
 @dataclass(frozen=True)
 class ConvexityReport:
     checked: int
@@ -390,7 +379,6 @@ def audit_convexity(
     cfg: AuditConfig,
     sampler: Optional[Callable[[np.random.Generator], DensityMatrix]] = None,
     extra_pairs: Sequence[tuple[DensityMatrix, DensityMatrix]] = (),
-    lambdas: Sequence[float] = (0.25, 0.5, 0.75),
 ) -> ConvexityReport:
     """Check measure(lam*rho1 + (1-lam)*rho2) <= lam*m1 + (1-lam)*m2.
 
@@ -412,7 +400,7 @@ def audit_convexity(
     for (r1, r2), (m1, m2) in zip(pairs, ends):
         if not (math.isfinite(m1) and math.isfinite(m2)):
             continue
-        for lam in lambdas:
+        for lam in _CONVEXITY_LAMBDAS:
             mix = DensityMatrix(
                 lam * r1.mat + (1.0 - lam) * r2.mat, r1.dims, validate=False
             )

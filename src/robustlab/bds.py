@@ -77,17 +77,20 @@ class BellDiagonalParams:
         )
 
 
+def _middle_abs(c1: float, c2: float, c3: float) -> float:
+    """Middle of the sorted absolute correlations, i.e. max over pairs of
+    the pairwise minimum of |c_i|: the discord robustness."""
+    return sorted((abs(c1), abs(c2), abs(c3)))[1]
+
+
 def discord_robustness_bds(
     c: BellDiagonalParams | tuple[float, float, float]
 ) -> float:
-    """Closed-form discord robustness of a Bell-diagonal state.
-
-    Equals the middle of the sorted absolute correlations, i.e.
-    max over pairs of the pairwise minimum of |c_i|.
-    """
+    """Closed-form discord robustness of a Bell-diagonal state: the middle
+    of the sorted absolute correlations."""
     if not isinstance(c, BellDiagonalParams):
         c = BellDiagonalParams(*c)
-    return float(sorted(abs(v) for v in c.as_tuple())[1])
+    return float(_middle_abs(c.c1, c.c2, c.c3))
 
 
 def discord_levelset_grid(
@@ -119,6 +122,6 @@ def discord_levelset_grid(
                         1.0 + c1 + c2 - c3, 1.0 - c1 - c2 - c3) / 4.0
                 if w < -TOLS.bds_positivity:
                     continue
-                value = sorted((abs(c1), abs(c2), abs(c3)))[1]
+                value = _middle_abs(c1, c2, c3)
                 rows.append((c1, c2, c3, value, float(value <= limit)))
     return rows

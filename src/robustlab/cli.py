@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import io
 import json
 import math
@@ -233,33 +235,15 @@ def _ce_rows(args) -> tuple[list[str], list[tuple]]:
     ts = _parse_sweep(args.sweep) if args.sweep else [args.t]
     if ts == [None]:
         raise ValidationError("provide --sweep start:stop:step or --t value")
-    rows = []
     if args.id == 1:
-        scene = g2.scene_counterexample1(args.delta)
-        for t in ts:
-            rows.append(
-                (
-                    t,
-                    g2.counterexample1_exact(t, args.delta),
-                    g2.absolute_robustness_2d(
-                        g2.counterexample1_point(t), scene, resolution=args.resolution
-                    ),
-                )
-            )
+        scene, solve = g2.scene_counterexample1(args.delta), g2.absolute_robustness_2d
+        exact = functools.partial(g2.counterexample1_exact, delta=args.delta)
+        point = g2.counterexample1_point
     else:
-        scene = g2.scene_counterexample2()
-        for t in ts:
-            rows.append(
-                (
-                    t,
-                    g2.counterexample2_exact(args.branch, t),
-                    g2.global_robustness_2d(
-                        g2.counterexample2_point(args.branch, t),
-                        scene,
-                        resolution=args.resolution,
-                    ),
-                )
-            )
+        scene, solve = g2.scene_counterexample2(), g2.global_robustness_2d
+        exact = functools.partial(g2.counterexample2_exact, args.branch)
+        point = functools.partial(g2.counterexample2_point, args.branch)
+    rows = [(t, exact(t), solve(point(t), scene, resolution=args.resolution)) for t in ts]
     return ["t", "exact", "numeric"], rows
 
 
@@ -320,61 +304,36 @@ def _cmd_audit(args) -> tuple[int, dict]:
         if rep.worst_pair is not None:
             regime, _, _, m1, m2, dist = rep.worst_pair
             worst = {"regime": regime, "m1": m1, "m2": m2, "dist": dist}
-        payload = {
-            "check": "lipschitz",
+        fields = {
             "L": rep.L_claimed,
             "pairs_tested": rep.pairs_tested,
             "max_ratio": rep.max_ratio,
             "violations": rep.violations,
             "infinite_skipped": rep.infinite_skipped,
             "worst": worst,
-            "passed": rep.passed,
         }
-        passed = rep.passed
-    elif args.check == "faithfulness":
-        rep = audit_mod.audit_faithfulness(measure, oracle, cfg)
-        payload = {
-            "check": "faithfulness",
-            "free_checked": rep.free_checked,
-            "nonfree_checked": rep.nonfree_checked,
-            "free_nonzero": rep.free_nonzero,
-            "nonfree_zero": rep.nonfree_zero,
-            "worst_free_value": rep.worst_free_value,
-            "passed": rep.passed,
-        }
-        passed = rep.passed
-    elif args.check == "monotonicity":
-        rep = audit_mod.audit_monotonicity(
-            measure, audit_mod.default_channels(args.seed), oracle, cfg
-        )
-        payload = {
-            "check": "monotonicity",
-            "channels": list(rep.channels),
-            "checked": rep.checked,
-            "violations": rep.violations,
-            "per_channel": rep.per_channel,
-            "worst_increase": rep.worst_increase,
-            "infinite_skipped": rep.infinite_skipped,
-            "passed": rep.passed,
-        }
-        passed = rep.passed
     else:
-        extra = (
-            audit_mod.discord_axis_endpoint_pairs()
-            if args.measure == "discord-filtered"
-            else ()
-        )
-        rep = audit_mod.audit_convexity(measure, cfg, extra_pairs=extra)
-        payload = {
-            "check": "convexity",
-            "checked": rep.checked,
-            "violations": rep.violations,
-            "worst_gap": rep.worst_gap,
-            "passed": rep.passed,
+        if args.check == "faithfulness":
+            rep = audit_mod.audit_faithfulness(measure, oracle, cfg)
+        elif args.check == "monotonicity":
+            rep = audit_mod.audit_monotonicity(
+                measure, audit_mod.default_channels(args.seed), oracle, cfg
+            )
+        else:
+            extra = (
+                audit_mod.discord_axis_endpoint_pairs()
+                if args.measure == "discord-filtered"
+                else ()
+            )
+            rep = audit_mod.audit_convexity(measure, cfg, extra_pairs=extra)
+        # every report field in declaration order, minus the states of a violation
+        fields = {
+            f.name: getattr(rep, f.name)
+            for f in dataclasses.fields(rep)
+            if f.name != "first_violation"
         }
-        passed = rep.passed
-    payload = {"v": SCHEMA_VERSION, **payload}
-    return (0 if passed else 1), payload
+    payload = {"v": SCHEMA_VERSION, "check": args.check, **fields, "passed": rep.passed}
+    return (0 if rep.passed else 1), payload
 
 
 # --- parser ------------------------------------------------------------------

@@ -61,9 +61,13 @@ def resolve(value: float | None, default: float) -> float:
 
 def check_count(name: str, n, least: int = 1, most: int | None = None) -> int:
     """Return ``n`` as an int if it is an integer >= ``least`` (and <=
-    ``most`` when given); raise ValidationError otherwise (NaN and
-    infinities included)."""
-    if not (n >= least and n % 1 == 0):
+    ``most`` when given); raise ValidationError otherwise (NaN, infinities
+    and non-numbers included)."""
+    try:
+        ok = n >= least and n % 1 == 0
+    except TypeError:  # not a number
+        ok = False
+    if not ok:
         raise ValidationError(f"{name} must be an integer >= {least}, got {n!r}")
     if most is not None and n > most:
         raise ValidationError(f"{name} must be at most {most}, got {n!r}")

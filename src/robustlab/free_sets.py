@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .bds import discord_robustness_bds
 from .config import TOLS, check_count, resolve
 from .errors import ConfigurationError, ValidationError
 from .operator_core import partial_transpose, trace_norm
@@ -96,8 +97,9 @@ def has_zero_discord(rho: DensityMatrix) -> bool:
 
 
 def separable_ball_radius(d_a: int = 2, d_b: int = 2) -> float:
-    """Trace-norm radius of the Gurvits ball of separable states around 1/D."""
-    d = int(d_a) * int(d_b)
+    """Trace-norm radius of the Gurvits ball of separable states around 1/D;
+    ``d_a`` and ``d_b`` must be integers >= 2 (ValidationError otherwise)."""
+    d = check_count("d_a", d_a, least=2) * check_count("d_b", d_b, least=2)
     return 1.0 / math.sqrt(d * (d - 1))
 
 
@@ -110,8 +112,9 @@ def gurvits_ball_contains(rho: DensityMatrix) -> bool:
 
 
 def teleportation_ball_radius(d: int = 2) -> float:
-    """Trace-norm radius (d-1)/d^2 of the teleportation-unfaithful ball around 1/d^2."""
-    d = int(d)
+    """Trace-norm radius (d-1)/d^2 of the teleportation-unfaithful ball
+    around 1/d^2; ``d`` must be an integer >= 2 (ValidationError otherwise)."""
+    d = check_count("d", d, least=2)
     return (d - 1) / float(d * d)
 
 
@@ -271,8 +274,7 @@ def bds_axes_oracle() -> FreeSetOracle:
         params = bds_params_of(rho)
         if params is None:
             return False
-        middle = sorted(abs(v) for v in params.as_tuple())[1]
-        return middle <= TOLS.discord_membership
+        return discord_robustness_bds(params) <= TOLS.discord_membership
 
     return FreeSetOracle(
         name="bds-axes",

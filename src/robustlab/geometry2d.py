@@ -138,22 +138,23 @@ class PlanarScene:
         object.__setattr__(self, "state_space", _ccw(state_space))
         object.__setattr__(self, "free", free)
         tol = TOLS.geometry_membership
-        for v in _free_vertices(free):
-            if not _in_convex_polygon(*v, self.state_space, tol):
-                raise ValidationError(
-                    f"free-set vertex {list(v)} lies outside the state space"
-                )
+        for edge in _edge_loci_of_free(free):
+            for v in edge:
+                if not _in_convex_polygon(*v, self.state_space, tol):
+                    raise ValidationError(
+                        f"free-set vertex {list(v)} lies outside the state space"
+                    )
 
     def contains(self, p: _Point) -> bool:
         return _in_convex_polygon(*_pt(p), self.state_space, TOLS.geometry_membership)
 
 
-def _free_vertices(free: PlanarFreeSet):
+def _edge_loci_of_free(free: PlanarFreeSet):
+    """The free set's segments, then the edges of its polygons."""
     for a, b in free.segments:
-        yield a
-        yield b
+        yield a, b
     for poly in free.polygons:
-        yield from poly
+        yield from _edges(poly)
 
 
 def _point_segment_dist(qx: float, qy: float, a: _Pt, b: _Pt) -> float:
@@ -296,9 +297,18 @@ def _golden_refine(px, py, a, b, f_lo, f_hi, free, tol):
     return best
 
 
-def _optimize_over_loci(px, py, loci, free, tol, resolution):
-    """Minimum mixing weight over candidate noise points sampled along the
-    given (a, b) loci, plus local golden refinement around the best sample."""
+def _solve(p: _Point, scene: PlanarScene, loci, resolution: int) -> float:
+    """Least mixing weight from p over noise points on the given (a, b)
+    loci: 0 if p is free, else the best of ``resolution + 1`` samples per
+    locus, refined by a golden-section pass around the best sample."""
+    resolution = check_count("resolution", resolution, most=MAX_RESOLUTION)
+    px, py = q = _pt(p)
+    if not scene.contains(q):
+        raise ValidationError(f"point {list(q)} lies outside the state space")
+    free = scene.free
+    if free.contains(q):
+        return 0.0
+    tol = TOLS.geometry_membership
     best = math.inf
     best_locus = None
     best_idx = 0
@@ -327,14 +337,7 @@ def absolute_robustness_2d(
     """Least s with (p + s*tau)/(1+s) free for some noise tau in the free
     set; math.inf when no finite mixture works.  ``resolution`` must be an
     integer in [1, MAX_RESOLUTION] (ValidationError otherwise)."""
-    resolution = check_count("resolution", resolution, most=MAX_RESOLUTION)
-    q = _pt(p)
-    if not scene.contains(q):
-        raise ValidationError(f"point {list(q)} lies outside the state space")
-    if scene.free.contains(q):
-        return 0.0
-    loci = list(_edge_loci_of_free(scene.free))
-    return _optimize_over_loci(*q, loci, scene.free, TOLS.geometry_membership, resolution)
+    return _solve(p, scene, _edge_loci_of_free(scene.free), resolution)
 
 
 def global_robustness_2d(
@@ -349,21 +352,7 @@ def global_robustness_2d(
     so candidates sweep the state-space boundary only.  ``resolution`` is
     validated as in :func:`absolute_robustness_2d`.
     """
-    resolution = check_count("resolution", resolution, most=MAX_RESOLUTION)
-    q = _pt(p)
-    if not scene.contains(q):
-        raise ValidationError(f"point {list(q)} lies outside the state space")
-    if scene.free.contains(q):
-        return 0.0
-    loci = list(_edges(scene.state_space))
-    return _optimize_over_loci(*q, loci, scene.free, TOLS.geometry_membership, resolution)
-
-
-def _edge_loci_of_free(free: PlanarFreeSet):
-    for a, b in free.segments:
-        yield a, b
-    for poly in free.polygons:
-        yield from _edges(poly)
+    return _solve(p, scene, _edges(scene.state_space), resolution)
 
 
 def planar_star_probe(
@@ -400,12 +389,16 @@ def planar_star_probe(
 # --- reference construction 1: a jump for a connected, star-convex set ------
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise ValidationError(f"delta must be in (0, 1), got {delta!r}")
+
+
 def scene_counterexample1(delta: float = 0.2) -> PlanarScene:
     """Free set = vertical segment {0} x [0, 1] plus the thin strip
     [-1, 0] x [0, delta], inside a wide box.  Star-convex about (0, 0),
     yet the robustness of the family (t, 1) jumps at t = 0."""
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must be in (0, 1), got {delta!r}")
+    _check_delta(delta)
     free = PlanarFreeSet(
         segments=[((0.0, 0.0), (0.0, 1.0))],
         polygons=[[(-1.0, 0.0), (0.0, 0.0), (0.0, delta), (-1.0, delta)]],
@@ -425,13 +418,9 @@ def counterexample1_point(t: float) -> tuple[float, float]:
 def counterexample1_exact(t: float, delta: float = 0.2) -> float:
     """Absolute robustness of the point (t, 1): (1-delta)/delta for t < 0
     (the strip is the only route), t for t >= 0 (shear onto the segment)."""
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must be in (0, 1), got {delta!r}")
-    if not -1.0 <= t <= 1.0:
-        raise ValidationError(f"family parameter must be in [-1, 1], got {t!r}")
-    if t < 0.0:
-        return (1.0 - delta) / delta
-    return float(t)
+    _check_delta(delta)
+    x, _ = counterexample1_point(t)
+    return (1.0 - delta) / delta if x < 0.0 else x
 
 
 # --- reference construction 2: a jump with the infimum attained -------------
@@ -463,6 +452,17 @@ def scene_counterexample2(
     return PlanarScene(tri, free)
 
 
+def _apex_parameter(which: str, t: float, a: float, b: float) -> float:
+    """Parameter at which family ``which`` reaches the apex (a/2 on 'a',
+    2b/3 on 'b'), after checking the family name and 0 <= t <= apex."""
+    if which not in ("a", "b"):
+        raise ValidationError(f"family must be 'a' or 'b', got {which!r}")
+    apex = a / 2.0 if which == "a" else 2.0 * b / 3.0
+    if not 0.0 <= t <= apex:
+        raise ValidationError(f"family {which!r} needs t in [0, {apex}], got {t!r}")
+    return apex
+
+
 def counterexample2_point(
     which: str, t: float, a: float = 1.0, b: float = 1.0,
     angle: float = math.pi / 2
@@ -470,18 +470,10 @@ def counterexample2_point(
     """Families sliding from a free point toward the apex: family 'a'
     starts at sigma_a (reaches the apex at t = a/2), family 'b' starts at
     sigma_b (reaches the apex at t = 2b/3)."""
+    r = _apex_parameter(which, t, a, b) - t
     if which == "a":
-        if not 0.0 <= t <= a / 2.0:
-            raise ValidationError(f"family 'a' needs t in [0, {a / 2.0}], got {t!r}")
-        return (a / 2.0 - t, 0.0)
-    if which == "b":
-        if not 0.0 <= t <= 2.0 * b / 3.0:
-            raise ValidationError(
-                f"family 'b' needs t in [0, {2.0 * b / 3.0}], got {t!r}"
-            )
-        r = 2.0 * b / 3.0 - t
-        return (r * math.cos(angle), r * math.sin(angle))
-    raise ValidationError(f"family must be 'a' or 'b', got {which!r}")
+        return (r, 0.0)
+    return (r * math.cos(angle), r * math.sin(angle))
 
 
 def counterexample2_exact(
@@ -491,16 +483,7 @@ def counterexample2_exact(
     (continuous up to 1 at the apex), 3t/b on family 'b' except at the
     apex itself, where the route through sigma_a takes over and the value
     drops to 1 while the one-sided limit is 2."""
+    apex = _apex_parameter(which, t, a, b)
     if which == "a":
-        if not 0.0 <= t <= a / 2.0:
-            raise ValidationError(f"family 'a' needs t in [0, {a / 2.0}], got {t!r}")
         return 2.0 * t / a
-    if which == "b":
-        if not 0.0 <= t <= 2.0 * b / 3.0:
-            raise ValidationError(
-                f"family 'b' needs t in [0, {2.0 * b / 3.0}], got {t!r}"
-            )
-        if t == 2.0 * b / 3.0:
-            return 1.0
-        return 3.0 * t / b
-    raise ValidationError(f"family must be 'a' or 'b', got {which!r}")
+    return 1.0 if t == apex else 3.0 * t / b

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bds import BellDiagonalParams
-from .config import TOLS
+from .config import TOLS, check_count
 from .errors import PositivityError, ValidationError
 from .operator_core import as_complex_matrix, kron, require_hermitian, trace_norm
 
@@ -73,15 +73,15 @@ class DensityMatrix:
 
     Instances are value-like: the backing array is copied on construction
     and marked read-only.  ``validate=False`` skips the eigenvalue check
-    and is reserved for internal constructors whose output is positive by
-    construction.
+    and the check that ``dims`` are integers >= 1, and is reserved for
+    internal constructors whose output is positive by construction.
     """
 
     __slots__ = ("mat", "dims")
 
     def __init__(self, mat, dims, *, validate: bool = True):
         a = np.array(mat, dtype=complex, copy=True)
-        dims = tuple(int(d) for d in dims)
+        dims = _check_dims(dims) if validate else tuple(int(d) for d in dims)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {a.shape}")
         if math.prod(dims) != a.shape[0]:
@@ -110,6 +110,15 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim}, dims={self.dims})"
+
+
+def _check_dims(dims) -> tuple[int, ...]:
+    """Subsystem dimensions as a tuple of integers >= 1 (ValidationError
+    otherwise)."""
+    try:
+        return tuple(check_count("subsystem dimension", d) for d in dims)
+    except TypeError:  # not iterable
+        raise ValidationError(f"dims must be a list of integers, got {dims!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +165,8 @@ def werner(p: float) -> DensityMatrix:
 
 
 def maximally_mixed(dims=(2, 2)) -> DensityMatrix:
-    dims = tuple(int(d) for d in dims)
+    """The state 1/d on the given subsystem dimensions (integers >= 1)."""
+    dims = _check_dims(dims)
     d = math.prod(dims)
     return DensityMatrix(np.eye(d, dtype=complex) / d, dims, validate=False)
 
@@ -172,8 +182,8 @@ def bloch_decompose(rho: DensityMatrix) -> BlochTwoQubit:
     return BlochTwoQubit(x=x, y=y, T=t)
 
 
-def bloch_compose(b: BlochTwoQubit, *, validate: bool = True) -> DensityMatrix:
-    """Rebuild the two-qubit state from Bloch parameters."""
+def bloch_compose(b: BlochTwoQubit) -> DensityMatrix:
+    """Rebuild the two-qubit state from Bloch parameters, validated."""
     x = np.asarray(b.x, dtype=float)
     y = np.asarray(b.y, dtype=float)
     t = np.asarray(b.T, dtype=float)
@@ -185,7 +195,7 @@ def bloch_compose(b: BlochTwoQubit, *, validate: bool = True) -> DensityMatrix:
         + np.einsum("j,jab->ab", y, _PB)
         + np.einsum("ij,ijab->ab", t, _PAB)
     )
-    return DensityMatrix(mat, (2, 2), validate=validate)
+    return DensityMatrix(mat, (2, 2))
 
 
 def state_inversion(rho: DensityMatrix) -> DensityMatrix:
@@ -270,19 +280,27 @@ def state_from_json(obj: dict | str) -> DensityMatrix:
 
     Accepted: {"dims": [...], "re": [[...]], "im": [[...]]},
     {"bloch": {"x": [...], "y": [...], "T": [[...]]}} and
-    {"bds": [c1, c2, c3]}.  Validation runs on the parsed state, so
-    malformed shapes raise ValidationError and non-positive inputs raise
-    PositivityError.
+    {"bds": [c1, c2, c3]}.  Malformed shapes, entries that are not
+    numbers, ragged tables and dims that are not integers >= 1 raise
+    ValidationError; validation then runs on the parsed state, so
+    non-positive inputs raise PositivityError.
     """
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except RecursionError:
+            raise ValidationError("state JSON is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValidationError(f"state JSON must be an object, got {type(obj).__name__}")
     if "bds" in obj:
         c = obj["bds"]
         if not isinstance(c, (list, tuple)) or len(c) != 3:
             raise ValidationError('"bds" must be a list [c1, c2, c3]')
-        return bell_diagonal(BellDiagonalParams(*[float(v) for v in c]))
+        try:
+            c = [float(v) for v in c]
+        except (TypeError, ValueError):
+            raise ValidationError(f'"bds" entries must be numbers, got {obj["bds"]!r}') from None
+        return bell_diagonal(BellDiagonalParams(*c))
     if "bloch" in obj:
         b = obj["bloch"]
         try:
@@ -291,19 +309,22 @@ def state_from_json(obj: dict | str) -> DensityMatrix:
                 y=np.asarray(b["y"], dtype=float),
                 T=np.asarray(b["T"], dtype=float),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f'"bloch" object needs x, y, T arrays: {exc}') from exc
-        return bloch_compose(params, validate=True)
+        return bloch_compose(params)
     if "re" in obj:
         dims = obj.get("dims")
         if dims is None:
             raise ValidationError('matrix-form state JSON needs a "dims" field')
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+        try:
+            re = np.asarray(obj["re"], dtype=float)
+            im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f'"re" and "im" must be tables of numbers: {exc}') from exc
         if re.shape != im.shape:
             raise ValidationError('"re" and "im" tables must have the same shape')
         mat = as_complex_matrix(re + 1j * im)
-        return DensityMatrix(mat, tuple(dims), validate=True)
+        return DensityMatrix(mat, dims, validate=True)
     raise ValidationError(
         'unrecognized state JSON: expected one of the keys "re", "bloch", "bds"'
     )

@@ -55,6 +55,11 @@ class TestAuditConfig:
         with pytest.raises(ValidationError, match="tolerance"):
             AuditConfig(tolerance=tolerance)
 
+    @pytest.mark.parametrize("samples", [-3, 2.5, math.nan, math.inf])
+    def test_bad_samples(self, samples):
+        with pytest.raises(ValidationError, match="samples"):
+            AuditConfig(samples=samples)
+
 
 class TestLipschitzPairs:
     def test_regimes(self):
@@ -167,7 +172,7 @@ class TestAuditFaithfulness:
         assert not rep.passed
         assert rep.free_nonzero > 0
 
-    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("samples", [0])
     def test_empty_audit_fails(self, samples):
         measure = ray_measure(maximally_mixed(), oracle_by_name("ppt"))
         rep = audit_faithfulness(measure, oracle_by_name("ppt"), AuditConfig(samples=samples))
@@ -257,7 +262,7 @@ class TestChannels:
 
     def test_measure_prepare_kills_coherence(self, rng):
         rho = random_density(4, seed=rng)
-        out = channel_measure_prepare_b(None)(rho)
+        out = channel_measure_prepare_b()(rho)
         # B-side off-diagonal blocks vanish
         m = out.mat.reshape(2, 2, 2, 2)
         assert np.max(np.abs(m[:, 0, :, 1])) <= 1e-14

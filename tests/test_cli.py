@@ -453,6 +453,22 @@ def audit_argv(draw):
     return argv
 
 
+def run_in_process(argv, codes):
+    """Run cli.main in this process and check that it returns within 20 s
+    with one of ``codes``, that no exception escapes it, and that exit
+    codes >= 2 print one "error:" line; returns (code, stdout)."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 20.0, argv
+    assert code in codes, (argv, err.getvalue())
+    if code >= 2:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    return code, out.getvalue()
+
+
 class TestAuditArguments:
     """Every audit invocation exits 0, 1 or 2 within 20 s, and nothing
     escapes cli.main; run in process, since each batch is small."""
@@ -460,17 +476,100 @@ class TestAuditArguments:
     @settings(max_examples=40, deadline=None)
     @given(argv=audit_argv())
     def test_exit_codes(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-        assert time.perf_counter() - start < 20.0, argv
-        assert code in (0, 1, 2), (argv, err.getvalue())
-        if code == 2:
-            assert err.getvalue().startswith("error:"), (argv, err.getvalue())
-            assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
-        else:
-            assert json.loads(out.getvalue())["passed"] is (code == 0), argv
+        code, out = run_in_process(argv, (0, 1, 2))
+        if code != 2:
+            assert json.loads(out)["passed"] is (code == 0), argv
+
+
+# entries of a state file that are not numbers
+_JUNK = st.sampled_from(["abc", None, [0.5], {}, ""])
+_ENTRY = st.one_of(st.floats(-0.4, 0.4), _NUMBER.map(float), _JUNK)
+_VECTOR = st.one_of(
+    st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3), st.lists(_ENTRY, max_size=4), _JUNK
+)
+_DIMS = st.sampled_from(
+    [[2, 2], [2, 2], [2.0, 2.0], [4], [1, 4], 4, "22", [-2, -2], [4.9, 1], [0, 4], ["2", "2"], None]
+)
+
+
+def _matrix_state(seed, rank, dims, damage):
+    """A random state in matrix form with its dims replaced and one entry
+    or table optionally damaged."""
+    obj = state_to_json(random_density(4, rank=rank, seed=seed))
+    obj["dims"] = dims
+    if damage == "ragged":
+        obj["re"][1] = obj["re"][1][:2]
+    elif damage == "text":
+        obj["re"][0][0] = "abc"
+    elif damage == "nan":
+        obj["re"][0][0] = math.nan
+    elif damage == "im-shape":
+        obj["im"] = obj["im"][:3]
+    elif damage == "no-im":
+        del obj["im"]
+    if dims is None:
+        del obj["dims"]
+    return obj
+
+
+_STATE_TEXT = st.one_of(
+    st.fixed_dictionaries({"bds": st.lists(_ENTRY, min_size=3, max_size=3)
+                           | st.lists(_ENTRY, max_size=5) | _JUNK}),
+    st.fixed_dictionaries({"bloch": st.fixed_dictionaries(
+        {"x": _VECTOR, "y": _VECTOR,
+         "T": st.lists(_VECTOR, min_size=3, max_size=3) | st.lists(_VECTOR, max_size=4) | _JUNK}
+    ) | _JUNK}),
+    st.builds(_matrix_state, st.integers(0, 2**32 - 1), st.integers(1, 4), _DIMS,
+              st.sampled_from([None, None, "ragged", "text", "nan", "im-shape", "no-im"])),
+).map(json.dumps) | st.sampled_from(["{not json", "[1, 2, 3]", "null", ""])
+
+
+@pytest.fixture(scope="module")
+def state_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("states")
+
+
+def draw_state_args(data, path):
+    """Draw --bds with a correlation string, or --state with a state file
+    of any of the three shapes (often malformed), written to ``path``."""
+    if data.draw(st.booleans(), label="bds"):
+        return [f"--bds={data.draw(_BDS, label='bds value')}"]
+    path.write_text(data.draw(_STATE_TEXT, label="state file"))
+    return ["--state", str(path)]
+
+
+class TestStateArguments:
+    """discord-bounds and tel-check exit 0, 2 or 3, ent-ray also 4, within
+    20 s, and nothing escapes cli.main, for any correlation string and any
+    state file; run in process."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), cmd=st.sampled_from(["discord-bounds", "tel-check"]))
+    def test_scalar_commands(self, state_dir, data, cmd):
+        code, out = run_in_process([cmd, *draw_state_args(data, state_dir / "state.json")],
+                                   (0, 2, 3))
+        if code == 0:
+            assert json.loads(out)["v"] == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_ent_ray(self, state_dir, data):
+        argv = ["ent-ray", *draw_state_args(data, state_dir / "state.json")]
+        if data.draw(st.booleans(), label="free set"):
+            names = ["ppt", "zero-discord", "unfaithful", "bds-axes", "none"]
+            argv.append(f"--free-set={data.draw(st.sampled_from(names))}")
+        if data.draw(st.booleans(), label="noise"):
+            noise = state_dir / "noise.json"
+            noise.write_text(data.draw(_STATE_TEXT, label="noise file"))
+            argv.append(f"--noise=state:{noise}")
+        for flag in ("--tol", "--s-max"):
+            if data.draw(st.booleans(), label=flag):
+                value = st.one_of(st.floats(1e-9, 10.0), _NUMBER.map(float),
+                                  st.sampled_from([5e-324, 1e-300, 1e300]))
+                argv.append(f"{flag}={data.draw(value.map(repr), label=flag + ' value')}")
+        code, out = run_in_process(argv, (0, 2, 3, 4))
+        if code == 0:
+            assert float(json.loads(out)["value"]) >= 0.0, argv
 
 
 class TestLevelset:
@@ -635,6 +734,32 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert proc.stderr.startswith("error: numerical failure")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("cmd", ["discord", "discord-bounds", "ent-ray", "tel-check"])
+    def test_malformed_state_file_is_two(self, capsys, tmp_path, cmd, malformed_state):
+        # each escaped cli.main as a Python or numpy exception (exit 1)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(malformed_state))
+        code, out, err = run_cli(capsys, cmd, "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_deeply_nested_state_file_is_two(self, capsys, tmp_path):
+        # json.loads raised RecursionError, a traceback with exit 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run_cli(capsys, "discord-bounds", "--state", str(path))
+        assert code == 2
+        assert "nested" in err
+
+    def test_negative_dims_noise_is_two(self, capsys, tmp_path):
+        # dims (-2, -2) on both sides reached partial_transpose
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": [-2, -2], "re": (np.eye(4) / 4.0).tolist()}))
+        code, _, err = run_cli(capsys, "ent-ray", "--state", str(path), "--noise", f"state:{path}")
+        assert code == 2
+        assert "dimension" in err
 
     def test_positive_state_file_with_bad_trace(self, capsys, tmp_path):
         path = tmp_path / "state.json"

@@ -101,6 +101,16 @@ class TestBallRadii:
         assert teleportation_ball_radius(2) == 0.25
         assert teleportation_ball_radius(3) == pytest.approx(2.0 / 9.0)
 
+    @pytest.mark.parametrize("d_a, d_b", [(1, 1), (2, 1), (2.7, 2), (math.nan, 2), (2, math.inf)])
+    def test_separable_radius_bad_dims(self, d_a, d_b):
+        with pytest.raises(ValidationError, match="d_"):
+            separable_ball_radius(d_a, d_b)
+
+    @pytest.mark.parametrize("d", [0, 1, 2.5, math.nan])
+    def test_teleport_radius_bad_dim(self, d):
+        with pytest.raises(ValidationError, match="d must"):
+            teleportation_ball_radius(d)
+
     def test_gurvits_contains_center(self):
         assert gurvits_ball_contains(maximally_mixed())
         assert not gurvits_ball_contains(bell_states()[0])

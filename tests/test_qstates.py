@@ -61,6 +61,17 @@ class TestDensityMatrix:
     def test_validate_false_skips(self):
         DensityMatrix(np.diag([1.5, -0.5]), (2,), validate=False)
 
+    @pytest.mark.parametrize("dims", [(-2, -2), (4.9, 1), (0, 4), ("2", "2"), "22", 4])
+    def test_bad_dims(self, dims):
+        # (-2, -2) reached partial_transpose; (4.9, 1) was read as (4, 1)
+        with pytest.raises(ValidationError, match="dim"):
+            DensityMatrix(np.eye(4) / 4.0, dims)
+
+    @pytest.mark.parametrize("dims", [(-1,), (0,), (4.9,), (2, -2)])
+    def test_maximally_mixed_bad_dims(self, dims):
+        with pytest.raises(ValidationError, match="dimension"):
+            maximally_mixed(dims)
+
 
 class TestBellStates:
     def test_orthonormal_and_pure(self):
@@ -257,6 +268,10 @@ class TestJson:
             state_from_json([1, 2, 3])
         with pytest.raises(ValidationError):
             state_from_json({"something": 1})
+
+    def test_malformed_shapes(self, malformed_state):
+        with pytest.raises(ValidationError):
+            state_from_json(json.dumps(malformed_state))
 
     def test_positivity_surfaces(self):
         with pytest.raises(PositivityError):
