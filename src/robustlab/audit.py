@@ -52,14 +52,18 @@ Measure = Callable[[DensityMatrix], float]
 Channel = Callable[[DensityMatrix], DensityMatrix]
 
 _DIM = 4  # audits draw two-qubit states
+# a batch costs time linear in its samples: at the cap one Lipschitz audit of
+# the PPT ray takes a few seconds
+MAX_AUDIT_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
 class AuditConfig:
     """Batch size, seed and an optional override of the audit tolerance.
 
-    ``samples`` and ``seed`` must be integers >= 0 and ``tolerance`` None
-    or a finite number >= 0 (ValidationError otherwise).
+    ``samples`` must be an integer in [0, MAX_AUDIT_SAMPLES], ``seed`` an
+    integer >= 0 and ``tolerance`` None or a finite number >= 0
+    (ValidationError otherwise).
     """
 
     samples: int = 100
@@ -67,7 +71,8 @@ class AuditConfig:
     tolerance: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", check_count("samples", self.samples, least=0))
+        samples = check_count("samples", self.samples, least=0, most=MAX_AUDIT_SAMPLES)
+        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "seed", check_count("seed", self.seed, least=0))
         if self.tolerance is not None:
             tol = check_finite("tolerance", self.tolerance, strict=False)
@@ -377,7 +382,6 @@ def discord_axis_endpoint_pairs() -> list[tuple[DensityMatrix, DensityMatrix]]:
 def audit_convexity(
     measure: Measure,
     cfg: AuditConfig,
-    sampler: Optional[Callable[[np.random.Generator], DensityMatrix]] = None,
     extra_pairs: Sequence[tuple[DensityMatrix, DensityMatrix]] = (),
 ) -> ConvexityReport:
     """Check measure(lam*rho1 + (1-lam)*rho2) <= lam*m1 + (1-lam)*m2.
@@ -387,11 +391,9 @@ def audit_convexity(
     """
     tol = resolve(cfg.tolerance, 2.0 * TOLS.ray_bisection)
     rng = np.random.default_rng(cfg.seed)
-    draw = sampler if sampler is not None else (
-        lambda g: random_density(_DIM, seed=g)
-    )
     pairs = list(extra_pairs) + [
-        (draw(rng), draw(rng)) for _ in range(cfg.samples)
+        (random_density(_DIM, seed=rng), random_density(_DIM, seed=rng))
+        for _ in range(cfg.samples)
     ]
     ends = [(measure(r1), measure(r2)) for r1, r2 in pairs]
     checked = violations = 0

@@ -27,6 +27,23 @@ MAX_LEVELSET_GRID = 101
 # points exactly on the boundary do despite rounding
 _LEVEL_SLACK = 1e-12
 
+# Bell sign table S: row a holds the a-th correlation of each Bell state, in
+# (phi+, phi-, psi+, psi-) order, so the state with correlations c has the
+# Bell weights p_i = (1 + sum_a S_ai c_a)/4 (Horodecki & Horodecki, PRA 54,
+# 1838 (1996)).  Each Bell state is an eigenvector of sigma_a x sigma_a with
+# eigenvalue S_ai.
+BELL_SIGNS = (
+    (1.0, -1.0, 1.0, -1.0),
+    (-1.0, 1.0, 1.0, -1.0),
+    (1.0, 1.0, -1.0, -1.0),
+)
+_COLUMNS = tuple(zip(*BELL_SIGNS))  # the correlation triple of each Bell state
+
+
+def _scaled_weights(c1: float, c2: float, c3: float) -> list[float]:
+    """The four 4 p_i = 1 + sum_a S_ai c_a, in Bell order."""
+    return [1.0 + s1 * c1 + s2 * c2 + s3 * c3 for s1, s2, s3 in _COLUMNS]
+
 
 @dataclass(frozen=True)
 class BellDiagonalParams:
@@ -52,29 +69,20 @@ class BellDiagonalParams:
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "c3", c3)
-        slack = TOLS.bds_positivity
-        constraints = (
-            ("1-c1-c2-c3 >= 0", 1.0 - c1 - c2 - c3),
-            ("1-c1+c2+c3 >= 0", 1.0 - c1 + c2 + c3),
-            ("1+c1-c2+c3 >= 0", 1.0 + c1 - c2 + c3),
-            ("1+c1+c2-c3 >= 0", 1.0 + c1 + c2 - c3),
-        )
-        for name, value in constraints:
-            if value < -slack:
-                raise PositivityError(f"{name} violated (got {value:.6g})")
+        # in lexicographic order of the sign patterns, (-,-,-) first
+        for signs, value in sorted(zip(_COLUMNS, _scaled_weights(c1, c2, c3))):
+            if value < -TOLS.bds_positivity:
+                name = "1" + "".join(
+                    f"{'+' if s > 0 else '-'}c{a}" for a, s in enumerate(signs, 1)
+                )
+                raise PositivityError(f"{name} >= 0 violated (got {value:.6g})")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.c1, self.c2, self.c3)
 
     def weights(self) -> tuple[float, float, float, float]:
         """Bell-basis weights in (phi+, phi-, psi+, psi-) order."""
-        c1, c2, c3 = self.c1, self.c2, self.c3
-        return (
-            (1.0 + c1 - c2 + c3) / 4.0,
-            (1.0 - c1 + c2 + c3) / 4.0,
-            (1.0 + c1 + c2 - c3) / 4.0,
-            (1.0 - c1 - c2 - c3) / 4.0,
-        )
+        return tuple(v / 4.0 for v in _scaled_weights(self.c1, self.c2, self.c3))
 
 
 def _middle_abs(c1: float, c2: float, c3: float) -> float:
@@ -118,9 +126,7 @@ def discord_levelset_grid(
     for c1 in axis:
         for c2 in axis:
             for c3 in axis:
-                w = min(1.0 + c1 - c2 + c3, 1.0 - c1 + c2 + c3,
-                        1.0 + c1 + c2 - c3, 1.0 - c1 - c2 - c3) / 4.0
-                if w < -TOLS.bds_positivity:
+                if min(_scaled_weights(c1, c2, c3)) / 4.0 < -TOLS.bds_positivity:
                     continue
                 value = _middle_abs(c1, c2, c3)
                 rows.append((c1, c2, c3, value, float(value <= limit)))

@@ -243,7 +243,7 @@ def _ce_rows(args) -> tuple[list[str], list[tuple]]:
         scene, solve = g2.scene_counterexample2(), g2.global_robustness_2d
         exact = functools.partial(g2.counterexample2_exact, args.branch)
         point = functools.partial(g2.counterexample2_point, args.branch)
-    rows = [(t, exact(t), solve(point(t), scene, resolution=args.resolution)) for t in ts]
+    rows = [(t, exact(t), solve(point(t), scene)) for t in ts]
     return ["t", "exact", "numeric"], rows
 
 
@@ -382,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", default=None,
                    help=f"start:stop:step, stop exclusive, at most {MAX_SWEEP_POINTS} points")
     p.add_argument("--t", type=float, default=None)
-    p.add_argument("--resolution", type=int, default=64)
 
     p = sub.add_parser("levelset", parents=[common],
                        help="discord robustness sublevel set on the tetrahedron")

@@ -22,11 +22,16 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .bds import BellDiagonalParams, discord_levelset_grid, discord_robustness_bds
+from .bds import (
+    BELL_SIGNS,
+    BellDiagonalParams,
+    discord_levelset_grid,
+    discord_robustness_bds,
+)
 from .config import TOLS, check_count, check_finite, resolve
 from .errors import IllConditionedError, StarConvexityViolationError, ValidationError
-from .operator_core import eig_hermitian, kron
-from .qstates import PAULI, DensityMatrix, bell_diagonal, bloch_decompose
+from .operator_core import eig_hermitian
+from .qstates import DensityMatrix, bell_diagonal, bloch_decompose
 
 if TYPE_CHECKING:
     from .free_sets import FreeSetOracle
@@ -227,18 +232,9 @@ def min_scaling_robustness(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 # --- discord robustness over Bell-diagonal states ---------------------------
 
-_AXIS_KRON = tuple(kron(s, s) for s in PAULI)
-_EYE4 = np.eye(4, dtype=complex)
-
-# sigma_a(k) = (1 + k sigma_a x sigma_a)/4 is an affine pencil in k: its
-# eigenvectors (columns of _AXIS_VECS[a], real since sigma_y x sigma_y is)
-# do not depend on k, and its eigenvalues are (1 + k _AXIS_SIGNS[a])/4 with
-# signs exactly +-1 (sigma_a x sigma_a squares to the identity).
-_AXIS_SIGNS, _AXIS_VECS = np.linalg.eigh(np.stack([m.real for m in _AXIS_KRON]))
-_AXIS_SIGNS = np.rint(_AXIS_SIGNS)
-# eigh sorts ascending: columns 0-1 span each pencil's -1 eigenspace and
-# columns 2-3 its +1 eigenspace, the two blocks _axis_spectra diagonalizes
-assert (_AXIS_SIGNS == (-1.0, -1.0, 1.0, 1.0)).all(), _AXIS_SIGNS
+# sigma_a(k) = (1 + k sigma_a x sigma_a)/4 is diagonal in the Bell basis, with
+# the eigenvalue (1 + k S_ai)/4 on Bell state i (S = BELL_SIGNS, row a)
+_AXIS_SIGNS = np.array(BELL_SIGNS)
 _ZOOM_STEPS = np.linspace(0.0, 1.0, 33)  # bracket fractions of every zoom round
 _ZOOM_ROUNDS = 64  # hard bound on zoom rounds
 # the grid scan evaluates 3*grid pencils in one batch
@@ -247,33 +243,20 @@ MAX_AXIS_GRID = 10_000
 
 def _axis_state(axis: int, k: float) -> DensityMatrix:
     """Bell-diagonal state with the single correlation k on one axis."""
-    mat = 0.25 * (_EYE4 + float(k) * _AXIS_KRON[axis])
-    return DensityMatrix(mat, (2, 2), validate=False)
+    return bell_diagonal(tuple(float(k) if a == axis else 0.0 for a in range(3)))
 
 
-def _axis_spectra(rho: DensityMatrix) -> np.ndarray:
-    """Eigenvalues of rho on the -1 and +1 eigenspaces of each axis pencil,
-    shape (3, 4) in the order of ``_AXIS_SIGNS``.
-
-    rho must be Bell diagonal: it is real and commutes with every
-    sigma_a x sigma_a, so R_a = V_a^T rho V_a is block diagonal on the two
-    eigenspaces and one stacked eigvalsh of the (3, 2, 2, 2) diagonal
-    blocks gives its whole spectrum."""
-    rot = np.einsum("aji,jk,akl->ail", _AXIS_VECS, rho.mat.real, _AXIS_VECS)
-    blocks = np.stack([rot[:, :2, :2], rot[:, 2:, 2:]], axis=1)
-    return np.linalg.eigvalsh(blocks).reshape(3, 4)
-
-
-def _axis_pencil_values(mu: np.ndarray, ks: np.ndarray) -> np.ndarray:
+def _axis_pencil_values(p: tuple[float, ...], ks: np.ndarray) -> np.ndarray:
     """min_scaling_robustness(rho, _axis_state(a, k)) for every axis a and
-    every k in row a of ``ks`` (shape (3, n)), given mu = _axis_spectra(rho).
+    every k in row a of ``ks`` (shape (3, n)), given the Bell weights
+    p = c.weights() of a Bell-diagonal rho.
 
-    The eigenvalues of sigma_a(k) are (1 + k x_a)/4 on eigenspaces that do
-    not depend on k, and rho commutes with it, so all 3n values are one
-    batched call of the min-scaling evaluator in its commuting form:
-    arithmetic only, no eigensolve."""
+    rho and every sigma_a(k) are diagonal in the Bell basis, with the
+    eigenvalues p_i and (1 + k S_ai)/4 on Bell state i, so all 3n values
+    are one batched call of the min-scaling evaluator in its commuting
+    form: arithmetic only, no eigensolve."""
     w = 0.25 * (1.0 + ks[:, :, None] * _AXIS_SIGNS[:, None, :])  # (3, n, 4)
-    return _min_scaling_values(mu[:, None], w)
+    return _min_scaling_values(np.reshape(p, (1, 1, 4)), w)
 
 
 def _axis_grid(lo: np.ndarray, hi: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -296,24 +279,25 @@ def discord_robustness_axis_opt(
 
     Minimizes :func:`min_scaling_robustness` against the axis family
     (1/4)(1x1 + k sigma_a x sigma_a) over the axis a and k in [-1, 1].
-    Each per-axis objective is a maximum of terms 4 p_i/(1 + k s_i), hence
+    Each per-axis objective is a maximum of terms 4 p_i/(1 + k S_ai), hence
     convex in k, so the neighbours of the best point always bracket the
     optimum: a ``grid``-point scan is followed by zoom rounds into those
     brackets until every bracket is at most ``xatol`` wide or stops
-    narrowing (at most _ZOOM_ROUNDS rounds).  rho commutes with every
-    pencil, so its spectra on the pencil eigenspaces take one small
-    eigensolve per call, and every round evaluates all three axes with
-    arithmetic through the min-scaling evaluator.  Ties between axes resolve to
-    the lowest axis index, making witnesses deterministic.  ``grid`` must
-    be an integer in [2, MAX_AXIS_GRID] and ``xatol`` finite and > 0
-    (ValidationError otherwise).
+    narrowing (at most _ZOOM_ROUNDS rounds).  rho and every pencil are
+    diagonal in the Bell basis, rho with the Bell weights p = c.weights()
+    as eigenvalues, so there is no eigenbasis and no eigensolve: every
+    round evaluates all three axes with arithmetic through the
+    min-scaling evaluator.  Ties between axes resolve to the lowest axis
+    index, making witnesses deterministic.  ``grid`` must be an integer
+    in [2, MAX_AXIS_GRID] and ``xatol`` finite and > 0 (ValidationError
+    otherwise).
     """
     if not isinstance(c, BellDiagonalParams):
         c = BellDiagonalParams(*c)
     grid = check_count("grid", grid, least=2, most=MAX_AXIS_GRID)
     xatol = check_finite("xatol", resolve(xatol, TOLS.axis_opt_xatol), strict=True)
     rho = bell_diagonal(c)
-    mu = _axis_spectra(rho)
+    p = c.weights()
     axes = np.arange(3)
     lo = hi = np.full(3, math.nan)  # no bracket before the grid scan
     ks = _axis_grid(np.full(3, -1.0), np.ones(3), np.linspace(0.0, 1.0, grid))
@@ -321,7 +305,7 @@ def discord_robustness_axis_opt(
     ks_best = np.zeros(3)
     evals = 0
     for _ in range(_ZOOM_ROUNDS + 1):
-        vals = _axis_pencil_values(mu, ks)
+        vals = _axis_pencil_values(p, ks)
         evals += vals.size
         i = vals.argmin(axis=1)
         v, k = vals[axes, i], ks[axes, i]

@@ -5,14 +5,14 @@ Conventions pinned here and relied on everywhere else:
 * Pauli order is (x, y, z), i.e. sigma_1, sigma_2, sigma_3.
 * ``bell_states()`` returns (phi_plus, phi_minus, psi_plus, psi_minus) with
   phi_pm = (|00> pm |11>)/sqrt2 and psi_pm = (|01> pm |10>)/sqrt2.  Their
-  correlation matrices are diag(1,-1,1), diag(-1,1,1), diag(1,1,-1) and
-  diag(-1,-1,-1) in that order.
+  correlation matrices are diag(S_1i, S_2i, S_3i), with column i of the
+  Bell sign table S = ``bds.BELL_SIGNS`` for the i-th state in that order.
 * Two-qubit Bloch form: rho = (1/4)(1x1 + sum_i x_i s_i x 1
   + sum_j y_j 1 x s_j + sum_ij T_ij s_i x s_j), with x_i = tr(rho s_i x 1),
   y_j = tr(rho 1 x s_j), T_ij = tr(rho s_i x s_j).
 * ``bell_diagonal(c)`` = (1/4)(1x1 + sum_i c_i s_i x s_i); its Bell-basis
-  weights in the order above are (1+c1-c2+c3)/4, (1-c1+c2+c3)/4,
-  (1+c1+c2-c3)/4, (1-c1-c2-c3)/4.
+  weights in the order above are p_i = (1 + sum_a S_ai c_a)/4, as returned
+  by ``BellDiagonalParams.weights()``.
 * ``werner(p)`` = (1-p)|psi_minus><psi_minus| + (p/4) 1x1, so p = 1 is the
   maximally mixed state and p = 0 the singlet.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bds import BellDiagonalParams
+from .bds import BELL_SIGNS, BellDiagonalParams
 from .config import TOLS, check_count
 from .errors import PositivityError, ValidationError
 from .operator_core import as_complex_matrix, kron, require_hermitian, trace_norm
@@ -80,7 +80,10 @@ class DensityMatrix:
     __slots__ = ("mat", "dims")
 
     def __init__(self, mat, dims, *, validate: bool = True):
-        a = np.array(mat, dtype=complex, copy=True)
+        try:
+            a = np.array(mat, dtype=complex, copy=True)
+        except (TypeError, ValueError) as exc:  # ragged rows, or not numbers
+            raise ValidationError(f"matrix must be a table of numbers: {exc}") from None
         dims = _check_dims(dims) if validate else tuple(int(d) for d in dims)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {a.shape}")
@@ -249,15 +252,7 @@ def random_bell_diagonal(seed=0) -> BellDiagonalParams:
     """Uniform mixing weights over the four Bell states, mapped to (c1, c2, c3)."""
     rng = _rng(seed)
     w = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-    # columns: correlation triples of phi+, phi-, psi+, psi-
-    signs = np.array(
-        [
-            [1.0, -1.0, 1.0, -1.0],
-            [-1.0, 1.0, 1.0, -1.0],
-            [1.0, 1.0, -1.0, -1.0],
-        ]
-    )
-    c = signs @ w
+    c = np.array(BELL_SIGNS) @ w
     return BellDiagonalParams(c[0], c[1], c[2])
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from robustlab.audit import (
+    MAX_AUDIT_SAMPLES,
     AuditConfig,
     audit_convexity,
     audit_faithfulness,
@@ -58,6 +59,16 @@ class TestAuditConfig:
     @pytest.mark.parametrize("samples", [-3, 2.5, math.nan, math.inf])
     def test_bad_samples(self, samples):
         with pytest.raises(ValidationError, match="samples"):
+            AuditConfig(samples=samples)
+
+    def test_samples_cap(self):
+        assert MAX_AUDIT_SAMPLES == 1000
+        assert AuditConfig(samples=MAX_AUDIT_SAMPLES).samples == MAX_AUDIT_SAMPLES
+
+    @pytest.mark.parametrize("samples", [MAX_AUDIT_SAMPLES + 1, 10**18])
+    def test_samples_past_cap(self, samples):
+        # the batch is rejected when configured, before any state is drawn
+        with pytest.raises(ValidationError, match="at most 1000"):
             AuditConfig(samples=samples)
 
 

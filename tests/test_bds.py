@@ -2,6 +2,7 @@
 the closed form and the level-set grid."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,32 @@ class TestParams:
         assert not isinstance(info.value, PositivityError)
         with pytest.raises(ValidationError, match="finite"):
             bds.discord_robustness_bds(c)
+
+    def test_weights_match_the_written_out_formula(self):
+        # the sum runs 1 + c1 term + c2 term + c3 term, as written out here
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            p = qstates.random_bell_diagonal(rng)
+            c1, c2, c3 = p.as_tuple()
+            assert p.weights() == (
+                (1.0 + c1 - c2 + c3) / 4.0,
+                (1.0 - c1 + c2 + c3) / 4.0,
+                (1.0 + c1 + c2 - c3) / 4.0,
+                (1.0 - c1 - c2 - c3) / 4.0,
+            )
+
+    @pytest.mark.parametrize("c, name", [
+        ((2.0, 0.0, 0.0), "1-c1-c2-c3"),   # also 1-c1+c2+c3 < 0
+        ((-2.0, 0.0, 0.0), "1+c1-c2+c3"),  # also 1+c1+c2-c3 < 0
+        ((0.0, 0.0, -2.0), "1-c1+c2+c3"),  # also 1+c1-c2+c3 < 0
+        ((0.0, -2.0, 0.0), "1-c1+c2+c3"),  # also 1+c1+c2-c3 < 0
+    ])
+    def test_first_violated_inequality_named(self, c, name):
+        # two inequalities fail; the message names the first in the order
+        # of the class docstring
+        message = rf"^{re.escape(name)} >= 0 violated \(got -1\)$"
+        with pytest.raises(PositivityError, match=message):
+            bds.BellDiagonalParams(*c)
 
     def test_numpy_scalars_become_floats(self):
         c = bds.BellDiagonalParams(np.float64(0.5), np.float32(0.25), 0)

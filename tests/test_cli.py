@@ -29,7 +29,6 @@ from robustlab.engines import (
     robustness_along_ray,
 )
 from robustlab.free_sets import is_unfaithful, oracle_by_name, singlet_fraction
-from robustlab.geometry2d import MAX_RESOLUTION
 from robustlab.qstates import (
     BellDiagonalParams,
     bell_diagonal,
@@ -280,19 +279,15 @@ class TestCounterexample:
         assert payload["columns"] == ["t", "exact", "numeric"]
         assert len(payload["rows"]) == 1
 
-    @pytest.mark.parametrize("args", [
-        ("--id", "1", "--t", "0.1", "--resolution", "0"),
-        ("--id", "2", "--branch", "a", "--t", "0.1", "--resolution", "-1"),
-    ])
-    def test_bad_resolution_exits_two(self, args):
-        assert_rejected(run_subprocess("counterexample", *args), "resolution")
-
-    @pytest.mark.parametrize("resolution", [MAX_RESOLUTION + 1, 10_000_000, 10**18])
-    def test_resolution_cap_exits_two(self, resolution):
-        # 1e5 took 4 s per point and 1e7 did not end within 10 s
+    @pytest.mark.parametrize("resolution", ["64", "0", "-1", "10001", "10000000", str(10**18)])
+    def test_resolution_flag_removed(self, resolution):
+        # vertex samples are exact on both scenes, so the flag changed only
+        # the cost; the CLI solves at the library default
         proc = run_subprocess("counterexample", "--id", "1", "--t", "-0.5",
-                              "--resolution", str(resolution), timeout=10.0)
-        assert_rejected(proc, "resolution")
+                              "--resolution", resolution, timeout=10.0)
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --resolution" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_requires_t_or_sweep(self, capsys):
         code, _, _ = run_cli(capsys, "counterexample", "--id", "1")
@@ -339,10 +334,6 @@ _STEP = st.one_of(
     st.floats(0.05, 1.0), st.sampled_from([0.0, -0.1, 1e-9, math.inf, math.nan])
 ).map(repr)
 _SWEEP = st.tuples(_NUMBER, _NUMBER, _STEP).map(":".join)
-# values past the cap are rejected before any solve
-_RESOLUTION = st.one_of(
-    st.integers(-2, 128), st.integers(MAX_RESOLUTION + 1, 10**18)
-).map(str)
 
 
 @st.composite
@@ -352,8 +343,7 @@ def counterexample_argv(draw):
     if branch is not None:
         argv += ["--branch", branch]
     points = draw(st.sampled_from([("--t",), ("--sweep",), ("--t", "--sweep"), ()]))
-    for flag, values in (("--t", _NUMBER), ("--sweep", _SWEEP), ("--delta", _NUMBER),
-                         ("--resolution", _RESOLUTION)):
+    for flag, values in (("--t", _NUMBER), ("--sweep", _SWEEP), ("--delta", _NUMBER)):
         if flag in points or (flag not in ("--t", "--sweep") and draw(st.booleans())):
             argv.append(f"{flag}={draw(values)}")
     return argv
@@ -663,6 +653,21 @@ class TestAudit:
     def test_empty_batch_exits_two(self, check, samples):
         proc = run_subprocess("audit", "--check", check, "--samples", samples)
         assert_rejected(proc, "--samples")
+
+    def test_samples_cap_accepted(self):
+        # the cheapest check: 1000 free and 1000 non-free states in ~0.3 s
+        proc = run_subprocess("audit", "--check", "faithfulness", "--measure",
+                              "discord-filtered", "--free-set", "zero-discord",
+                              "--samples", str(audit_mod.MAX_AUDIT_SAMPLES), timeout=20.0)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["free_checked"] == audit_mod.MAX_AUDIT_SAMPLES
+
+    @pytest.mark.parametrize("samples", [audit_mod.MAX_AUDIT_SAMPLES + 1, 10**18])
+    def test_samples_cap_exits_two(self, samples):
+        # 4000 Lipschitz samples took 25 s; rejected before any state is drawn
+        proc = run_subprocess("audit", "--check", "lipschitz", "--samples", str(samples),
+                              timeout=10.0)
+        assert_rejected(proc, "samples")
 
     @pytest.mark.parametrize("args, word", [
         (("--check", "lipschitz", "--L", "nan"), "L must"),  # passed every pair

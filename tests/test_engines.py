@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from robustlab.bds import BELL_SIGNS
 from robustlab.errors import (
     IllConditionedError,
     StarConvexityViolationError,
     ValidationError,
 )
 from robustlab.engines import (
-    _AXIS_VECS,
     MAX_AXIS_GRID,
     _axis_pencil_values,
-    _axis_spectra,
     _axis_state,
     _min_scaling_values,
     bound_from_kappa_ball,
@@ -34,6 +33,8 @@ from robustlab.engines import (
 )
 from robustlab.free_sets import FreeSetOracle, bds_params_of, oracle_by_name
 from robustlab.qstates import (
+    PAULI,
+    BellDiagonalParams,
     DensityMatrix,
     bell_diagonal,
     bell_states,
@@ -275,6 +276,16 @@ class TestAxisOpt:
         res = discord_robustness_axis_opt((0.5, 0.3, 0.1), grid=16)
         assert res.iterations == 741
 
+    def test_runs_without_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the axis optimizer ran an eigensolve")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for params in ((0.5, 0.3, 0.1), (1.0, -1.0, 1.0), (0.0, 0.0, 0.0)):
+            res = discord_robustness_axis_opt(params, grid=16)
+            assert res.value == pytest.approx(discord_robustness_bds(params), abs=1e-6)
+
     @pytest.mark.parametrize("grid", [1, 0, -3, 2.5, math.nan, math.inf, MAX_AXIS_GRID + 1])
     def test_bad_grid(self, grid):
         with pytest.raises(ValidationError, match="grid"):
@@ -284,6 +295,12 @@ class TestAxisOpt:
     def test_bad_xatol(self, xatol):
         with pytest.raises(ValidationError, match="xatol"):
             discord_robustness_axis_opt((0.5, 0.3, 0.0), xatol=xatol)
+
+
+def bell_weights(params):
+    if not isinstance(params, BellDiagonalParams):
+        params = BellDiagonalParams(*params)
+    return params.weights()
 
 
 class TestAxisPencil:
@@ -307,7 +324,7 @@ class TestAxisPencil:
                 [rng.uniform(-0.99, 0.99, size=(3, 6)), np.tile([-1.0, 0.0, 1.0], (3, 1))],
                 axis=1,
             )
-            got = _axis_pencil_values(_axis_spectra(bell_diagonal(params)), ks)
+            got = _axis_pencil_values(bell_weights(params), ks)
             want = self.scalar(params, ks)
             assert np.array_equal(np.isinf(got), np.isinf(want)), params
             finite = np.isfinite(want)
@@ -323,20 +340,19 @@ class TestAxisPencil:
             p = (1.0 + signs @ c) / 4.0
             gap = 10.0 ** rng.uniform(-8, -2, size=(3, 6))  # 1 - |k|
             ks = rng.choice([-1.0, 1.0], size=(3, 6)) * (1.0 - gap)
-            got = _axis_pencil_values(_axis_spectra(bell_diagonal(tuple(c))), ks)
+            got = _axis_pencil_values(bell_weights(c), ks)
             terms = 4.0 * p / (1.0 + ks[..., None] * signs.T[:, None, :])
             want = np.max(terms, axis=-1) - 1.0
             assert_allclose(got, np.maximum(want, 0.0), rtol=1e-12, atol=1e-12)
 
-    def test_pencil_blocks_decouple(self, rng):
-        # the axis optimizer keeps only the blocks of V_a^T rho V_a on the -1
-        # and +1 eigenspaces (columns 0-1 and 2-3); what couples them is
-        # rounding noise for every Bell-diagonal rho
-        for _ in range(200):
-            rho = bell_diagonal(random_bell_diagonal(rng)).mat.real
-            rot = np.einsum("aji,jk,akl->ail", _AXIS_VECS, rho, _AXIS_VECS)
-            assert np.abs(rot[:, :2, 2:]).max() <= 1e-15
-            assert np.abs(rot[:, 2:, :2]).max() <= 1e-15
+    def test_bell_states_diagonalize_every_axis(self):
+        # the evaluator takes sigma_a(k)'s eigenvalue on Bell state i to be
+        # (1 + k S_ai)/4: each Bell state is an eigenvector of every
+        # sigma_a x sigma_a with eigenvalue S_ai
+        for i, bell in enumerate(bell_states()):
+            for a, s in enumerate(PAULI):
+                assert_allclose(np.kron(s, s) @ bell.mat, BELL_SIGNS[a][i] * bell.mat,
+                                atol=1e-15)
 
     def test_commuting_form_matches_matrix_form(self, rng):
         # sigma with eigenvalues w and a rho that commutes with it, in
@@ -375,7 +391,7 @@ class TestAxisPencil:
         with pytest.raises(IllConditionedError):
             min_scaling_robustness(rho, _axis_state(0, k))
         with pytest.raises(IllConditionedError):
-            _axis_pencil_values(_axis_spectra(rho), np.full((3, 1), k))
+            _axis_pencil_values(bell_weights((0.5, 0.3, 0.1)), np.full((3, 1), k))
 
 
 class TestLevelsetGrid:

@@ -67,6 +67,12 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError, match="dim"):
             DensityMatrix(np.eye(4) / 4.0, dims)
 
+    @pytest.mark.parametrize("mat", [[[1, 0], [0]], [["a", 0], [0, 1]], [[{}, 0], [0, 1]]])
+    def test_ragged_or_non_numeric_matrix(self, mat):
+        # numpy's bare ValueError/TypeError escaped the constructor
+        with pytest.raises(ValidationError, match="table of numbers"):
+            DensityMatrix(mat, (2,))
+
     @pytest.mark.parametrize("dims", [(-1,), (0,), (4.9,), (2, -2)])
     def test_maximally_mixed_bad_dims(self, dims):
         with pytest.raises(ValidationError, match="dimension"):
