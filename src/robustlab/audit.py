@@ -272,13 +272,12 @@ def channel_measure_prepare_b() -> Channel:
     followed by re-preparation in the same basis."""
 
     def ch(rho: DensityMatrix) -> DensityMatrix:
+        # sum_j (1 x |j><j|) rho (1 x |j><j|) keeps the entries
+        # rho[(a, b), (a', b')] with b = b' and zeroes the rest
         d_a, d_b = rho.dims
-        v = np.eye(d_b, dtype=complex)
-        out = np.zeros_like(rho.mat)
-        for j in range(d_b):
-            proj = np.kron(np.eye(d_a), np.outer(v[:, j], v[:, j].conj()))
-            out += proj @ rho.mat @ proj
-        return DensityMatrix(out, rho.dims, validate=False)
+        same_b = np.eye(d_b, dtype=bool)[:, None, :]  # broadcasts over (b, a', b')
+        out = np.where(same_b, rho.mat.reshape(d_a, d_b, d_a, d_b), 0.0)
+        return DensityMatrix(out.reshape(rho.mat.shape), rho.dims, validate=False)
 
     return ch
 

@@ -31,7 +31,7 @@ from .bds import (
 from .config import TOLS, check_count, check_finite, resolve
 from .errors import IllConditionedError, StarConvexityViolationError, ValidationError
 from .operator_core import eig_hermitian
-from .qstates import DensityMatrix, bell_diagonal, bloch_decompose
+from .qstates import DensityMatrix, bell_diagonal, bell_state_vectors, bloch_decompose
 
 if TYPE_CHECKING:
     from .free_sets import FreeSetOracle
@@ -83,8 +83,11 @@ class LipschitzConstant:
     provenance: str
 
 
-# the ray's coarse scan tests this many points in (0, s_max] before bisecting
+# the ray's coarse scan tests the points s_max * f for these fractions f in
+# (0, 1] before bisecting; with a power-of-two count each point equals
+# np.linspace(0, s_max, 9)[i] exactly
 _RAY_SCAN_POINTS = 8
+_RAY_SCAN = tuple(i / _RAY_SCAN_POINTS for i in range(1, _RAY_SCAN_POINTS + 1))
 
 
 def robustness_along_ray(
@@ -130,7 +133,7 @@ def robustness_along_ray(
             bracket_width=0.0,
         )
 
-    grid = np.linspace(0.0, s_max, _RAY_SCAN_POINTS + 1)
+    grid = [0.0] + [s_max * f for f in _RAY_SCAN]
     flags = [False] + [member(s) for s in grid[1:]]
     if any(flags[i] and not flags[i + 1] for i in range(len(flags) - 1)):
         raise StarConvexityViolationError(
@@ -235,6 +238,7 @@ def min_scaling_robustness(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 # sigma_a(k) = (1 + k sigma_a x sigma_a)/4 is diagonal in the Bell basis, with
 # the eigenvalue (1 + k S_ai)/4 on Bell state i (S = BELL_SIGNS, row a)
 _AXIS_SIGNS = np.array(BELL_SIGNS)
+_BELL = np.column_stack(bell_state_vectors()).real  # Bell kets as columns
 _ZOOM_STEPS = np.linspace(0.0, 1.0, 33)  # bracket fractions of every zoom round
 _ZOOM_ROUNDS = 64  # hard bound on zoom rounds
 # the grid scan evaluates 3*grid pencils in one batch
@@ -296,7 +300,6 @@ def discord_robustness_axis_opt(
         c = BellDiagonalParams(*c)
     grid = check_count("grid", grid, least=2, most=MAX_AXIS_GRID)
     xatol = check_finite("xatol", resolve(xatol, TOLS.axis_opt_xatol), strict=True)
-    rho = bell_diagonal(c)
     p = c.weights()
     axes = np.arange(3)
     lo = hi = np.full(3, math.nan)  # no bracket before the grid scan
@@ -340,21 +343,35 @@ def discord_robustness_axis_opt(
             iterations=evals,
             bracket_width=math.inf,
         )
-    sigma = _axis_state(best_axis, best_k)
+    if best_val > 0.0:
+        # The noise witness ((1+v) sigma - rho)/v is Bell diagonal with the
+        # weights w + d/v, d = w - p.  Formed from w and p, rounding divided
+        # by a small v left eigenvalues down to -4e-6.  So d comes from the
+        # correlations of rho - sigma (c_a - k is exact near k) and v from d
+        # (the value, to rounding), which keeps every weight >= 0 to
+        # rounding; a d with no positive v means the value itself is
+        # rounding (sigma's weights are rho's).
+        e = list(c.as_tuple())
+        e[best_axis] -= best_k
+        d = [-0.25 * (e[0] * s1 + e[1] * s2 + e[2] * s3) for s1, s2, s3 in zip(*BELL_SIGNS)]
+        w = [0.25 * (1.0 + best_k * s) for s in BELL_SIGNS[best_axis]]
+        support = TOLS.support_cutoff * 10.0  # sigma's support, as evaluated
+        v_exact = max(-di / wi for di, wi in zip(d, w) if wi >= support)
+        if v_exact > 0.0:
+            tau_w = [wi + di / v_exact for di, wi in zip(d, w)]
+        else:
+            best_val = 0.0
     if best_val <= 0.0:
         return RobustnessResult(
             value=0.0,
             noise_witness=None,
-            free_witness=rho,
+            free_witness=bell_diagonal(c),
             method=f"axis-opt[a={best_axis + 1}]",
             iterations=evals,
             bracket_width=width,
         )
-    tau = DensityMatrix(
-        ((1.0 + best_val) * sigma.mat - rho.mat) / best_val,
-        (2, 2),
-        validate=False,
-    )
+    tau = DensityMatrix((_BELL * tau_w) @ _BELL.T, (2, 2), validate=False)
+    sigma = _axis_state(best_axis, best_k)
     return RobustnessResult(
         value=best_val,
         noise_witness=tau,

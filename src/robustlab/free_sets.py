@@ -15,9 +15,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bds import discord_robustness_bds
-from .config import TOLS, check_count, resolve
+from .config import TOLS, check_count, check_finite, resolve
 from .errors import ConfigurationError, ValidationError
-from .operator_core import partial_transpose, trace_norm
+from .operator_core import _partial_transpose, trace_norm
 from .qstates import (
     BellDiagonalParams,
     DensityMatrix,
@@ -71,10 +71,21 @@ class FreeSetOracle:
 
 
 def is_ppt(rho: DensityMatrix) -> bool:
-    """Positive partial transpose test (separability for two qubits)."""
+    """Positive partial transpose test (Peres, PRL 77, 1413 (1996);
+    separability for two qubits): lambda_min(rho^T_B) >= -TOLS.ppt.
+
+    The state's own array goes through the index permutation that
+    ``operator_core.partial_transpose`` shares, with no re-validation, since
+    ``DensityMatrix`` fixed its shape and dims.  Finiteness is checked once
+    on the permuted array (ValidationError for NaN or inf, which a state
+    built with ``validate=False`` can hold): ``eigvalsh`` reads one triangle
+    only, so a NaN above the diagonal would otherwise pass unseen.
+    """
     if len(rho.dims) != 2:
         raise ValidationError(f"PPT needs a bipartite state, got dims {rho.dims}")
-    pt = partial_transpose(rho.mat, rho.dims, 1)
+    pt = _partial_transpose(rho.mat, *rho.dims, 1)
+    if not np.isfinite(pt).all():
+        raise ValidationError("matrix entries must be finite (no NaN/Inf)")
     return float(np.linalg.eigvalsh(pt)[0]) >= -TOLS.ppt
 
 
@@ -121,10 +132,14 @@ def teleportation_ball_radius(d: int = 2) -> float:
 def bds_params_of(
     rho: DensityMatrix, tol: float | None = None
 ) -> BellDiagonalParams | None:
-    """Return the (c1, c2, c3) triple if rho is Bell diagonal, else None."""
+    """Return the (c1, c2, c3) triple if rho is Bell diagonal, else None.
+
+    ``tol`` bounds |x|, |y| and the off-diagonal |T_ij|; it must be finite
+    and >= 0 (ValidationError otherwise), default ``TOLS.bds_detect``.
+    """
+    tol = check_finite("tol", resolve(tol, TOLS.bds_detect), strict=False)
     if rho.dims != (2, 2):
         return None
-    tol = resolve(tol, TOLS.bds_detect)
     b = bloch_decompose(rho)
     off = b.T - np.diag(np.diagonal(b.T))
     if max(np.max(np.abs(b.x)), np.max(np.abs(b.y)), np.max(np.abs(off))) > tol:
@@ -139,6 +154,7 @@ def bds_params_of(
 _MAGIC = np.column_stack(
     [v * phase for v, phase in zip(bell_state_vectors(), (1.0, 1j, 1j, 1.0))]
 )
+_MAGIC_H = _MAGIC.conj().T  # its conjugate transpose, rho_M = _MAGIC_H rho _MAGIC
 
 
 def singlet_fraction(rho: DensityMatrix) -> float:
@@ -152,7 +168,7 @@ def singlet_fraction(rho: DensityMatrix) -> float:
     """
     if rho.dims != (2, 2):
         raise ValidationError("singlet fraction implemented for dims (2, 2) only")
-    rho_m = _MAGIC.conj().T @ rho.mat @ _MAGIC
+    rho_m = _MAGIC_H @ rho.mat @ _MAGIC
     return float(np.linalg.eigvalsh(rho_m.real)[-1])
 
 
@@ -177,8 +193,10 @@ def sample_trace_ball(
     Draws a random traceless Hermitian direction, normalizes it to unit
     trace norm, and scales by a radius biased toward the ball surface
     (where membership claims are hardest).  Rejects the rare draws that
-    leave the positive cone.
+    leave the positive cone.  ``radius`` must be finite and >= 0
+    (ValidationError otherwise).
     """
+    radius = check_finite("radius", radius, strict=False)
     d = center.dim
     n_dof = d * d - 1
     for _ in range(1000):

@@ -74,9 +74,10 @@ def eig_hermitian(h) -> Spectrum:
 
 
 def trace_norm(h) -> float:
-    """Trace norm (sum of |eigenvalues|) of a Hermitian matrix."""
-    spec = eig_hermitian(h)
-    return float(np.sum(np.abs(spec.eigenvalues)))
+    """Trace norm (sum of |eigenvalues|) of a Hermitian matrix, validated
+    like :func:`eig_hermitian`; one ``eigvalsh``, no eigenvectors."""
+    a = require_hermitian(h)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
 
 
 def kron(a, b) -> np.ndarray:
@@ -84,11 +85,24 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def _partial_transpose(a: np.ndarray, da: int, db: int, subsystem: int) -> np.ndarray:
+    """The index permutation of a partial transpose, without validation:
+    ``a`` is a (da*db, da*db) array and ``subsystem`` 0 or 1.  The result
+    may share memory with ``a`` when a factor has dimension 1."""
+    t = a.reshape(da, db, da, db)
+    t = t.transpose(2, 1, 0, 3) if subsystem == 0 else t.transpose(0, 3, 2, 1)
+    return t.reshape(da * db, da * db)
+
+
 def partial_transpose(mat, dims: tuple[int, int], subsystem: int) -> np.ndarray:
     """Partial transpose of a bipartite matrix over one tensor factor.
 
     ``dims`` = (d_A, d_B) with d_A * d_B equal to the matrix dimension;
-    ``subsystem`` 0 transposes the first factor, 1 the second.
+    ``subsystem`` 0 transposes the first factor, 1 the second.  The input
+    is validated here (square, finite, dims consistent; ValidationError
+    otherwise) and the result is a fresh array.  The permutation itself is
+    the private ``_partial_transpose``, which ``free_sets.is_ppt`` applies
+    to a state's own array, already validated by ``DensityMatrix``.
     """
     a = as_complex_matrix(mat)
     da, db = int(dims[0]), int(dims[1])
@@ -98,9 +112,4 @@ def partial_transpose(mat, dims: tuple[int, int], subsystem: int) -> np.ndarray:
         )
     if subsystem not in (0, 1):
         raise ValidationError(f"subsystem must be 0 or 1, got {subsystem!r}")
-    t = a.reshape(da, db, da, db)
-    if subsystem == 0:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return t.reshape(da * db, da * db).copy()
+    return _partial_transpose(a, da, db, subsystem).copy()

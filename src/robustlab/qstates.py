@@ -65,6 +65,11 @@ _PAB = np.stack([
     np.stack([kron(si, sj) for sj in PAULI]) for si in PAULI
 ])                                                       # (3, 3, 4, 4)
 _PAA = np.stack([kron(s, s) for s in PAULI])             # (3, 4, 4)
+# For Hermitian P, Re tr(rho P) = sum_ab Re P_ab Re rho_ab + Im P_ab Im rho_ab,
+# so the 15 Bloch coordinates (x, y, T row by row) are one real product of
+# this table, the 15 Pauli products flattened with complex entries read as
+# (re, im) float pairs, with vec(rho) read the same way
+_BLOCH_TABLE = np.concatenate([_PA, _PB, _PAB.reshape(9, 4, 4)]).reshape(15, 16).view(float)
 _I4 = np.eye(4, dtype=complex)
 
 
@@ -72,9 +77,18 @@ class DensityMatrix:
     """A validated density matrix with subsystem dimensions attached.
 
     Instances are value-like: the backing array is copied on construction
-    and marked read-only.  ``validate=False`` skips the eigenvalue check
-    and the check that ``dims`` are integers >= 1, and is reserved for
-    internal constructors whose output is positive by construction.
+    and marked read-only.  ``validate=True`` (the default) checks that the
+    entries are numbers, ``dims`` are integers >= 1 whose product is the
+    matrix dimension, and the matrix is Hermitian with unit trace and no
+    eigenvalue below ``-TOLS.psd`` (ValidationError or PositivityError).
+
+    ``validate=False`` is reserved for internal constructors whose output
+    is a state by construction, and still copies the array and makes one
+    check: that its shape is (n, n) with n the product of ``dims``.  The
+    caller guarantees the rest: a fresh, finite, complex array (entries
+    that are numbers), positive semidefinite with unit trace, and ``dims``
+    a sequence of Python ints.  Consumers that need finiteness check it
+    themselves where a NaN would otherwise pass unseen (``is_ppt``).
     """
 
     __slots__ = ("mat", "dims")
@@ -84,10 +98,11 @@ class DensityMatrix:
             a = np.array(mat, dtype=complex, copy=True)
         except (TypeError, ValueError) as exc:  # ragged rows, or not numbers
             raise ValidationError(f"matrix must be a table of numbers: {exc}") from None
-        dims = _check_dims(dims) if validate else tuple(int(d) for d in dims)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-        if math.prod(dims) != a.shape[0]:
+        dims = _check_dims(dims) if validate else tuple(dims)
+        n = math.prod(dims)
+        if a.shape != (n, n):
+            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                raise ValidationError(f"expected a square matrix, got shape {a.shape}")
             raise ValidationError(
                 f"dims {dims} inconsistent with matrix dimension {a.shape[0]}"
             )
@@ -178,11 +193,8 @@ def bloch_decompose(rho: DensityMatrix) -> BlochTwoQubit:
     """Bloch parameters of a two-qubit state (see module conventions)."""
     if rho.dims != (2, 2):
         raise ValidationError(f"bloch decomposition needs dims (2, 2), got {rho.dims}")
-    m = rho.mat
-    x = np.real(np.einsum("iab,ba->i", _PA, m))
-    y = np.real(np.einsum("iab,ba->i", _PB, m))
-    t = np.real(np.einsum("ijab,ba->ij", _PAB, m))
-    return BlochTwoQubit(x=x, y=y, T=t)
+    v = _BLOCH_TABLE @ rho.mat.reshape(16).view(float)
+    return BlochTwoQubit(x=v[:3], y=v[3:6], T=v[6:].reshape(3, 3))
 
 
 def bloch_compose(b: BlochTwoQubit) -> DensityMatrix:
@@ -224,13 +236,13 @@ def random_density(dim: int, rank: int | None = None, seed=0) -> DensityMatrix:
 
     ``G`` is a dim x rank complex Gaussian matrix; the state is
     G G^dag / tr(G G^dag), which has the requested rank almost surely.
-    Deterministic for a fixed integer seed.
+    Deterministic for a fixed integer seed.  ``dim`` must be an integer
+    >= 1 and ``rank`` None (full rank) or an integer in [1, dim]
+    (ValidationError otherwise).
     """
+    dim = check_count("dim", dim)
+    rank = dim if rank is None else check_count("rank", rank, most=dim)
     rng = _rng(seed)
-    dim = int(dim)
-    rank = dim if rank is None else int(rank)
-    if not 1 <= rank <= dim:
-        raise ValidationError(f"rank must lie in [1, {dim}], got {rank}")
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     m /= m.trace().real

@@ -271,6 +271,26 @@ class TestChannels:
             channel_depolarizing(1.0)(rho).mat, np.eye(4) / 4.0, atol=1e-12
         )
 
+    def test_measure_prepare_matches_projector_formula(self, rng):
+        # reference: sum_j (1 x |j><j|) rho (1 x |j><j|)
+        def reference(mat, d_a, d_b):
+            out = np.zeros_like(mat)
+            for j in range(d_b):
+                ket = np.eye(d_b)[:, j]
+                proj = np.kron(np.eye(d_a), np.outer(ket, ket))
+                out += proj @ mat @ proj
+            return out
+
+        ch = channel_measure_prepare_b()
+        for dims in ((2, 2), (2, 3), (3, 2), (1, 4), (4, 1)):
+            d = dims[0] * dims[1]
+            for _ in range(20):
+                rho = random_density(d, seed=rng)
+                rho = DensityMatrix(rho.mat, dims, validate=False)
+                out = ch(rho)
+                assert out.dims == dims
+                np.testing.assert_array_equal(out.mat, reference(rho.mat, *dims))
+
     def test_measure_prepare_kills_coherence(self, rng):
         rho = random_density(4, seed=rng)
         out = channel_measure_prepare_b()(rho)

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from robustlab.bds import BELL_SIGNS
+from robustlab.config import TOLS
 from robustlab.errors import (
     IllConditionedError,
     StarConvexityViolationError,
@@ -266,6 +267,41 @@ class TestAxisOpt:
                         assert res.value == pytest.approx(
                             discord_robustness_bds(params), abs=1e-9
                         ), (params, grid)
+
+    @staticmethod
+    def _assert_witnesses(c, res):
+        if res.value == 0.0:
+            assert res.noise_witness is None
+            assert_allclose(res.free_witness.mat, bell_diagonal(c).mat, atol=0)
+            return
+        tau, s = res.noise_witness.mat, res.value
+        assert np.linalg.eigvalsh(tau)[0] >= -TOLS.psd, c
+        assert abs(np.trace(tau).real - 1.0) <= 1e-12, c
+        mix = (bell_diagonal(c).mat + s * tau) / (1.0 + s)
+        assert np.max(np.abs(mix - res.free_witness.mat)) <= 1e-12, c
+
+    @pytest.mark.parametrize("grid", [16, 64])
+    def test_single_axis_witness_is_a_state(self, grid):
+        # zero-discord inputs: the k bracket leaves a residual value near
+        # 1e-11, and the witness ((1+v) sigma - rho)/v formed from the two
+        # matrices divided rounding by it (lambda_min down to -4.2e-6)
+        for axis in range(3):
+            for k in np.linspace(-1.0, 1.0, 21):
+                c = tuple(float(k) if a == axis else 0.0 for a in range(3))
+                res = discord_robustness_axis_opt(c, grid=grid)
+                assert res.value <= 1e-9, (c, grid)
+                self._assert_witnesses(c, res)
+
+    @pytest.mark.parametrize("grid", [16, 64])
+    def test_small_values_keep_value_and_witness(self, grid):
+        # a robustness of 1e-11 to 1e-5 is a value, not rounding: it stays,
+        # with a witness that is a state
+        for small in (1e-5, 1e-7, 1e-9, 1e-11):
+            for big in (0.1, 0.5, -0.4, 0.99):
+                c = (big, small, 0.0)
+                res = discord_robustness_axis_opt(c, grid=grid)
+                assert res.value == pytest.approx(small, rel=0.05, abs=1e-9), (c, grid)
+                self._assert_witnesses(c, res)
 
     def test_sub_resolution_xatol_terminates(self):
         res = discord_robustness_axis_opt((0.5, 0.3, 0.1), grid=16, xatol=1e-300)

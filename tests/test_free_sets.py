@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
+from robustlab.config import TOLS
 from robustlab.errors import ConfigurationError, ValidationError
 from robustlab.free_sets import (
     FreeSetOracle,
@@ -25,6 +26,7 @@ from robustlab.free_sets import (
     star_convexity_probe,
     teleportation_ball_radius,
 )
+from robustlab.operator_core import partial_transpose
 from robustlab.qstates import (
     DensityMatrix,
     bell_diagonal,
@@ -61,6 +63,38 @@ class TestPPT:
     def test_needs_bipartite(self):
         with pytest.raises(ValidationError):
             is_ppt(DensityMatrix(np.eye(4) / 4.0, (4,)))
+
+    def test_same_decisions_as_validated_partial_transpose(self, rng):
+        # reference: the validating public partial_transpose plus eigvalsh
+        def reference(rho):
+            pt = partial_transpose(rho.mat, rho.dims, 1)
+            return float(np.linalg.eigvalsh(pt)[0]) >= -TOLS.ppt
+
+        mm = maximally_mixed()
+        states = []
+        for rank in (4, 1, 2, 3):
+            states += [random_density(4, rank=rank, seed=rng) for _ in range(1500)]
+        states += [werner(p) for p in 2.0 / 3.0 + np.linspace(-1e-3, 1e-3, 1001)]
+        states += [werner(2.0 / 3.0 + d) for d in (-1e-9, -1e-10, 0.0, 1e-10, 1e-9)]
+        for _ in range(1000):  # mixtures along noise rays, across the boundary
+            rho = random_density(4, seed=rng)
+            for s in (0.25, 0.5, 1.0, 2.0, 4.0):
+                states.append(DensityMatrix((rho.mat + s * mm.mat) / (1.0 + s), (2, 2),
+                                            validate=False))
+        assert len(states) >= 10_000
+        decisions = [is_ppt(rho) for rho in states]
+        assert decisions == [reference(rho) for rho in states]
+        assert 0 < sum(decisions) < len(states)  # both answers occur
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (3, 0)], ids=["diag", "upper", "lower"])
+    def test_non_finite_entry_raises(self, value, entry):
+        # eigvalsh reads one triangle, so only an explicit check sees an
+        # entry above the diagonal
+        mat = np.eye(4, dtype=complex) / 4.0
+        mat[entry] = value
+        with pytest.raises(ValidationError):
+            is_ppt(DensityMatrix(mat, (2, 2), validate=False))
 
 
 class TestDiscordDefect:
@@ -137,6 +171,15 @@ class TestSampleTraceBall:
             assert trace_distance(rho, center) <= 0.2 + 1e-12
             assert np.linalg.eigvalsh(rho.mat)[0] >= -1e-12
             assert np.real(np.trace(rho.mat)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+    def test_bad_radius(self, rng, radius):
+        with pytest.raises(ValidationError):
+            sample_trace_ball(maximally_mixed(), radius, rng)
+
+    def test_zero_radius_is_center(self, rng):
+        rho = sample_trace_ball(maximally_mixed(), 0.0, rng)
+        assert_allclose(rho.mat, maximally_mixed().mat, atol=1e-15)
 
     def test_quantum_classical_sampler(self, rng):
         for _ in range(20):
@@ -252,6 +295,13 @@ class TestBdsDetection:
 
     def test_rejects_wrong_dims(self):
         assert bds_params_of(DensityMatrix(np.eye(4) / 4.0, (4,))) is None
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_tolerance(self, rng, tol):
+        # nan and inf accepted every state as Bell diagonal, -1 rejected all
+        for rho in (random_density(4, seed=rng), maximally_mixed()):
+            with pytest.raises(ValidationError):
+                bds_params_of(rho, tol=tol)
 
 
 class TestOracles:

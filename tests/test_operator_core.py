@@ -201,6 +201,19 @@ class TestTraceNorm:
         u = random_unitary(rng, 4)
         assert trace_norm(u @ a @ u.conj().T) == pytest.approx(trace_norm(a), abs=1e-10)
 
+    def test_matches_eigh_eigenvalues(self, rng):
+        for n in (1, 2, 4, 8):
+            for _ in range(50):
+                a = random_hermitian(rng, n)
+                expected = float(np.sum(np.abs(np.linalg.eigh(a)[0])))
+                assert abs(trace_norm(a) - expected) <= 1e-14 * max(1.0, expected)
+
+    def test_validates_input(self):
+        with pytest.raises(ValidationError):
+            trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValidationError):
+            trace_norm(np.array([[math.nan, 0.0], [0.0, 0.0]]))
+
 
 class TestKron:
     def test_identity(self):

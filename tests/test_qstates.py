@@ -1,6 +1,7 @@
 """State constructors, Bloch transforms, sampling and JSON round-trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from robustlab.errors import PositivityError, ValidationError
 from robustlab.qstates import (
+    PAULI,
     BellDiagonalParams,
     BlochTwoQubit,
     DensityMatrix,
@@ -60,6 +62,18 @@ class TestDensityMatrix:
 
     def test_validate_false_skips(self):
         DensityMatrix(np.diag([1.5, -0.5]), (2,), validate=False)
+
+    def test_validate_false_checks_shape_and_copies(self):
+        with pytest.raises(ValidationError, match="square"):
+            DensityMatrix(np.ones((4, 2)) / 4.0, (2, 2), validate=False)
+        with pytest.raises(ValidationError, match="square"):
+            DensityMatrix(np.ones(4) / 4.0, (2, 2), validate=False)
+        with pytest.raises(ValidationError, match="inconsistent"):
+            DensityMatrix(np.eye(4) / 4.0, (2, 3), validate=False)
+        m = np.eye(4, dtype=complex) / 4.0
+        rho = DensityMatrix(m, (2, 2), validate=False)
+        m[0, 0] = 7.0
+        assert rho.mat[0, 0] == 0.25 and rho.dims == (2, 2)
 
     @pytest.mark.parametrize("dims", [(-2, -2), (4.9, 1), (0, 4), ("2", "2"), "22", 4])
     def test_bad_dims(self, dims):
@@ -162,6 +176,31 @@ class TestWerner:
 
 
 class TestBloch:
+    def test_matches_pauli_traces(self, rng):
+        one = np.eye(2)
+        for rank in (4, 1, 2, 3):
+            for _ in range(50):
+                rho = random_density(4, rank=rank, seed=rng)
+                dec = bloch_decompose(rho)
+
+                def tr(op):
+                    return np.trace(rho.mat @ op).real
+
+                assert_allclose(dec.x, [tr(np.kron(s, one)) for s in PAULI], rtol=0, atol=1e-15)
+                assert_allclose(dec.y, [tr(np.kron(one, s)) for s in PAULI], rtol=0, atol=1e-15)
+                t = [[tr(np.kron(si, sj)) for sj in PAULI] for si in PAULI]
+                assert_allclose(dec.T, t, rtol=0, atol=1e-15)
+                back = bloch_compose(dec)
+                assert np.max(np.abs(back.mat - rho.mat)) <= 1e-15
+
+    def test_fortran_ordered_state(self, rng):
+        rho = random_density(4, seed=rng)
+        f = DensityMatrix(np.asfortranarray(rho.mat), (2, 2), validate=False)
+        assert not f.mat.flags.c_contiguous
+        a, b = bloch_decompose(rho), bloch_decompose(f)
+        for u, v in ((a.x, b.x), (a.y, b.y), (a.T, b.T)):
+            assert_allclose(u, v, rtol=0, atol=0)
+
     def test_round_trip(self, rng):
         for _ in range(100):
             rho = random_density(4, seed=rng)
@@ -230,6 +269,14 @@ class TestSampling:
             random_density(4, rank=5)
         with pytest.raises(ValidationError):
             random_density(4, rank=0)
+
+    @pytest.mark.parametrize("dim, rank", [
+        (4, math.nan), (4, math.inf), (4, 1.5), (4, "2"),
+        (math.nan, None), (0, None), (2.5, None), ("4", None),
+    ])
+    def test_non_integer_dim_or_rank(self, dim, rank):
+        with pytest.raises(ValidationError):
+            random_density(dim, rank=rank)
 
     def test_random_unitary(self):
         u = random_unitary(4, seed=3)
