@@ -17,6 +17,7 @@ _EXPORTS = {
         "ConfigurationError",
         "IllConditionedError",
         "PositivityError",
+        "RayRangeError",
         "StarConvexityViolationError",
         "ValidationError",
     ),

@@ -5,8 +5,9 @@ functions, and formats their results.  JSON payloads carry a schema
 version field "v": 1; infinite values serialize as the string "inf".
 Exit codes: 0 success, 1 audit failure, 2 invalid input (bad JSON, bad
 shape, Hermiticity/trace violations, unusable parameters), 3 positivity
-violation, 4 numerical failure (non-monotone membership along a ray, or
-an eigenvalue too close to the support cutoff to decide the rank).
+violation, 4 numerical failure (non-monotone membership along a ray, a
+ray whose finite value lies past --s-max, or an eigenvalue too close to
+the support cutoff to decide the rank).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     ConfigurationError,
     IllConditionedError,
     PositivityError,
+    RayRangeError,
     StarConvexityViolationError,
     ValidationError,
 )
@@ -447,7 +449,7 @@ def main(argv=None) -> int:
     except (ValidationError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StarConvexityViolationError, IllConditionedError) as exc:
+    except (StarConvexityViolationError, RayRangeError, IllConditionedError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 4
     return code

@@ -29,8 +29,13 @@ from .bds import (
     discord_robustness_bds,
 )
 from .config import TOLS, check_count, check_finite, resolve
-from .errors import IllConditionedError, StarConvexityViolationError, ValidationError
-from .operator_core import eig_hermitian
+from .errors import (
+    IllConditionedError,
+    RayRangeError,
+    StarConvexityViolationError,
+    ValidationError,
+)
+from .operator_core import _require_finite, eig_hermitian
 from .qstates import DensityMatrix, bell_diagonal, bell_state_vectors, bloch_decompose
 
 if TYPE_CHECKING:
@@ -105,6 +110,19 @@ def robustness_along_ray(
     The returned value is the feasible end of the final bracket, so the
     free witness is always a genuine member.  ``tol`` and ``s_max`` must be
     finite and positive (ValidationError otherwise).
+
+    For an oracle with an ``lmi`` field (L, lmi_tol), A = L(rho) is built
+    once, and B = L(sigma) only when rho itself is not free, so sigma is
+    never read on a ray of value 0.  Every probe is then
+    lambda_min((A + sB)/(1+s)) >= -lmi_tol, the oracle's own rule on the
+    mixture, and a ``DensityMatrix`` is built only for the free witness.
+    One finiteness check on A + s_max B covers every probe: for
+    0 <= s <= s_max each entry of A + sB lies between those of A and of
+    A + s_max B (ValidationError for NaN, inf or an overflow).  If no
+    scan point is free although lambda_min(B) > -lmi_tol, the mixtures
+    enter the set as s grows (they tend to sigma), so the value is finite
+    and past ``s_max``: RayRangeError.  Every other scan with no free point
+    returns inf.
     """
     if rho.dims != sigma.dims:
         raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
@@ -118,12 +136,21 @@ def robustness_along_ray(
         m = (rho.mat + s * sigma.mat) / (1.0 + s)
         return DensityMatrix(m, rho.dims, validate=False)
 
-    def member(s: float) -> bool:
-        nonlocal evals
-        evals += 1
-        return bool(oracle.member(mix(s)))
+    if oracle.lmi is None:
 
-    if member(0.0):
+        def member(s: float) -> bool:
+            nonlocal evals
+            evals += 1
+            return bool(oracle.member(mix(s)))
+
+        free = member(0.0)
+    else:
+        to_matrix, lmi_tol = oracle.lmi
+        a = _require_finite(to_matrix(rho))
+        evals += 1
+        free = float(np.linalg.eigvalsh(a)[0]) >= -lmi_tol
+
+    if free:
         return RobustnessResult(
             value=0.0,
             noise_witness=sigma,
@@ -132,6 +159,16 @@ def robustness_along_ray(
             iterations=0,
             bracket_width=0.0,
         )
+
+    if oracle.lmi is not None:
+        b = to_matrix(sigma)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check reports them
+            _require_finite(a + s_max * b)
+
+        def member(s: float) -> bool:
+            nonlocal evals
+            evals += 1
+            return float(np.linalg.eigvalsh((a + s * b) / (1.0 + s))[0]) >= -lmi_tol
 
     grid = [0.0] + [s_max * f for f in _RAY_SCAN]
     flags = [False] + [member(s) for s in grid[1:]]
@@ -142,6 +179,15 @@ def robustness_along_ray(
             f"the set is not star-convex with respect to this noise state"
         )
     if not flags[-1]:
+        if oracle.lmi is not None:
+            lam = float(np.linalg.eigvalsh(b)[0])
+            if lam > -lmi_tol:
+                raise RayRangeError(
+                    f"no mixture up to s_max = {s_max!r} is free, but the value is "
+                    f"finite: the noise state passes the {oracle.name!r} test with "
+                    f"lambda_min = {lam:.3e} > -{lmi_tol:.1e}, so the mixtures "
+                    f"enter the set past s_max; pass a larger s_max"
+                )
         return RobustnessResult(
             value=math.inf,
             noise_witness=sigma,

@@ -26,6 +26,11 @@ class StarConvexityViolationError(RuntimeError):
     the free-set oracle is unsound for this input."""
 
 
+class RayRangeError(RuntimeError):
+    """A noise ray reaches the free set, but only past the scanned range
+    s_max, so the bisection found no free point to start from."""
+
+
 class ConfigurationError(ValueError):
     """An audit or oracle was wired up inconsistently (e.g. a channel that
     does not preserve the free set it is audited against)."""

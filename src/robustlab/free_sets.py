@@ -17,7 +17,7 @@ import numpy as np
 from .bds import discord_robustness_bds
 from .config import TOLS, check_count, check_finite, resolve
 from .errors import ConfigurationError, ValidationError
-from .operator_core import _partial_transpose, trace_norm
+from .operator_core import _partial_transpose, _require_finite, trace_norm
 from .qstates import (
     BellDiagonalParams,
     DensityMatrix,
@@ -55,13 +55,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FreeSetOracle:
-    """A named free set: membership test plus optional geometry metadata."""
+    """A named free set: membership test plus optional geometry metadata.
+
+    ``lmi``, when given, is a pair (L, tol) that states the set as one
+    linear matrix inequality: L maps a state to a Hermitian matrix, is
+    affine on states (so L((rho + s sigma)/(1+s)) = (L(rho) + s L(sigma))/(1+s)),
+    and member(rho) holds exactly when lambda_min(L(rho)) >= -tol.
+    ``robustness_along_ray`` then probes the pencil L(rho) + s L(sigma)
+    instead of calling ``member`` on rebuilt mixtures.
+    """
 
     name: str
     member: Callable[[DensityMatrix], bool]
     star_center: Optional[DensityMatrix] = None
     kappa: Optional[float] = None
     sampler: Optional[Callable[[np.random.Generator], DensityMatrix]] = None
+    lmi: Optional[tuple[Callable[[DensityMatrix], np.ndarray], float]] = None
 
     def __post_init__(self):
         if self.star_center is not None and not self.member(self.star_center):
@@ -70,23 +79,35 @@ class FreeSetOracle:
             )
 
 
-def is_ppt(rho: DensityMatrix) -> bool:
-    """Positive partial transpose test (Peres, PRL 77, 1413 (1996);
-    separability for two qubits): lambda_min(rho^T_B) >= -TOLS.ppt.
+def _lmi_member(rho: DensityMatrix, lmi: tuple[Callable, float]) -> bool:
+    """lambda_min(L(rho)) >= -tol for the pair (L, tol) of an oracle's
+    ``lmi`` field: the membership rule that ``robustness_along_ray`` applies
+    to the same map.  Finiteness of L(rho) is checked once (ValidationError
+    for NaN or inf, which a state built with ``validate=False`` can hold):
+    ``eigvalsh`` reads one triangle only, so a NaN above the diagonal would
+    otherwise pass unseen."""
+    to_matrix, tol = lmi
+    m = _require_finite(to_matrix(rho))
+    return float(np.linalg.eigvalsh(m)[0]) >= -tol
 
-    The state's own array goes through the index permutation that
-    ``operator_core.partial_transpose`` shares, with no re-validation, since
-    ``DensityMatrix`` fixed its shape and dims.  Finiteness is checked once
-    on the permuted array (ValidationError for NaN or inf, which a state
-    built with ``validate=False`` can hold): ``eigvalsh`` reads one triangle
-    only, so a NaN above the diagonal would otherwise pass unseen.
-    """
+
+def _partial_transpose_b(rho: DensityMatrix) -> np.ndarray:
+    """rho^T_B from the state's own array, through the index permutation
+    that ``operator_core.partial_transpose`` shares, with no re-validation,
+    since ``DensityMatrix`` fixed its shape and dims."""
     if len(rho.dims) != 2:
         raise ValidationError(f"PPT needs a bipartite state, got dims {rho.dims}")
-    pt = _partial_transpose(rho.mat, *rho.dims, 1)
-    if not np.isfinite(pt).all():
-        raise ValidationError("matrix entries must be finite (no NaN/Inf)")
-    return float(np.linalg.eigvalsh(pt)[0]) >= -TOLS.ppt
+    return _partial_transpose(rho.mat, *rho.dims, 1)
+
+
+def is_ppt(rho: DensityMatrix) -> bool:
+    """Positive partial transpose test (Peres, PRL 77, 1413 (1996);
+    separability for two qubits): lambda_min(rho^T_B) >= -TOLS.ppt, the
+    linear matrix inequality of the ``ppt`` oracle."""
+    return _lmi_member(rho, _PPT_LMI)
+
+
+_PPT_LMI = (_partial_transpose_b, TOLS.ppt)
 
 
 def discord_defect(rho: DensityMatrix) -> float:
@@ -155,6 +176,14 @@ _MAGIC = np.column_stack(
     [v * phase for v, phase in zip(bell_state_vectors(), (1.0, 1j, 1j, 1.0))]
 )
 _MAGIC_H = _MAGIC.conj().T  # its conjugate transpose, rho_M = _MAGIC_H rho _MAGIC
+_HALF_I4 = 0.5 * np.eye(4)
+
+
+def _magic_real(rho: DensityMatrix) -> np.ndarray:
+    """Re rho_M, with rho_M = rho written in the magic basis."""
+    if rho.dims != (2, 2):
+        raise ValidationError("singlet fraction implemented for dims (2, 2) only")
+    return (_MAGIC_H @ rho.mat @ _MAGIC).real
 
 
 def singlet_fraction(rho: DensityMatrix) -> float:
@@ -166,20 +195,30 @@ def singlet_fraction(rho: DensityMatrix) -> float:
     Etlinger & James, Phys. Lett. A 300, 573 (2002)): the overlap with the
     state of real magic-basis coefficients x is x^T (Re rho_M) x.
     """
-    if rho.dims != (2, 2):
-        raise ValidationError("singlet fraction implemented for dims (2, 2) only")
-    rho_m = _MAGIC_H @ rho.mat @ _MAGIC
-    return float(np.linalg.eigvalsh(rho_m.real)[-1])
+    return float(np.linalg.eigvalsh(_magic_real(rho))[-1])
+
+
+def _unfaithful_matrix(rho: DensityMatrix) -> np.ndarray:
+    """1/2 - Re rho_M, which is positive semidefinite exactly when the
+    singlet fraction is at most 1/2; affine on states, as the ``lmi``
+    field asks.  NaN or inf in rho spreads through the basis change
+    silently; the finiteness check on the result reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _HALF_I4 - _magic_real(rho)
 
 
 def is_unfaithful(rho: DensityMatrix) -> bool:
     """Whether no local strategy pushes the Bell overlap above 1/d.
 
-    Exact for every two-qubit state, since :func:`singlet_fraction` is.
-    The comparison uses the one-sided slack ``TOLS.unfaithful_margin``
-    above 1/d.
+    Exact for every two-qubit state, since :func:`singlet_fraction` is:
+    the test is the linear matrix inequality lambda_min(1/2 - Re rho_M)
+    >= -``TOLS.unfaithful_margin`` of the ``unfaithful`` oracle, a
+    one-sided slack above 1/d.
     """
-    return singlet_fraction(rho) <= 0.5 + TOLS.unfaithful_margin
+    return _lmi_member(rho, _UNFAITHFUL_LMI)
+
+
+_UNFAITHFUL_LMI = (_unfaithful_matrix, TOLS.unfaithful_margin)
 
 
 # --- member samplers ---------------------------------------------------------
@@ -255,6 +294,7 @@ def ppt_oracle() -> FreeSetOracle:
         star_center=maximally_mixed(),
         kappa=separable_ball_radius(2, 2),
         sampler=_sample_ppt,
+        lmi=_PPT_LMI,
     )
 
 
@@ -281,6 +321,7 @@ def unfaithful_oracle() -> FreeSetOracle:
         star_center=center,
         kappa=kappa,
         sampler=lambda rng: sample_trace_ball(center, kappa, rng),
+        lmi=_UNFAITHFUL_LMI,
     )
 
 

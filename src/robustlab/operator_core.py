@@ -25,14 +25,19 @@ __all__ = [
 ]
 
 
+def _require_finite(a: np.ndarray) -> np.ndarray:
+    """Return ``a`` if every entry is finite, else raise ValidationError."""
+    if not np.isfinite(a).all():  # complex: finite iff both parts are
+        raise ValidationError("matrix entries must be finite (no NaN/Inf)")
+    return a
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce input to a square complex matrix, rejecting non-finite entries."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():  # complex: finite iff both parts are
-        raise ValidationError("matrix entries must be finite (no NaN/Inf)")
-    return a
+    return _require_finite(a)
 
 
 def require_hermitian(h) -> np.ndarray:

@@ -203,6 +203,17 @@ class TestEntRay:
         )
         assert payload["value"] == pytest.approx(2.0, abs=1e-6)
 
+    def test_noise_value_past_s_max_is_four(self, capsys, tmp_path):
+        # the noisy singlet reaches the PPT set at s = 20, past the default
+        # s_max = 8; the scan used to report "inf" with exit 0
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps({"bds": [-0.3, -0.3, -0.3]}))
+        argv = ["ent-ray", "--bds=-1,-1,-1", "--noise", f"state:{path}"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: numerical failure") and "s_max = 8.0" in err
+        assert run_json(capsys, *argv, "--s-max", "32")["value"] == 20.0
+
     def test_bad_noise_spec(self, capsys):
         code, _, err = run_cli(capsys, "ent-ray", "--bds", "0,0,0", "--noise", "foo")
         assert code == 2

@@ -1,6 +1,7 @@
 """Robustness engines: ray bisection, min-scaling, discord closed form and
 axis optimization, bounds, Lipschitz constants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from robustlab.bds import BELL_SIGNS
 from robustlab.config import TOLS
 from robustlab.errors import (
     IllConditionedError,
+    RayRangeError,
     StarConvexityViolationError,
     ValidationError,
 )
@@ -117,6 +119,121 @@ class TestRayRobustness:
         )
         assert res.value == pytest.approx(2.0, abs=1e-8)  # PPT slack 1e-10
         assert res.iterations < 100
+
+
+def _ray_pairs(rng, n):
+    """n rho of rank 1-4, each against 1/4, a random full-rank and a random
+    rank-2 noise state."""
+    mm = maximally_mixed()
+    for i in range(n):
+        rho = random_density(4, rank=1 + i % 4, seed=rng)
+        for sigma in (mm, random_density(4, seed=rng), random_density(4, rank=2, seed=rng)):
+            yield rho, sigma
+
+
+def _ray_outcome(rho, sigma, oracle):
+    try:
+        return robustness_along_ray(rho, sigma, oracle)
+    except (StarConvexityViolationError, RayRangeError) as exc:
+        return type(exc)
+
+
+class TestRayPencil:
+    """Oracles with an ``lmi`` field are probed on their pencil
+    L(rho) + s L(sigma); the reference is the same oracle without the
+    field, which calls ``member`` on rebuilt mixtures."""
+
+    @pytest.mark.parametrize("name", ["ppt", "unfaithful"])
+    def test_matches_member_path(self, rng, name):
+        oracle = oracle_by_name(name)
+        reference = dataclasses.replace(oracle, lmi=None)
+        counts = {"zero": 0, "finite": 0, "inf": 0, "raised": 0}
+        pairs = 0
+        for rho, sigma in _ray_pairs(rng, 200):
+            pairs += 1
+            got = _ray_outcome(rho, sigma, oracle)
+            want = _ray_outcome(rho, sigma, reference)
+            if got is RayRangeError:
+                # the member path returns its unproven inf here; the value
+                # is finite, past s_max
+                assert want.value == math.inf
+                far = robustness_along_ray(rho, sigma, oracle, s_max=1e6)
+                assert 2.0 * rho.dim < far.value < math.inf
+                assert oracle.member(far.free_witness)
+                counts["raised"] += 1
+                continue
+            if isinstance(want, type):
+                assert got is want
+                counts["raised"] += 1
+                continue
+            assert got.method == want.method
+            if name == "ppt":  # the same float operations: bit-identical
+                assert (got.value, got.iterations, got.bracket_width) == (
+                    want.value, want.iterations, want.bracket_width)
+                assert (got.free_witness is None) == (want.free_witness is None)
+                if got.free_witness is not None:
+                    assert np.array_equal(got.free_witness.mat, want.free_witness.mat)
+            elif math.isinf(want.value):
+                assert got.value == math.inf
+            else:  # lambda_min(1/2 - X) against 1/2 - lambda_max(X)
+                assert abs(got.value - want.value) <= max(got.bracket_width,
+                                                          want.bracket_width)
+            if math.isfinite(got.value):
+                assert oracle.member(got.free_witness)
+            counts["zero" if got.value == 0.0 else
+                   "finite" if math.isfinite(got.value) else "inf"] += 1
+        assert pairs >= 500
+        assert min(counts.values()) > 0, counts  # every outcome occurs
+
+    @pytest.mark.parametrize("name", ["ppt", "unfaithful"])
+    def test_noise_inside_the_set_past_s_max_raises(self, name):
+        # the noisy singlet reaches the set at s = 20 (PPT) or s = 5
+        # (unfaithful, noise singlet fraction 0.475; the 1e-8 margin moves
+        # it by 2.4e-6), so the scan up to s_max = 8 (PPT) or 4 finds no
+        # member although the value is finite
+        rho = bell_diagonal((-1.0, -1.0, -1.0) if name == "ppt" else (-0.5, -0.5, -0.5))
+        sigma = bell_diagonal((-0.3, -0.3, -0.3))
+        exact, s_max = (20.0, 8.0) if name == "ppt" else (5.0, 4.0)
+        oracle = oracle_by_name(name)
+        with pytest.raises(RayRangeError, match=f"s_max = {s_max!r}"):
+            robustness_along_ray(rho, sigma, oracle, s_max=s_max)
+        res = robustness_along_ray(rho, sigma, oracle, s_max=4.0 * s_max)
+        assert res.value == pytest.approx(exact, abs=5e-6)
+        assert oracle.member(res.free_witness)
+
+    def test_noise_outside_the_set_keeps_inf(self):
+        # mixing the singlet with itself never leaves the entangled states
+        singlet = bell_diagonal((-1.0, -1.0, -1.0))
+        res = robustness_along_ray(singlet, singlet, oracle_by_name("ppt"))
+        assert res.value == math.inf
+        assert res.free_witness is None
+
+    @pytest.mark.parametrize("name", ["ppt", "unfaithful"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (3, 0)], ids=["diag", "upper", "lower"])
+    def test_non_finite_entry_raises(self, name, value, entry):
+        mat = np.eye(4, dtype=complex) / 4.0
+        mat[entry] = value
+        bad = DensityMatrix(mat, (2, 2), validate=False)
+        singlet, mm = bell_diagonal((-1.0, -1.0, -1.0)), maximally_mixed()
+        oracle = oracle_by_name(name)
+        with pytest.raises(ValidationError, match="finite"):
+            robustness_along_ray(bad, mm, oracle)
+        with pytest.raises(ValidationError, match="finite"):
+            robustness_along_ray(singlet, bad, oracle)
+        # a free rho is answered without reading sigma
+        res = robustness_along_ray(mm, bad, oracle)
+        assert res.value == 0.0 and res.free_witness is mm
+
+    @pytest.mark.parametrize("name", ["ppt", "unfaithful"])
+    def test_overflow_up_to_s_max_raises(self, name):
+        # finite noise entries that overflow once scaled by s_max: without
+        # the check up front, the probes past the overflow would see inf
+        big = DensityMatrix(np.diag([1e3, 0.0, 0.0, 0.0]).astype(complex), (2, 2),
+                            validate=False)
+        singlet = bell_diagonal((-1.0, -1.0, -1.0))
+        with pytest.raises(ValidationError, match="finite"):
+            robustness_along_ray(singlet, big, oracle_by_name(name), s_max=1e308)
 
 
 def independent_min_scaling(rho, sigma, tol=1e-10):

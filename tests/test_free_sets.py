@@ -281,6 +281,29 @@ class TestUnfaithful:
             rho = sample_trace_ball(center, teleportation_ball_radius(2), rng)
             assert is_unfaithful(rho)
 
+    def test_same_decisions_as_singlet_fraction_rule(self, rng):
+        # the oracle's LMI lambda_min(1/2 - Re rho_M) >= -margin against the
+        # rule on the singlet fraction that tel-check prints beside it
+        def reference(rho):
+            return singlet_fraction(rho) <= 0.5 + TOLS.unfaithful_margin
+
+        states = []
+        for rank in (4, 1, 2, 3):
+            states += [random_density(4, rank=rank, seed=rng) for _ in range(500)]
+        states += [werner(p) for p in 2.0 / 3.0 + np.linspace(-1e-3, 1e-3, 1001)]
+        states += [werner(2.0 / 3.0 + d) for d in (-2e-8, -1.3e-8, 0.0, 1e-9, 1e-8)]
+        decisions = [is_unfaithful(rho) for rho in states]
+        assert decisions == [reference(rho) for rho in states]
+        assert 0 < sum(decisions) < len(states)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (3, 0)], ids=["diag", "upper", "lower"])
+    def test_non_finite_entry_raises(self, value, entry):
+        mat = np.eye(4, dtype=complex) / 4.0
+        mat[entry] = value
+        with pytest.raises(ValidationError, match="finite"):
+            is_unfaithful(DensityMatrix(mat, (2, 2), validate=False))
+
 
 class TestBdsDetection:
     def test_detects_bell_diagonal(self, rng):
