@@ -116,6 +116,9 @@ def robustness_along_ray(
     never read on a ray of value 0.  Every probe is then
     lambda_min((A + sB)/(1+s)) >= -lmi_tol, the oracle's own rule on the
     mixture, and a ``DensityMatrix`` is built only for the free witness.
+    The eight scan probes are independent, so they are one ``eigvalsh``
+    on the stack of their matrices, built with the scalar probe's float
+    operations (same flags; ``iterations`` still counts eight probes).
     One finiteness check on A + s_max B covers every probe: for
     0 <= s <= s_max each entry of A + sB lies between those of A and of
     A + s_max B (ValidationError for NaN, inf or an overflow).  If no
@@ -171,7 +174,13 @@ def robustness_along_ray(
             return float(np.linalg.eigvalsh((a + s * b) / (1.0 + s))[0]) >= -lmi_tol
 
     grid = [0.0] + [s_max * f for f in _RAY_SCAN]
-    flags = [False] + [member(s) for s in grid[1:]]
+    if oracle.lmi is None:
+        flags = [False] + [member(s) for s in grid[1:]]
+    else:
+        s = np.array(grid[1:])[:, None, None]
+        lam = np.linalg.eigvalsh((a + s * b) / (1.0 + s))
+        evals += _RAY_SCAN_POINTS
+        flags = [False] + (lam[:, 0] >= -lmi_tol).tolist()
     if any(flags[i] and not flags[i + 1] for i in range(len(flags) - 1)):
         raise StarConvexityViolationError(
             f"membership along the ray toward the noise state is not monotone "

@@ -194,8 +194,11 @@ def singlet_fraction(rho: DensityMatrix) -> float:
     the magic basis (Hill & Wootters, PRL 78, 5022 (1997); Grondalski,
     Etlinger & James, Phys. Lett. A 300, 573 (2002)): the overlap with the
     state of real magic-basis coefficients x is x^T (Re rho_M) x.
+    NaN or inf in rho raises ValidationError.
     """
-    return float(np.linalg.eigvalsh(_magic_real(rho))[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # the check reports them
+        m = _magic_real(rho)
+    return float(np.linalg.eigvalsh(_require_finite(m))[-1])
 
 
 def _unfaithful_matrix(rho: DensityMatrix) -> np.ndarray:

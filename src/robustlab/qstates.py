@@ -28,7 +28,13 @@ import numpy as np
 from .bds import BELL_SIGNS, BellDiagonalParams
 from .config import TOLS, check_count
 from .errors import PositivityError, ValidationError
-from .operator_core import as_complex_matrix, kron, require_hermitian, trace_norm
+from .operator_core import (
+    _require_finite,
+    as_complex_matrix,
+    kron,
+    require_hermitian,
+    trace_norm,
+)
 
 __all__ = [
     "PAULI",
@@ -190,10 +196,14 @@ def maximally_mixed(dims=(2, 2)) -> DensityMatrix:
 
 
 def bloch_decompose(rho: DensityMatrix) -> BlochTwoQubit:
-    """Bloch parameters of a two-qubit state (see module conventions)."""
+    """Bloch parameters of a two-qubit state (see module conventions).
+
+    NaN or inf in the state's array, which a state built with
+    ``validate=False`` can hold, raises ValidationError rather than
+    spreading into the Bloch data."""
     if rho.dims != (2, 2):
         raise ValidationError(f"bloch decomposition needs dims (2, 2), got {rho.dims}")
-    v = _BLOCH_TABLE @ rho.mat.reshape(16).view(float)
+    v = _BLOCH_TABLE @ _require_finite(rho.mat).reshape(16).view(float)
     return BlochTwoQubit(x=v[:3], y=v[3:6], T=v[6:].reshape(3, 3))
 
 

@@ -214,6 +214,15 @@ class TestEntRay:
         assert err.startswith("error: numerical failure") and "s_max = 8.0" in err
         assert run_json(capsys, *argv, "--s-max", "32")["value"] == 20.0
 
+    def test_pattern_from_the_stacked_scan_is_four(self, capsys, tmp_path):
+        # the noise phi+ gives the weights (s, 1)/(1 + s) on phi+ and the
+        # singlet, so only s = 1 is PPT among the scan points
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"bds": [1, -1, 1]}))
+        code, out, err = run_cli(capsys, "ent-ray", "--bds=-1,-1,-1", "--noise", f"state:{path}")
+        assert (code, out) == (4, "")
+        assert "pattern FTFFFFFFF" in err
+
     def test_bad_noise_spec(self, capsys):
         code, _, err = run_cli(capsys, "ent-ray", "--bds", "0,0,0", "--noise", "foo")
         assert code == 2

@@ -135,37 +135,48 @@ def _ray_outcome(rho, sigma, oracle):
     try:
         return robustness_along_ray(rho, sigma, oracle)
     except (StarConvexityViolationError, RayRangeError) as exc:
-        return type(exc)
+        return exc
 
 
 class TestRayPencil:
     """Oracles with an ``lmi`` field are probed on their pencil
     L(rho) + s L(sigma); the reference is the same oracle without the
-    field, which calls ``member`` on rebuilt mixtures."""
+    field, which calls ``member`` on rebuilt mixtures.  The pencil path
+    answers its eight scan points with one stacked eigensolve, so these
+    comparisons also pin that scan: its flags, its T/F pattern and its
+    count of probes."""
 
     @pytest.mark.parametrize("name", ["ppt", "unfaithful"])
     def test_matches_member_path(self, rng, name):
         oracle = oracle_by_name(name)
         reference = dataclasses.replace(oracle, lmi=None)
-        counts = {"zero": 0, "finite": 0, "inf": 0, "raised": 0}
+        counts = {"zero": 0, "finite": 0, "inf": 0, "violation": 0, "range": 0}
         pairs = 0
         for rho, sigma in _ray_pairs(rng, 200):
             pairs += 1
             got = _ray_outcome(rho, sigma, oracle)
             want = _ray_outcome(rho, sigma, reference)
-            if got is RayRangeError:
-                # the member path returns its unproven inf here; the value
-                # is finite, past s_max
-                assert want.value == math.inf
+            if isinstance(got, RayRangeError):
+                # the member path returns its unproven inf here, from a scan
+                # with no free point; the value is finite, past s_max
+                assert "s_max = 8.0" in str(got)
+                assert (want.value, want.iterations) == (math.inf, 9)
+                assert oracle.member(sigma)
                 far = robustness_along_ray(rho, sigma, oracle, s_max=1e6)
                 assert 2.0 * rho.dim < far.value < math.inf
                 assert oracle.member(far.free_witness)
-                counts["raised"] += 1
+                counts["range"] += 1
                 continue
-            if isinstance(want, type):
-                assert got is want
-                counts["raised"] += 1
+            if isinstance(want, Exception):
+                # the same monotonicity failure, with the same T/F pattern
+                assert (type(got), str(got)) == (type(want), str(want))
+                counts["violation"] += 1
                 continue
+            assert not isinstance(got, Exception), got
+            if math.isinf(want.value):
+                # a scan with no free point raises exactly when the noise
+                # state is free
+                assert not oracle.member(sigma)
             assert got.method == want.method
             if name == "ppt":  # the same float operations: bit-identical
                 assert (got.value, got.iterations, got.bracket_width) == (
@@ -184,6 +195,24 @@ class TestRayPencil:
                    "finite" if math.isfinite(got.value) else "inf"] += 1
         assert pairs >= 500
         assert min(counts.values()) > 0, counts  # every outcome occurs
+
+    def test_scan_is_one_eigensolve(self, monkeypatch):
+        # one eigvalsh at s = 0, one for the eight scan points and one per
+        # bisection step, while ``iterations`` counts every probe
+        rho, mm = random_density(4, rank=1, seed=3), maximally_mixed()
+        oracle = oracle_by_name("ppt")
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        res = robustness_along_ray(rho, mm, oracle)
+        assert 0.0 < res.value < math.inf
+        assert len(calls) == res.iterations - 7
+        assert calls[1] == (8, 4, 4)
 
     @pytest.mark.parametrize("name", ["ppt", "unfaithful"])
     def test_noise_inside_the_set_past_s_max_raises(self, name):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
 from robustlab.config import TOLS
+from robustlab.engines import robustness_along_ray
 from robustlab.errors import ConfigurationError, ValidationError
 from robustlab.free_sets import (
     FreeSetOracle,
@@ -32,6 +33,7 @@ from robustlab.qstates import (
     bell_diagonal,
     bell_state_vectors,
     bell_states,
+    bloch_decompose,
     maximally_mixed,
     random_bell_diagonal,
     random_density,
@@ -303,6 +305,54 @@ class TestUnfaithful:
         mat[entry] = value
         with pytest.raises(ValidationError, match="finite"):
             is_unfaithful(DensityMatrix(mat, (2, 2), validate=False))
+
+
+def _ray(name, role):
+    """A ray solve with the non-finite state as rho or as sigma; the other
+    end is a state that the set does not contain, so sigma is read."""
+    oracle = oracle_by_name(name)
+    singlet = bell_diagonal((-1.0, -1.0, -1.0))
+    if role == "rho":
+        return lambda bad: robustness_along_ray(bad, maximally_mixed(), oracle)
+    return lambda bad: robustness_along_ray(singlet, bad, oracle)
+
+
+# readers of a state's array; the first six raised numpy's LinAlgError
+# ("Eigenvalues did not converge") or, for bloch_decompose, returned NaN
+# Bloch data (is_ppt and is_unfaithful have their own tests)
+_READERS = {
+    "bloch_decompose": bloch_decompose,
+    "discord_defect": discord_defect,
+    "has_zero_discord": has_zero_discord,
+    "singlet_fraction": singlet_fraction,
+    "zero-discord ray, rho": _ray("zero-discord", "rho"),
+    "zero-discord ray, sigma": _ray("zero-discord", "sigma"),
+    "trace_distance": lambda bad: trace_distance(bad, maximally_mixed()),
+    "bds-axes ray, rho": _ray("bds-axes", "rho"),
+    "bds-axes ray, sigma": _ray("bds-axes", "sigma"),
+}
+
+
+# the member path of a ray divides the complex mixture by 1 + s, which
+# warns on an inf entry before any check sees it, so rays take NaN only
+_NON_FINITE = [
+    (reader, value)
+    for reader in _READERS
+    for value in ([math.nan] if "ray" in reader else [math.nan, math.inf, -math.inf])
+]
+
+
+class TestNonFiniteStates:
+    """A state built with ``validate=False`` can hold NaN or inf; every
+    reader raises ValidationError rather than a numpy error or NaN data."""
+
+    @pytest.mark.parametrize("reader, value", _NON_FINITE)
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (3, 0)], ids=["diag", "upper", "lower"])
+    def test_raises_validation_error(self, reader, value, entry):
+        mat = np.eye(4, dtype=complex) / 4.0
+        mat[entry] = value
+        with pytest.raises(ValidationError, match="finite"):
+            _READERS[reader](DensityMatrix(mat, (2, 2), validate=False))
 
 
 class TestBdsDetection:
