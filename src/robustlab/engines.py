@@ -109,7 +109,10 @@ def robustness_along_ray(
     StarConvexityViolationError since bisection would then be unsound.
     The returned value is the feasible end of the final bracket, so the
     free witness is always a genuine member.  ``tol`` and ``s_max`` must be
-    finite and positive (ValidationError otherwise).
+    finite and positive (ValidationError otherwise).  For an oracle without
+    ``lmi``, one finiteness check on rho + s_max sigma runs before the
+    first mixture is built, for the reason given below, so a state holding
+    NaN or inf raises ValidationError and not a numpy warning.
 
     For an oracle with an ``lmi`` field (L, lmi_tol), A = L(rho) is built
     once, and B = L(sigma) only when rho itself is not free, so sigma is
@@ -140,6 +143,8 @@ def robustness_along_ray(
         return DensityMatrix(m, rho.dims, validate=False)
 
     if oracle.lmi is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # the check reports them
+            _require_finite(rho.mat + s_max * sigma.mat)
 
         def member(s: float) -> bool:
             nonlocal evals

@@ -19,6 +19,16 @@ Hits indistinguishable from the noise endpoint itself (chord parameter
 u = 1 within tolerance) are discarded: they correspond to s = infinity
 and would otherwise masquerade as enormous finite values.
 
+Free-set polygons and the state space must be convex (ValidationError
+otherwise): a point is in a polygon when it lies inside every face, and a
+chord enters it where it has crossed every face.  Each chord test reads
+geometry prepared at the scope where it stays fixed.  Per scene: each
+polygon face as its first vertex and inward unit normal, each segment's
+endpoints, direction and length, and each locus with its length.  Per
+point p: each face's offset n.(p - v) + tol, each segment's endpoints
+relative to p and their cross term, and the guard distance.  A chord then
+costs only the products with its direction.
+
 Points are (x, y) tuples and all arithmetic is on plain Python floats:
 a solve makes hundreds of chord tests on 2-vectors, where array calls
 would cost more than the arithmetic, and the module needs no numpy.
@@ -27,7 +37,7 @@ would cost more than the arithmetic, and the module needs no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .config import TOLS, check_count
@@ -75,13 +85,48 @@ def _edges(poly: Sequence[_Pt]):
 
 
 def _ccw(vertices: Sequence[_Point]) -> tuple[_Pt, ...]:
+    """The vertices of a convex polygon, counterclockwise.
+
+    ValidationError for fewer than three vertices, a vertex repeated next
+    to itself (its edge would have no normal), zero area, or a vertex
+    outside the half-plane of another edge, which is what a reflex vertex
+    or a self-crossing outline gives.  Collinear vertices are accepted.
+    """
     pts = tuple(_pt(v) for v in vertices)
     if len(pts) < 3:
         raise ValidationError("a polygon needs at least three vertices")
+    if any(v == w for v, w in _edges(pts)):
+        raise ValidationError("a polygon may not repeat a vertex next to itself")
     area2 = sum(ax * by - ay * bx for (ax, ay), (bx, by) in _edges(pts))
     if abs(area2) < 1e-15:
         raise ValidationError("degenerate polygon (zero area)")
-    return pts if area2 > 0 else pts[::-1]
+    pts = pts if area2 > 0 else pts[::-1]
+    tol = TOLS.geometry_membership
+    for v in pts:
+        if not _in_convex_polygon(*v, pts, tol):
+            raise ValidationError(
+                f"polygon is not convex: vertex {list(v)} lies outside another edge"
+            )
+    return pts
+
+
+def _faces(poly: tuple[_Pt, ...]) -> tuple[tuple[float, float, float, float], ...]:
+    """Each edge of a counterclockwise polygon as (vx, vy, nx, ny): its
+    first vertex and its inward unit normal."""
+    faces = []
+    for (vx, vy), (wx, wy) in _edges(poly):
+        ex, ey = wx - vx, wy - vy
+        norm = math.hypot(ex, ey)
+        faces.append((vx, vy, -ey / norm, ex / norm))
+    return tuple(faces)
+
+
+def _segment(a: _Pt, b: _Pt) -> tuple[float, ...]:
+    """A segment or noise locus as (ax, ay, bx, by, ex, ey, elen): its
+    endpoints, its direction b - a and its length."""
+    (ax, ay), (bx, by) = a, b
+    ex, ey = bx - ax, by - ay
+    return (ax, ay, bx, by, ex, ey, math.hypot(ex, ey))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,12 +135,18 @@ class PlanarFreeSet:
 
     Segments may be degenerate (both endpoints equal), representing
     isolated points.  Polygons are stored counterclockwise regardless of
-    input orientation.  Points are stored as (x, y) tuples of floats.
+    input orientation.  Points are stored as (x, y) tuples of floats,
+    and the chord tests' per-component records (see :func:`_faces` and
+    :func:`_segment`) are built once here.
     """
 
     segments: tuple[tuple[_Pt, _Pt], ...]
     polygons: tuple[tuple[_Pt, ...], ...]
     star_center: Optional[_Pt]
+    _segment_records: tuple[tuple[float, ...], ...] = field(repr=False)
+    _polygon_faces: tuple[tuple[tuple[float, float, float, float], ...], ...] = field(
+        repr=False
+    )
 
     def __init__(
         self,
@@ -107,6 +158,10 @@ class PlanarFreeSet:
             self, "segments", tuple((_pt(a), _pt(b)) for a, b in segments)
         )
         object.__setattr__(self, "polygons", tuple(_ccw(p) for p in polygons))
+        object.__setattr__(
+            self, "_segment_records", tuple(_segment(a, b) for a, b in self.segments)
+        )
+        object.__setattr__(self, "_polygon_faces", tuple(_faces(p) for p in self.polygons))
         object.__setattr__(
             self, "star_center", None if star_center is None else _pt(star_center)
         )
@@ -129,14 +184,27 @@ class PlanarFreeSet:
 
 @dataclass(frozen=True, eq=False)
 class PlanarScene:
-    """A convex polygonal state space together with a free subset."""
+    """A convex polygonal state space together with a free subset.
+
+    The noise loci of the two solvers, with their lengths, are built once
+    here: the free set's segments and polygon edges for absolute
+    robustness, the state-space edges for global robustness.
+    """
 
     state_space: tuple[_Pt, ...]
     free: PlanarFreeSet
+    _free_loci: tuple[tuple[float, ...], ...] = field(repr=False)
+    _space_loci: tuple[tuple[float, ...], ...] = field(repr=False)
 
     def __init__(self, state_space: Sequence[_Point], free: PlanarFreeSet):
         object.__setattr__(self, "state_space", _ccw(state_space))
         object.__setattr__(self, "free", free)
+        object.__setattr__(
+            self, "_free_loci", tuple(_segment(a, b) for a, b in _edge_loci_of_free(free))
+        )
+        object.__setattr__(
+            self, "_space_loci", tuple(_segment(a, b) for a, b in _edges(self.state_space))
+        )
         tol = TOLS.geometry_membership
         for edge in _edge_loci_of_free(free):
             for v in edge:
@@ -175,79 +243,93 @@ def _in_convex_polygon(qx: float, qy: float, poly: tuple[_Pt, ...], tol: float) 
     return True
 
 
-def _hit_polygon(px: float, py: float, dx: float, dy: float,
-                 poly: tuple[_Pt, ...], tol: float) -> Optional[float]:
+def _prepare(px: float, py: float, free: PlanarFreeSet, tol: float) -> tuple:
+    """The tau-independent part of every chord test from a point p that is
+    not in the free set: (px, py, tol, guard, segments, polygons).
+
+    A segment's record is (ax, ay, rx, ry, sx, sy, ex, ey, elen, cross)
+    with r = a - p, s = b - p and cross = r x e; a polygon's is one
+    (nx, ny, g) per face, with g = n.(p - v) + tol the distance of p
+    inside the face relaxed outward by tol.
+    """
+    segments = []
+    for ax, ay, bx, by, ex, ey, elen in free._segment_records:
+        rx, ry = ax - px, ay - py
+        segments.append((ax, ay, rx, ry, bx - px, by - py, ex, ey, elen, rx * ey - ry * ex))
+    polygons = tuple(
+        tuple((nx, ny, (nx * (px - vx) + ny * (py - vy)) + tol) for vx, vy, nx, ny in faces)
+        for faces in free._polygon_faces
+    )
+    guard = TOLS.geometry_guard_factor * tol
+    return px, py, tol, guard, tuple(segments), polygons
+
+
+def _hit_polygon(dx: float, dy: float, faces) -> Optional[float]:
     """Entry parameter of the ray p + u*d, u in [0, 1], into a convex
-    polygon whose faces are relaxed outward by tol (a distance)."""
+    polygon whose faces are relaxed outward by tol, from its (nx, ny, g)
+    face records for p (see :func:`_prepare`)."""
     t0, t1 = 0.0, 1.0
-    for (vx, vy), (wx, wy) in _edges(poly):
-        ex, ey = wx - vx, wy - vy
-        norm = math.hypot(ex, ey)
-        # inward unit normal of a CCW edge
-        nx, ny = -ey / norm, ex / norm
+    for nx, ny, g in faces:
         f = nx * dx + ny * dy
-        g = (nx * (px - vx) + ny * (py - vy)) + tol
         if abs(f) < 1e-15:
             if g < 0.0:
                 return None
             continue
         u = -g / f
         if f > 0.0:
-            t0 = max(t0, u)
-        else:
-            t1 = min(t1, u)
+            if u > t0:
+                t0 = u
+        elif u < t1:
+            t1 = u
     if t0 > t1 + 1e-12:
         return None
-    return max(t0, 0.0)
+    return t0
 
 
-def _hit_segment(px: float, py: float, dx: float, dy: float, a: _Pt, b: _Pt,
+def _hit_segment(px: float, py: float, dx: float, dy: float, dlen: float, seg,
                  tol: float) -> Optional[float]:
-    """Earliest parameter u in [0, 1] where p + u*d meets segment [a, b]
-    (both endpoints inclusive), to within distance tol."""
-    dlen = math.hypot(dx, dy)
-    if dlen < 1e-15:
-        return 0.0 if _point_segment_dist(px, py, a, b) <= tol else None
-    (ax, ay), (bx, by) = a, b
-    ex, ey = bx - ax, by - ay
-    elen = math.hypot(ex, ey)
+    """Earliest parameter u in [0, 1] where p + u*d, |d| = dlen > 0, meets
+    a segment (both endpoints inclusive), to within distance tol, from the
+    segment's record for p (see :func:`_prepare`)."""
+    ax, ay, rx, ry, sx, sy, ex, ey, elen, cross = seg
     if elen < 1e-15:  # degenerate component: a single point
-        u = min(1.0, max(0.0, ((ax - px) * dx + (ay - py) * dy) / (dlen * dlen)))
+        u = min(1.0, max(0.0, (rx * dx + ry * dy) / (dlen * dlen)))
         return u if math.hypot(px + u * dx - ax, py + u * dy - ay) <= tol else None
     denom = dx * ey - dy * ex
-    rx, ry = ax - px, ay - py
     if abs(denom) < 1e-12 * dlen * elen:
         # parallel; a hit needs collinearity within tol
         if abs(dx * ry - dy * rx) > tol * dlen:
             return None
         u1 = (rx * dx + ry * dy) / (dlen * dlen)
-        u2 = ((bx - px) * dx + (by - py) * dy) / (dlen * dlen)
+        u2 = (sx * dx + sy * dy) / (dlen * dlen)
         lo, hi = min(u1, u2), max(u1, u2)
         if hi < 0.0 or lo > 1.0:
             return None
         return max(lo, 0.0)
-    u = (rx * ey - ry * ex) / denom
+    u = cross / denom
     v = (rx * dy - ry * dx) / denom
     if -tol / elen <= v <= 1.0 + tol / elen and -tol / dlen <= u <= 1.0 + tol / dlen:
         return min(1.0, max(0.0, u))
     return None
 
 
-def _first_hit(px: float, py: float, tx: float, ty: float, free: PlanarFreeSet,
-               tol: float) -> Optional[float]:
-    """Earliest valid chord parameter where [p, tau] meets the free set.
+def _first_hit(tx: float, ty: float, point) -> Optional[float]:
+    """Earliest valid chord parameter where [p, tau] meets the free set,
+    for p prepared by :func:`_prepare`.
 
     Hits within the guard distance of tau itself are discarded (they
     encode u -> 1, i.e. unbounded s).
     """
+    px, py, tol, guard, segments, polygons = point
     dx, dy = tx - px, ty - py
-    guard = TOLS.geometry_guard_factor * tol
+    dlen = math.hypot(dx, dy)
     best = None
     hits = []
-    for a, b in free.segments:
-        hits.append(_hit_segment(px, py, dx, dy, a, b, tol))
-    for poly in free.polygons:
-        hits.append(_hit_polygon(px, py, dx, dy, poly, tol))
+    if dlen >= 1e-15:  # else the chord is the point p, which no segment holds
+        for seg in segments:
+            hits.append(_hit_segment(px, py, dx, dy, dlen, seg, tol))
+    for faces in polygons:
+        hits.append(_hit_polygon(dx, dy, faces))
     for u in hits:
         if u is None:
             continue
@@ -264,43 +346,43 @@ def _s_of_hit(u: Optional[float]) -> float:
     return u / (1.0 - u)
 
 
-def _value_for_tau(px, py, tx, ty, free, tol):
-    return _s_of_hit(_first_hit(px, py, tx, ty, free, tol))
+def _value_for_tau(tx, ty, point):
+    return _s_of_hit(_first_hit(tx, ty, point))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_refine(px, py, a, b, f_lo, f_hi, free, tol):
-    """Golden-section scan of tau = a + f*(b - a) for f in [f_lo, f_hi],
-    returning the best value seen (the objective may be piecewise flat or
-    infinite; we only need an upper envelope, never a certified minimum)."""
-    (ax, ay), (bx, by) = a, b
-    ex, ey = bx - ax, by - ay
-    span = math.hypot(ex, ey)
+def _golden_refine(point, locus, f_lo, f_hi):
+    """Golden-section scan of tau = a + f*(b - a) for f in [f_lo, f_hi] on
+    a locus (see :func:`_segment`), returning the best value seen (the
+    objective may be piecewise flat or infinite; we only need an upper
+    envelope, never a certified minimum)."""
+    ax, ay, _, _, ex, ey, span = locus
     lo, hi = f_lo, f_hi
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
-    v1 = _value_for_tau(px, py, ax + x1 * ex, ay + x1 * ey, free, tol)
-    v2 = _value_for_tau(px, py, ax + x2 * ex, ay + x2 * ey, free, tol)
+    v1 = _value_for_tau(ax + x1 * ex, ay + x1 * ey, point)
+    v2 = _value_for_tau(ax + x2 * ex, ay + x2 * ey, point)
     best = min(v1, v2)
     while (hi - lo) * span > _REFINE_TOL:
         if v1 <= v2:
             hi, x2, v2 = x2, x1, v1
             x1 = hi - _INV_PHI * (hi - lo)
-            v1 = _value_for_tau(px, py, ax + x1 * ex, ay + x1 * ey, free, tol)
+            v1 = _value_for_tau(ax + x1 * ex, ay + x1 * ey, point)
         else:
             lo, x1, v1 = x1, x2, v2
             x2 = lo + _INV_PHI * (hi - lo)
-            v2 = _value_for_tau(px, py, ax + x2 * ex, ay + x2 * ey, free, tol)
+            v2 = _value_for_tau(ax + x2 * ex, ay + x2 * ey, point)
         best = min(best, v1, v2)
     return best
 
 
 def _solve(p: _Point, scene: PlanarScene, loci, resolution: int) -> float:
-    """Least mixing weight from p over noise points on the given (a, b)
-    loci: 0 if p is free, else the best of ``resolution + 1`` samples per
-    locus, refined by a golden-section pass around the best sample."""
+    """Least mixing weight from p over noise points on the given loci
+    (see :func:`_segment`): 0 if p is free, else the best of
+    ``resolution + 1`` samples per locus, refined by a golden-section pass
+    around the best sample."""
     resolution = check_count("resolution", resolution, most=MAX_RESOLUTION)
     px, py = q = _pt(p)
     if not scene.contains(q):
@@ -308,24 +390,22 @@ def _solve(p: _Point, scene: PlanarScene, loci, resolution: int) -> float:
     free = scene.free
     if free.contains(q):
         return 0.0
-    tol = TOLS.geometry_membership
+    point = _prepare(px, py, free, TOLS.geometry_membership)
     best = math.inf
     best_locus = None
     best_idx = 0
-    for a, b in loci:
-        (ax, ay), (bx, by) = a, b
-        ex, ey = bx - ax, by - ay
+    for locus in loci:
+        ax, ay, _, _, ex, ey, _ = locus
         for j in range(resolution + 1):
             f = j / resolution
-            v = _value_for_tau(px, py, ax + f * ex, ay + f * ey, free, tol)
+            v = _value_for_tau(ax + f * ex, ay + f * ey, point)
             if v < best:
-                best, best_locus, best_idx = v, (a, b), j
+                best, best_locus, best_idx = v, locus, j
     if best_locus is not None and math.isfinite(best):
-        a, b = best_locus
         f_lo = max(0.0, (best_idx - 1) / resolution)
         f_hi = min(1.0, (best_idx + 1) / resolution)
         if f_hi > f_lo:
-            best = min(best, _golden_refine(px, py, a, b, f_lo, f_hi, free, tol))
+            best = min(best, _golden_refine(point, best_locus, f_lo, f_hi))
     return best
 
 
@@ -337,7 +417,7 @@ def absolute_robustness_2d(
     """Least s with (p + s*tau)/(1+s) free for some noise tau in the free
     set; math.inf when no finite mixture works.  ``resolution`` must be an
     integer in [1, MAX_RESOLUTION] (ValidationError otherwise)."""
-    return _solve(p, scene, _edge_loci_of_free(scene.free), resolution)
+    return _solve(p, scene, scene._free_loci, resolution)
 
 
 def global_robustness_2d(
@@ -352,7 +432,7 @@ def global_robustness_2d(
     so candidates sweep the state-space boundary only.  ``resolution`` is
     validated as in :func:`absolute_robustness_2d`.
     """
-    return _solve(p, scene, _edges(scene.state_space), resolution)
+    return _solve(p, scene, scene._space_loci, resolution)
 
 
 def planar_star_probe(

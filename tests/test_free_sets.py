@@ -333,13 +333,8 @@ _READERS = {
 }
 
 
-# the member path of a ray divides the complex mixture by 1 + s, which
-# warns on an inf entry before any check sees it, so rays take NaN only
-_NON_FINITE = [
-    (reader, value)
-    for reader in _READERS
-    for value in ([math.nan] if "ray" in reader else [math.nan, math.inf, -math.inf])
-]
+_NON_FINITE = [(reader, value) for reader in _READERS
+               for value in (math.nan, math.inf, -math.inf)]
 
 
 class TestNonFiniteStates:

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from robustlab.config import TOLS
 from robustlab.errors import ConfigurationError, ValidationError
 from robustlab.geometry2d import (
     MAX_RESOLUTION,
@@ -20,6 +22,7 @@ from robustlab.geometry2d import (
     scene_counterexample1,
     scene_counterexample2,
 )
+from robustlab.geometry2d import _edges, _point_segment_dist
 
 
 def signed_area(poly):
@@ -81,6 +84,9 @@ def triangle_scene():
     return PlanarScene(BOX, free)
 
 
+NOTCHED = [(0, 0), (2, 0), (1, 0.2), (2, 2), (0, 2)]  # reflex vertex at (1, 0.2)
+
+
 class TestConstruction:
     def test_clockwise_polygon_normalized(self):
         free = PlanarFreeSet(polygons=[[(0, 0), (0, 1), (1, 1), (1, 0)]])
@@ -89,6 +95,35 @@ class TestConstruction:
     def test_degenerate_polygon_rejected(self):
         with pytest.raises(ValidationError, match="degenerate"):
             PlanarFreeSet(polygons=[[(0, 0), (1, 1), (2, 2)]])
+
+    @pytest.mark.parametrize("poly", [
+        NOTCHED,
+        NOTCHED[::-1],
+        # a pentagram: every turn has the same sign, but the outline crosses itself
+        [(math.cos(a), math.sin(a)) for a in (2 * math.pi * k * 2 / 5 for k in range(5))],
+    ], ids=["notched", "notched-clockwise", "pentagram"])
+    def test_non_convex_polygon_rejected(self, poly):
+        # (0.5, 1) lies inside the notched pentagon, outside the face through the notch
+        with pytest.raises(ValidationError, match="not convex"):
+            PlanarFreeSet(polygons=[poly])
+
+    def test_non_convex_state_space_rejected(self):
+        free = PlanarFreeSet(segments=[((0.5, 1.0), (0.5, 1.0))])
+        with pytest.raises(ValidationError, match="not convex"):
+            PlanarScene(NOTCHED, free)
+
+    def test_repeated_vertex_rejected(self):
+        # the edge from a vertex to its repeat has no normal
+        with pytest.raises(ValidationError, match="repeat"):
+            PlanarFreeSet(polygons=[[(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)]])
+
+    def test_collinear_vertices_accepted(self):
+        free = PlanarFreeSet(polygons=[[(0, 0), (1, 0), (2, 0), (2, 2), (1, 2), (0, 2)]])
+        assert free.contains((1.0, 1.0))
+        assert free.contains((1.0, 0.0))
+        assert not free.contains((1.0, -0.1))
+        scene = PlanarScene(BOX, free)
+        assert global_robustness_2d((1.0, -1.0), scene) == pytest.approx(0.5, abs=1e-6)
 
     def test_empty_free_set_rejected(self):
         with pytest.raises(ValidationError):
@@ -332,3 +367,207 @@ class TestPlanarStarProbe:
         free = PlanarFreeSet(segments=[((0, 0), (1, 0))])
         with pytest.raises(ConfigurationError):
             planar_star_probe(free)
+
+
+# --- reference solver: every chord test from the raw scene -------------------
+# The library prepares the face normals and segment directions once per
+# scene and the offsets from p once per point; this copy recomputes them on
+# every chord with the same float operations, so the two must agree bit for bit.
+
+
+def _ref_hit_polygon(px, py, dx, dy, poly, tol):
+    t0, t1 = 0.0, 1.0
+    for (vx, vy), (wx, wy) in _edges(poly):
+        ex, ey = wx - vx, wy - vy
+        norm = math.hypot(ex, ey)
+        nx, ny = -ey / norm, ex / norm
+        f = nx * dx + ny * dy
+        g = (nx * (px - vx) + ny * (py - vy)) + tol
+        if abs(f) < 1e-15:
+            if g < 0.0:
+                return None
+            continue
+        u = -g / f
+        if f > 0.0:
+            t0 = max(t0, u)
+        else:
+            t1 = min(t1, u)
+    if t0 > t1 + 1e-12:
+        return None
+    return max(t0, 0.0)
+
+
+def _ref_hit_segment(px, py, dx, dy, a, b, tol):
+    dlen = math.hypot(dx, dy)
+    if dlen < 1e-15:
+        return 0.0 if _point_segment_dist(px, py, a, b) <= tol else None
+    (ax, ay), (bx, by) = a, b
+    ex, ey = bx - ax, by - ay
+    elen = math.hypot(ex, ey)
+    if elen < 1e-15:
+        u = min(1.0, max(0.0, ((ax - px) * dx + (ay - py) * dy) / (dlen * dlen)))
+        return u if math.hypot(px + u * dx - ax, py + u * dy - ay) <= tol else None
+    denom = dx * ey - dy * ex
+    rx, ry = ax - px, ay - py
+    if abs(denom) < 1e-12 * dlen * elen:
+        if abs(dx * ry - dy * rx) > tol * dlen:
+            return None
+        u1 = (rx * dx + ry * dy) / (dlen * dlen)
+        u2 = ((bx - px) * dx + (by - py) * dy) / (dlen * dlen)
+        lo, hi = min(u1, u2), max(u1, u2)
+        if hi < 0.0 or lo > 1.0:
+            return None
+        return max(lo, 0.0)
+    u = (rx * ey - ry * ex) / denom
+    v = (rx * dy - ry * dx) / denom
+    if -tol / elen <= v <= 1.0 + tol / elen and -tol / dlen <= u <= 1.0 + tol / dlen:
+        return min(1.0, max(0.0, u))
+    return None
+
+
+def _ref_value_for_tau(px, py, tx, ty, free, tol):
+    dx, dy = tx - px, ty - py
+    guard = TOLS.geometry_guard_factor * tol
+    hits = [_ref_hit_segment(px, py, dx, dy, a, b, tol) for a, b in free.segments]
+    hits += [_ref_hit_polygon(px, py, dx, dy, poly, tol) for poly in free.polygons]
+    best = None
+    for u in hits:
+        if u is None or math.hypot(px + u * dx - tx, py + u * dy - ty) <= guard:
+            continue
+        if best is None or u < best:
+            best = u
+    if best is None or best >= 1.0 - 1e-12:
+        return math.inf
+    return best / (1.0 - best)
+
+
+def _ref_golden_refine(px, py, a, b, f_lo, f_hi, free, tol):
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    (ax, ay), (bx, by) = a, b
+    ex, ey = bx - ax, by - ay
+    span = math.hypot(ex, ey)
+    lo, hi = f_lo, f_hi
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    v1 = _ref_value_for_tau(px, py, ax + x1 * ex, ay + x1 * ey, free, tol)
+    v2 = _ref_value_for_tau(px, py, ax + x2 * ex, ay + x2 * ey, free, tol)
+    best = min(v1, v2)
+    while (hi - lo) * span > 1e-9:
+        if v1 <= v2:
+            hi, x2, v2 = x2, x1, v1
+            x1 = hi - inv_phi * (hi - lo)
+            v1 = _ref_value_for_tau(px, py, ax + x1 * ex, ay + x1 * ey, free, tol)
+        else:
+            lo, x1, v1 = x1, x2, v2
+            x2 = lo + inv_phi * (hi - lo)
+            v2 = _ref_value_for_tau(px, py, ax + x2 * ex, ay + x2 * ey, free, tol)
+        best = min(best, v1, v2)
+    return best
+
+
+def reference_solve(p, scene, absolute, resolution=64):
+    """The planar solve with every chord test computed from the raw scene."""
+    px, py = float(p[0]), float(p[1])
+    free = scene.free
+    if free.contains((px, py)):
+        return 0.0
+    if absolute:
+        loci = [*free.segments, *(e for poly in free.polygons for e in _edges(poly))]
+    else:
+        loci = list(_edges(scene.state_space))
+    tol = TOLS.geometry_membership
+    best, best_locus, best_idx = math.inf, None, 0
+    for a, b in loci:
+        (ax, ay), (bx, by) = a, b
+        ex, ey = bx - ax, by - ay
+        for j in range(resolution + 1):
+            f = j / resolution
+            v = _ref_value_for_tau(px, py, ax + f * ex, ay + f * ey, free, tol)
+            if v < best:
+                best, best_locus, best_idx = v, (a, b), j
+    if best_locus is not None and math.isfinite(best):
+        f_lo = max(0.0, (best_idx - 1) / resolution)
+        f_hi = min(1.0, (best_idx + 1) / resolution)
+        if f_hi > f_lo:
+            best = min(best, _ref_golden_refine(px, py, *best_locus, f_lo, f_hi, free, tol))
+    return best
+
+
+def _convex(cx, cy, radius, angles):
+    """A convex polygon: points of a circle in angular order."""
+    return [(cx + radius * math.cos(a), cy + radius * math.sin(a)) for a in sorted(angles)]
+
+
+_SCENE1 = scene_counterexample1()
+_SCENE2 = scene_counterexample2()
+_unit = st.floats(0.0, 1.0)
+_coord = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _random_scene(draw):
+    """A convex state space around the disk of radius 1.5 (vertices on the
+    circle of radius 4, at most 3*pi/n apart) and a free set inside the
+    square [-1, 1]^2 within that disk: up to two convex polygons, segments
+    and isolated points."""
+    n = draw(st.integers(4, 7))
+    jitter = draw(st.lists(st.floats(0.0, math.pi / n), min_size=n, max_size=n))
+    space = _convex(0.0, 0.0, 4.0, [2 * math.pi * k / n + j for k, j in enumerate(jitter)])
+    polygons = []
+    for _ in range(draw(st.integers(0, 2))):
+        center = 0.75 * draw(_coord), 0.75 * draw(_coord)
+        degrees = draw(st.lists(st.integers(0, 359), min_size=3, max_size=6, unique=True))
+        poly = _convex(*center, draw(st.floats(0.05, 0.25)), [math.radians(d) for d in degrees])
+        assume(abs(signed_area(poly)) > 1e-6)
+        polygons.append(poly)
+    segments = []
+    for _ in range(draw(st.integers(0 if polygons else 1, 3))):
+        a = (draw(_coord), draw(_coord))
+        segments.append((a, a if draw(st.booleans()) else (draw(_coord), draw(_coord))))
+    return PlanarScene(space, PlanarFreeSet(segments=segments, polygons=polygons))
+
+
+def _in_triangle(u, v):
+    """A point of counterexample 2's triangle from two uniform numbers."""
+    if u + v > 1.0:
+        u, v = 1.0 - u, 1.0 - v
+    return (u, v)
+
+
+class TestPreparedGeometryParity:
+    """Both solvers equal the reference solve bit for bit: preparing the
+    geometry per scene and per point reorders no float operation."""
+
+    @staticmethod
+    def assert_parity(p, scene, resolution=64):
+        for absolute, solver in ((True, absolute_robustness_2d), (False, global_robustness_2d)):
+            got = solver(p, scene, resolution=resolution)
+            want = reference_solve(p, scene, absolute, resolution)
+            assert got.hex() == want.hex(), (p, absolute, got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.floats(-1.0, 2.0))
+    def test_counterexample1_scene(self, x, y):
+        self.assert_parity((x, y), _SCENE1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_unit, _unit)
+    def test_counterexample2_scene(self, u, v):
+        self.assert_parity(_in_triangle(u, v), _SCENE2)
+
+    @pytest.mark.parametrize("scene, p", [
+        *((_SCENE1, counterexample1_point(t)) for t in (-1.0, -0.5, -1e-9, 0.3, 1.0)),
+        *((_SCENE2, counterexample2_point("a", t)) for t in (0.1, 0.3, 0.5)),
+        *((_SCENE2, counterexample2_point("b", t)) for t in (0.2, 0.5, 2.0 / 3.0)),
+        (_SCENE1, (0.0, 1.5)), (_SCENE1, (0.0, -0.5)),  # chords along the segment
+        (_SCENE1, (0.0, -1.0)), (_SCENE2, (0.25, 0.0)),  # a noise sample at p itself
+    ])
+    def test_special_points(self, scene, p):
+        self.assert_parity(p, scene)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_random_scene(), st.floats(-2.5, 2.5), st.floats(-2.5, 2.5),
+           st.sampled_from([1, 7, 16]))
+    def test_random_convex_scenes(self, scene, x, y, resolution):
+        assume(scene.contains((x, y)))
+        self.assert_parity((x, y), scene, resolution)
