@@ -5,6 +5,15 @@ evaluates a measure on them, and returns a small report object with a
 ``passed`` flag plus enough detail to localize the first failure.  All
 distances are trace norms of differences.  Measures returning infinity
 are skipped and counted, never treated as violations.
+
+Batches are drawn and measured as stacked arrays: the random states of a
+batch come from one Gaussian draw, and the Lipschitz audit takes all of
+its trace distances from one stacked eigensolve.  The stacked draw uses
+the generator exactly as per-state sampling does, so the reports for a
+seed are identical to those of drawing the states one by one.  Draws
+whose count depends on a rejection test (the trace-ball neighbours, the
+free-set samplers and the faithfulness audit's non-free states) stay per
+state.
 """
 
 from __future__ import annotations
@@ -22,10 +31,11 @@ from .free_sets import FreeSetOracle, sample_trace_ball
 from .qstates import (
     BellDiagonalParams,
     DensityMatrix,
+    _random_densities,
+    _trace_distances,
     bell_diagonal,
     random_density,
     random_unitary,
-    trace_distance,
 )
 
 __all__ = [
@@ -51,7 +61,7 @@ __all__ = [
 Measure = Callable[[DensityMatrix], float]
 Channel = Callable[[DensityMatrix], DensityMatrix]
 
-_DIM = 4  # audits draw two-qubit states
+_DIM, _DIMS = 4, (2, 2)  # audits draw two-qubit states
 # a batch costs time linear in its samples: at the cap one Lipschitz audit of
 # the PPT ray takes a few seconds
 MAX_AUDIT_SAMPLES = 1000
@@ -101,28 +111,29 @@ def lipschitz_pairs(cfg: AuditConfig) -> list[tuple[str, DensityMatrix, DensityM
     trace-ball neighbors at two scales, and boundary-straddling pairs
     (a rank-deficient state against its slightly smoothed version)."""
     rng = np.random.default_rng(cfg.seed)
-    d = _DIM
-    pairs: list[tuple[str, DensityMatrix, DensityMatrix]] = []
-    for _ in range(cfg.samples):
-        pairs.append(
-            ("independent", random_density(d, seed=rng), random_density(d, seed=rng))
-        )
+    n, d = cfg.samples, _DIM
+    drawn = _states(_random_densities(d, d, rng, 2 * n))
+    pairs = [("independent", a, b) for a, b in zip(drawn[::2], drawn[1::2])]
+    # a ball sample draws as often as its rejection test asks, so the
+    # nearby regime is drawn pair by pair
     for eps in (1e-2, 1e-3):
-        for _ in range(cfg.samples):
+        for _ in range(n):
             center = random_density(d, seed=rng)
             pairs.append(
                 (f"nearby[{eps:g}]", center, sample_trace_ball(center, eps, rng))
             )
     smooth = 5e-3
-    for _ in range(cfg.samples):
-        edge = random_density(d, rank=d - 1, seed=rng)
-        inner = DensityMatrix(
-            (1.0 - smooth) * edge.mat + smooth * np.eye(d) / d,
-            edge.dims,
-            validate=False,
-        )
-        pairs.append(("boundary-straddle", edge, inner))
+    edges = _random_densities(d, d - 1, rng, n)
+    inner = (1.0 - smooth) * edges + smooth * np.eye(d) / d
+    pairs += [
+        ("boundary-straddle", e, i) for e, i in zip(_states(edges), _states(inner))
+    ]
     return pairs
+
+
+def _states(stack: np.ndarray) -> list[DensityMatrix]:
+    """Two-qubit states of a stack of density matrices."""
+    return [DensityMatrix(m, _DIMS, validate=False) for m in stack]
 
 
 def audit_lipschitz(
@@ -130,7 +141,7 @@ def audit_lipschitz(
     L: float,
     cfg: AuditConfig,
     pairs: Optional[Sequence[tuple[str, DensityMatrix, DensityMatrix]]] = None,
-    distance: Callable[[DensityMatrix, DensityMatrix], float] = trace_distance,
+    distance: Optional[Callable[[DensityMatrix, DensityMatrix], float]] = None,
 ) -> LipschitzReport:
     """Check |m(rho1) - m(rho2)| <= L * dist(rho1, rho2) over a pair batch.
 
@@ -138,17 +149,28 @@ def audit_lipschitz(
     relative slack; pairs with an infinite value on either side, or with
     negligible distance, are skipped and counted separately.  ``L`` must be
     finite and >= 0 (ValidationError otherwise).
+
+    ``distance`` None is the trace distance, taken for the whole batch
+    from one stacked eigensolve; each pair must then have equal dims and
+    a finite, Hermitian difference (ValidationError otherwise).  A given
+    ``distance`` is called once per pair.
     """
     L = check_finite("L", L, strict=False)
     if pairs is None:
         pairs = lipschitz_pairs(cfg)
     slack = resolve(cfg.tolerance, TOLS.lipschitz_violation_slack)
 
-    rows = [(measure(r1), measure(r2), distance(r1, r2)) for _, r1, r2 in pairs]
+    if distance is None:
+        dists = _trace_distances(
+            [r1 for _, r1, _ in pairs], [r2 for _, _, r2 in pairs]
+        ).tolist()
+    else:
+        dists = [distance(r1, r2) for _, r1, r2 in pairs]
+    ends = [(measure(r1), measure(r2)) for _, r1, r2 in pairs]
     tested = violations = skipped = 0
     max_ratio = 0.0
     worst = None
-    for (regime, r1, r2), (m1, m2, dist) in zip(pairs, rows):
+    for (regime, r1, r2), (m1, m2), dist in zip(pairs, ends, dists):
         if not (math.isfinite(m1) and math.isfinite(m2)) or dist <= TOLS.audit_zero:
             skipped += 1
             continue
@@ -318,7 +340,7 @@ def audit_monotonicity(
                     f"channel {name!r} maps a free state out of {oracle.name!r}; "
                     f"monotonicity against it is not meaningful"
                 )
-    states = [random_density(_DIM, seed=rng) for _ in range(cfg.samples)]
+    states = _states(_random_densities(_DIM, _DIM, rng, cfg.samples))
     base_vals = [measure(s) for s in states]
     checked = violations = skipped = 0
     worst = 0.0
@@ -390,10 +412,8 @@ def audit_convexity(
     """
     tol = resolve(cfg.tolerance, 2.0 * TOLS.ray_bisection)
     rng = np.random.default_rng(cfg.seed)
-    pairs = list(extra_pairs) + [
-        (random_density(_DIM, seed=rng), random_density(_DIM, seed=rng))
-        for _ in range(cfg.samples)
-    ]
+    drawn = _states(_random_densities(_DIM, _DIM, rng, 2 * cfg.samples))
+    pairs = list(extra_pairs) + list(zip(drawn[::2], drawn[1::2]))
     ends = [(measure(r1), measure(r2)) for r1, r2 in pairs]
     checked = violations = 0
     worst = -math.inf

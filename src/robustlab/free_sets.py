@@ -17,10 +17,11 @@ import numpy as np
 from .bds import discord_robustness_bds
 from .config import TOLS, check_count, check_finite, resolve
 from .errors import ConfigurationError, ValidationError
-from .operator_core import _partial_transpose, _require_finite, trace_norm
+from .operator_core import _partial_transpose, _require_finite
 from .qstates import (
     BellDiagonalParams,
     DensityMatrix,
+    _rng,
     bell_diagonal,
     bell_state_vectors,
     bloch_decompose,
@@ -235,17 +236,22 @@ def sample_trace_ball(
     Draws a random traceless Hermitian direction, normalizes it to unit
     trace norm, and scales by a radius biased toward the ball surface
     (where membership claims are hardest).  Rejects the rare draws that
-    leave the positive cone.  ``radius`` must be finite and >= 0
-    (ValidationError otherwise).
+    leave the positive cone.  ``radius`` must be finite and >= 0, and
+    ``center`` of dimension >= 2: a one-level state has no traceless
+    direction (ValidationError otherwise).
     """
     radius = check_finite("radius", radius, strict=False)
     d = center.dim
+    if d < 2:
+        raise ValidationError(f"trace-ball center must have dimension >= 2, got {d}")
     n_dof = d * d - 1
     for _ in range(1000):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = rng.standard_normal((2, d, d))
+        g = x[0] + 1j * x[1]
         h = (g + g.conj().T) / 2.0
         h -= np.eye(d) * (h.trace().real / d)
-        h /= trace_norm(h)
+        # h is Hermitian by construction: its trace norm needs no validation
+        h /= np.sum(np.abs(np.linalg.eigvalsh(h)))
         r = radius * rng.uniform() ** (1.0 / n_dof)
         mat = center.mat + r * h
         if float(np.linalg.eigvalsh(mat)[0]) >= 0.0:
@@ -393,16 +399,17 @@ def star_convexity_probe(
     Draws members via the oracle's sampler and checks that every mixture
     (1 - delta) * member + delta * center stays in the set, on a fixed
     grid of mixing weights.  Reports violations rather than raising.
-    ``samples`` and ``mix_points`` must be integers >= 1 (ValidationError
-    otherwise); with no mixtures the probe would pass without testing.
+    ``samples`` and ``mix_points`` must be integers >= 1 (with no mixtures
+    the probe would pass without testing) and ``seed`` a Generator or an
+    integer >= 0 (ValidationError otherwise).
     """
     samples = check_count("samples", samples)
     mix_points = check_count("mix_points", mix_points)
+    rng = _rng(seed)
     if oracle.star_center is None:
         raise ConfigurationError(f"oracle {oracle.name!r} has no star center")
     if oracle.sampler is None:
         raise ConfigurationError(f"oracle {oracle.name!r} has no member sampler")
-    rng = np.random.default_rng(seed)
     center = oracle.star_center
     deltas = [(j + 1) / (mix_points + 1) for j in range(mix_points)]
     checked = 0

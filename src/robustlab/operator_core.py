@@ -40,15 +40,20 @@ def as_complex_matrix(m) -> np.ndarray:
     return _require_finite(a)
 
 
-def require_hermitian(h) -> np.ndarray:
-    """Validate hermiticity and return the matrix, else raise ValidationError."""
-    a = as_complex_matrix(h)
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+def _require_hermitian(a: np.ndarray) -> np.ndarray:
+    """Return ``a``, a finite matrix or stack of matrices, if each is
+    Hermitian within TOLS.hermiticity, else raise ValidationError."""
+    dev = float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
     if dev > TOLS.hermiticity:
         raise ValidationError(
             f"not hermitian: max |H - H^dag| = {dev:.3e} exceeds {TOLS.hermiticity:.1e}"
         )
     return a
+
+
+def require_hermitian(h) -> np.ndarray:
+    """Validate hermiticity and return the matrix, else raise ValidationError."""
+    return _require_hermitian(as_complex_matrix(h))
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,10 @@ from .config import TOLS, check_count
 from .errors import PositivityError, ValidationError
 from .operator_core import (
     _require_finite,
+    _require_hermitian,
     as_complex_matrix,
     kron,
     require_hermitian,
-    trace_norm,
 )
 
 __all__ = [
@@ -236,9 +236,24 @@ def state_inversion(rho: DensityMatrix) -> DensityMatrix:
 
 
 def _rng(seed) -> np.random.Generator:
+    """The generator of every random draw: ``seed`` is a Generator, used as
+    is, or an integer >= 0 (ValidationError otherwise)."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(check_count("seed", seed, least=0))
+
+
+def _random_densities(dim: int, rank: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Stack (n, dim, dim) of n random states of the given rank (arguments
+    unchecked).  One ``standard_normal`` call holds the real and imaginary
+    halves of each G in turn, so the generator is used exactly as n calls of
+    ``random_density(dim, rank, seed=rng)`` use it, and the states are the
+    same to the bit."""
+    x = rng.standard_normal((n, 2, dim, rank))
+    g = x[:, 0] + 1j * x[:, 1]
+    m = g @ g.conj().swapaxes(-1, -2)
+    m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    return m
 
 
 def random_density(dim: int, rank: int | None = None, seed=0) -> DensityMatrix:
@@ -247,21 +262,22 @@ def random_density(dim: int, rank: int | None = None, seed=0) -> DensityMatrix:
     ``G`` is a dim x rank complex Gaussian matrix; the state is
     G G^dag / tr(G G^dag), which has the requested rank almost surely.
     Deterministic for a fixed integer seed.  ``dim`` must be an integer
-    >= 1 and ``rank`` None (full rank) or an integer in [1, dim]
-    (ValidationError otherwise).
+    >= 1, ``rank`` None (full rank) or an integer in [1, dim] and ``seed``
+    a Generator or an integer >= 0 (ValidationError otherwise).
     """
     dim = check_count("dim", dim)
     rank = dim if rank is None else check_count("rank", rank, most=dim)
-    rng = _rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    m /= m.trace().real
+    m = _random_densities(dim, rank, _rng(seed), 1)[0]
     dims = (2, 2) if dim == 4 else (dim,)
     return DensityMatrix(m, dims, validate=False)
 
 
 def random_unitary(dim: int, seed=0) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    """Haar-distributed unitary via QR of a complex Gaussian matrix.
+
+    ``dim`` must be an integer >= 1 and ``seed`` a Generator or an integer
+    >= 0 (ValidationError otherwise)."""
+    dim = check_count("dim", dim)
     rng = _rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
@@ -271,16 +287,39 @@ def random_unitary(dim: int, seed=0) -> np.ndarray:
 
 
 def random_bell_diagonal(seed=0) -> BellDiagonalParams:
-    """Uniform mixing weights over the four Bell states, mapped to (c1, c2, c3)."""
+    """Uniform mixing weights over the four Bell states, mapped to (c1, c2, c3).
+
+    ``seed`` is a Generator or an integer >= 0 (ValidationError otherwise)."""
     rng = _rng(seed)
     w = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
     c = np.array(BELL_SIGNS) @ w
     return BellDiagonalParams(c[0], c[1], c[2])
 
 
+def _trace_distances(rhos, sigmas) -> np.ndarray:
+    """Trace norms of the differences rhos[i] - sigmas[i], from one stacked
+    ``eigvalsh`` per matrix size (none for no pairs).
+
+    Each pair must have equal dims, and the differences get the checks of
+    ``operator_core.trace_norm``: finite entries, Hermitian within
+    TOLS.hermiticity (ValidationError otherwise)."""
+    by_size: dict[int, list[int]] = {}
+    for i, (rho, sigma) in enumerate(zip(rhos, sigmas)):
+        if rho.dims != sigma.dims:
+            raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
+        by_size.setdefault(rho.dim, []).append(i)
+    out = np.empty(len(rhos))
+    for idx in by_size.values():
+        diff = np.array([rhos[i].mat for i in idx]) - np.array([sigmas[i].mat for i in idx])
+        _require_hermitian(_require_finite(diff))
+        out[idx] = np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    return out
+
+
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Trace norm of the difference of two states."""
-    return trace_norm(rho.mat - sigma.mat)
+    """Trace norm of the difference of two states with the same dims
+    (ValidationError otherwise)."""
+    return float(_trace_distances((rho,), (sigma,))[0])
 
 
 def state_to_json(rho: DensityMatrix) -> dict:

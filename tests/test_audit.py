@@ -8,6 +8,9 @@ import pytest
 from robustlab.audit import (
     MAX_AUDIT_SAMPLES,
     AuditConfig,
+    ConvexityReport,
+    LipschitzReport,
+    MonotonicityReport,
     audit_convexity,
     audit_faithfulness,
     audit_lipschitz,
@@ -21,9 +24,11 @@ from robustlab.audit import (
     lipschitz_pairs,
     ray_measure,
 )
+from robustlab.config import TOLS
 from robustlab.engines import discord_robustness_bds
 from robustlab.errors import ConfigurationError, ValidationError
-from robustlab.free_sets import bds_params_of, oracle_by_name
+from robustlab.free_sets import bds_params_of, oracle_by_name, sample_trace_ball
+from robustlab.operator_core import partial_transpose, trace_norm
 from robustlab.qstates import (
     DensityMatrix,
     maximally_mixed,
@@ -31,6 +36,183 @@ from robustlab.qstates import (
     trace_distance,
     werner,
 )
+
+
+def per_state_density(rng, rank=None):
+    """Reference: one random two-qubit state from two ``standard_normal``
+    calls, the real and then the imaginary half of G."""
+    rank = 4 if rank is None else rank
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    m = g @ g.conj().T
+    m /= m.trace().real
+    return DensityMatrix(m, (2, 2), validate=False)
+
+
+def per_state_lipschitz_pairs(cfg):
+    """Reference: the Lipschitz batch drawn state by state."""
+    rng = np.random.default_rng(cfg.seed)
+    pairs = []
+    for _ in range(cfg.samples):
+        pairs.append(("independent", per_state_density(rng), per_state_density(rng)))
+    for eps in (1e-2, 1e-3):
+        for _ in range(cfg.samples):
+            center = per_state_density(rng)
+            pairs.append((f"nearby[{eps:g}]", center, sample_trace_ball(center, eps, rng)))
+    smooth = 5e-3
+    for _ in range(cfg.samples):
+        edge = per_state_density(rng, rank=3)
+        inner = DensityMatrix(
+            (1.0 - smooth) * edge.mat + smooth * np.eye(4) / 4, edge.dims, validate=False
+        )
+        pairs.append(("boundary-straddle", edge, inner))
+    return pairs
+
+
+def per_pair_lipschitz(measure, L, cfg, pairs):
+    """Reference: the Lipschitz report with one trace norm per pair."""
+    slack = TOLS.lipschitz_violation_slack if cfg.tolerance is None else cfg.tolerance
+    rows = [(measure(r1), measure(r2), trace_norm(r1.mat - r2.mat)) for _, r1, r2 in pairs]
+    tested = violations = skipped = 0
+    max_ratio = 0.0
+    worst = None
+    for (regime, r1, r2), (m1, m2, dist) in zip(pairs, rows):
+        if not (math.isfinite(m1) and math.isfinite(m2)) or dist <= TOLS.audit_zero:
+            skipped += 1
+            continue
+        tested += 1
+        ratio = abs(m1 - m2) / dist
+        if ratio > max_ratio:
+            max_ratio = ratio
+            worst = (regime, r1, r2, m1, m2, dist)
+        if ratio > L * (1.0 + slack):
+            violations += 1
+    return LipschitzReport(L, tested, max_ratio, worst, violations, skipped)
+
+
+def per_state_convexity_pairs(cfg):
+    """Reference: the convexity batch drawn state by state."""
+    rng = np.random.default_rng(cfg.seed)
+    return [(per_state_density(rng), per_state_density(rng)) for _ in range(cfg.samples)]
+
+
+def per_state_monotonicity_states(oracle, cfg):
+    """Reference: the monotonicity batch drawn state by state after the
+    channel probes."""
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(min(cfg.samples, 16)):
+        oracle.sampler(rng)
+    return [per_state_density(rng) for _ in range(cfg.samples)]
+
+
+def frozen(x):
+    """A report as nested tuples: states by their bytes and dims, floats by
+    repr (exact, and NaN equal to itself)."""
+    if isinstance(x, DensityMatrix):
+        return ("state", x.mat.tobytes(), x.dims)
+    if isinstance(x, (tuple, list)):
+        return tuple(frozen(v) for v in x)
+    if isinstance(x, dict):
+        return tuple((k, frozen(v)) for k, v in x.items())
+    if hasattr(x, "__dataclass_fields__"):
+        return (type(x).__name__,) + tuple(
+            (f, frozen(getattr(x, f))) for f in x.__dataclass_fields__
+        )
+    if isinstance(x, float):
+        return repr(x)
+    return x
+
+
+def negativity_or_inf(rho):
+    """A cheap measure with infinite values: -lambda_min of the partial
+    transpose plus a population, infinite when rho_00 > 0.45."""
+    if rho.mat[0, 0].real > 0.45:
+        return math.inf
+    w = np.linalg.eigvalsh(partial_transpose(rho.mat, (2, 2), 1))
+    return max(0.0, -float(w[0])) + float(rho.mat[1, 1].real)
+
+
+_PARITY = [(seed, samples) for seed in (0, 1, 7, 123) for samples in (0, 1, 2, 5, 25, 75)]
+
+
+class TestStackedBatches:
+    """Batches drawn and measured as stacked arrays give the same pairs and
+    reports, to the bit, as drawing and measuring state by state."""
+
+    @pytest.mark.parametrize("seed, samples", _PARITY)
+    def test_lipschitz(self, seed, samples):
+        cfg = AuditConfig(samples=samples, seed=seed)
+        pairs = lipschitz_pairs(cfg)
+        ref = per_state_lipschitz_pairs(cfg)
+        assert frozen(pairs) == frozen(ref)
+        for L in (0.3, 0.9):
+            got = audit_lipschitz(negativity_or_inf, L, cfg)
+            assert frozen(got) == frozen(per_pair_lipschitz(negativity_or_inf, L, cfg, ref))
+
+    @pytest.mark.parametrize("seed, samples", _PARITY)
+    def test_convexity(self, seed, samples):
+        cfg = AuditConfig(samples=samples, seed=seed)
+        extra = discord_axis_endpoint_pairs()
+        got = audit_convexity(negativity_or_inf, cfg, extra_pairs=extra)
+        ref = audit_convexity(
+            negativity_or_inf, AuditConfig(samples=0),
+            extra_pairs=extra + per_state_convexity_pairs(cfg),
+        )
+        assert frozen(got) == frozen(ref)
+
+    @pytest.mark.parametrize("seed, samples", _PARITY)
+    def test_monotonicity(self, seed, samples):
+        cfg = AuditConfig(samples=samples, seed=seed)
+        oracle = oracle_by_name("ppt")
+        seen = []
+
+        def recorded(rho):
+            seen.append(rho)
+            return negativity_or_inf(rho)
+
+        got = audit_monotonicity(recorded, default_channels(seed), oracle, cfg)
+        states = per_state_monotonicity_states(oracle, cfg)
+        channels = default_channels(seed)
+        # the base states, then each channel's image of them
+        expected = states + [ch(s) for _, ch in channels for s in states]
+        assert frozen(seen) == frozen(expected)
+        base = [negativity_or_inf(s) for s in states]
+        checked = skipped = violations = 0
+        worst = 0.0
+        per_channel = {name: 0 for name, _ in channels}
+        for name, ch in channels:
+            for v0, s in zip(base, states):
+                v1 = negativity_or_inf(ch(s))
+                if not (math.isfinite(v0) and math.isfinite(v1)):
+                    skipped += 1
+                    continue
+                checked += 1
+                worst = max(worst, v1 - v0)
+                if v1 - v0 > 2.0 * TOLS.ray_bisection:
+                    violations += 1
+                    per_channel[name] += 1
+        ref = MonotonicityReport(
+            tuple(per_channel), checked, violations, per_channel, worst, skipped
+        )
+        assert frozen(got) == frozen(ref)
+
+    def test_empty_batches(self):
+        cfg = AuditConfig(samples=0, seed=3)
+        measure = ray_measure(maximally_mixed(), oracle_by_name("ppt"))
+        assert lipschitz_pairs(cfg) == []
+        assert audit_lipschitz(measure, 1.0, cfg) == LipschitzReport(1.0, 0, 0.0, None, 0, 0)
+        assert audit_convexity(measure, cfg) == ConvexityReport(0, 0, -math.inf, None)
+        rep = audit_monotonicity(measure, default_channels(3), oracle_by_name("ppt"), cfg)
+        assert (rep.checked, rep.violations, rep.infinite_skipped, rep.worst_increase) == (
+            0, 0, 0, 0.0
+        )
+
+    def test_empty_batch_makes_no_eigensolve(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("eigensolve on an empty batch")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rep = audit_lipschitz(lambda rho: 0.0, 1.0, AuditConfig(samples=0))
+        assert rep.pairs_tested == 0
 
 
 def bds_measure(rho):
@@ -139,6 +321,36 @@ class TestAuditLipschitz:
         assert rep.pairs_tested == 0
         assert rep.infinite_skipped == 20
         assert not rep.passed  # nothing tested is not a pass
+
+    def test_distance_checks_each_pair(self):
+        rho = werner(0.2)
+        skew = rho.mat.copy()
+        skew[0, 3] += 1e-6  # no longer Hermitian
+        bad = DensityMatrix(skew, (2, 2), validate=False)
+        pairs = [("good", werner(0.3), rho), ("skew", rho, bad)]
+        with pytest.raises(ValidationError, match="not hermitian"):
+            audit_lipschitz(bds_measure, 1.0, AuditConfig(), pairs=pairs)
+        nan = rho.mat.copy()
+        nan[1, 1] = math.nan
+        pairs = [("nan", DensityMatrix(nan, (2, 2), validate=False), rho)]
+        with pytest.raises(ValidationError, match="finite"):
+            audit_lipschitz(lambda r: 0.0, 1.0, AuditConfig(), pairs=pairs)
+
+    def test_distance_needs_equal_dims(self):
+        pairs = [("good", werner(0.2), werner(0.3)),
+                 ("split", maximally_mixed(), maximally_mixed((4,)))]
+        with pytest.raises(ValidationError, match=r"\(2, 2\) vs \(4,\)"):
+            audit_lipschitz(lambda r: 0.0, 1.0, AuditConfig(), pairs=pairs)
+
+    def test_mixed_sizes(self):
+        pairs = [("four", werner(0.2), werner(0.3)),
+                 ("two", maximally_mixed((2,)), DensityMatrix(np.diag([0.7, 0.3]), (2,)))]
+        values = {4: 1.0, 2: 2.0}
+        rep = audit_lipschitz(lambda r: values[r.dim] + r.mat[0, 0].real, 5.0, AuditConfig(),
+                              pairs=pairs)
+        # ratios 0.025/0.15 and 0.2/0.4
+        assert rep.pairs_tested == 2
+        assert rep.max_ratio == pytest.approx(0.5, abs=1e-12)
 
     def test_custom_distance(self):
         pairs = [("custom", werner(0.2), werner(0.3))]
@@ -252,6 +464,12 @@ class TestAuditMonotonicity:
     def test_channel_validation(self):
         with pytest.raises(ConfigurationError):
             channel_depolarizing(1.5)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, math.nan, None])
+def test_default_channels_bad_seed(seed):
+    with pytest.raises(ValidationError, match="seed"):
+        default_channels(seed)
 
 
 class TestChannels:

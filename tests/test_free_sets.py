@@ -1,6 +1,7 @@
 """Free-set membership oracles, ball radii and the star-convexity probe."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from robustlab.free_sets import (
     star_convexity_probe,
     teleportation_ball_radius,
 )
-from robustlab.operator_core import partial_transpose
+from robustlab.operator_core import partial_transpose, trace_norm
 from robustlab.qstates import (
     DensityMatrix,
     bell_diagonal,
@@ -165,6 +166,23 @@ class TestBallRadii:
             assert is_ppt(rho)
 
 
+def per_half_trace_ball(center, radius, rng):
+    """Reference trace-ball sampler: the real and imaginary halves of the
+    Gaussian in two calls, normalised by the validating trace norm."""
+    d = center.dim
+    n_dof = d * d - 1
+    for _ in range(1000):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = (g + g.conj().T) / 2.0
+        h -= np.eye(d) * (h.trace().real / d)
+        h /= trace_norm(h)
+        r = radius * rng.uniform() ** (1.0 / n_dof)
+        mat = center.mat + r * h
+        if float(np.linalg.eigvalsh(mat)[0]) >= 0.0:
+            return mat
+    raise AssertionError("reference ball sampler found no positive state")
+
+
 class TestSampleTraceBall:
     def test_radius_respected(self, rng):
         center = maximally_mixed()
@@ -182,6 +200,24 @@ class TestSampleTraceBall:
     def test_zero_radius_is_center(self, rng):
         rho = sample_trace_ball(maximally_mixed(), 0.0, rng)
         assert_allclose(rho.mat, maximally_mixed().mat, atol=1e-15)
+
+    def test_one_level_center_rejected(self, rng):
+        # a one-level state has no traceless direction to sample along
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="dimension >= 2"):
+                sample_trace_ball(maximally_mixed((1,)), 0.1, rng)
+
+    @pytest.mark.parametrize("dim, radius", [(2, 0.1), (3, 0.05), (4, 1e-2), (4, 1e-3),
+                                             (4, 0.0), (8, 1e-2), (4, 0.3)])
+    def test_same_states_as_per_half_draws(self, dim, radius):
+        center = random_density(dim, seed=dim)
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(20):
+            rho = sample_trace_ball(center, radius, rng)
+            assert rho.dims == center.dims
+            assert rho.mat.tobytes() == per_half_trace_ball(center, radius, ref_rng).tobytes()
+        assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_quantum_classical_sampler(self, rng):
         for _ in range(20):
@@ -438,6 +474,16 @@ class TestStarConvexityProbe:
         )
         with pytest.raises(ConfigurationError):
             star_convexity_probe(no_sampler)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, None])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            star_convexity_probe(oracle_by_name("ppt"), samples=1, seed=seed)
+
+    def test_generator_seed(self):
+        a = star_convexity_probe(oracle_by_name("ppt"), samples=3, seed=np.random.default_rng(4))
+        b = star_convexity_probe(oracle_by_name("ppt"), samples=3, seed=4)
+        assert a == b
 
     @pytest.mark.parametrize("kwargs", [
         {"samples": 0}, {"samples": -3}, {"samples": 2.5},

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from robustlab.errors import PositivityError, ValidationError
+from robustlab.operator_core import trace_norm
 from robustlab.qstates import (
     PAULI,
     BellDiagonalParams,
@@ -27,6 +28,7 @@ from robustlab.qstates import (
     trace_distance,
     werner,
 )
+from robustlab.qstates import _random_densities, _trace_distances
 
 BELL_T = (
     np.diag([1.0, -1.0, 1.0]),
@@ -288,6 +290,91 @@ class TestSampling:
             params = random_bell_diagonal(seed)
             assert np.min(params.weights()) >= -1e-12
         assert random_bell_diagonal(5).as_tuple() == random_bell_diagonal(5).as_tuple()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, math.inf, "3", None])
+    @pytest.mark.parametrize("draw", [
+        lambda seed: random_density(4, seed=seed),
+        lambda seed: random_unitary(2, seed),
+        random_bell_diagonal,
+    ], ids=["random_density", "random_unitary", "random_bell_diagonal"])
+    def test_bad_seed(self, draw, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            draw(seed)
+
+    def test_integral_float_seed(self):
+        assert np.array_equal(random_density(4, seed=3.0).mat, random_density(4, seed=3).mat)
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, math.nan, "2"])
+    def test_random_unitary_bad_dim(self, dim):
+        with pytest.raises(ValidationError, match="dim"):
+            random_unitary(dim)
+
+
+def per_state_density(dim, rng, rank=None):
+    """Reference: one random state drawn by two ``standard_normal`` calls,
+    the real and then the imaginary half of G."""
+    rank = dim if rank is None else rank
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    m /= m.trace().real
+    return m
+
+
+class TestStackedDraw:
+    """``_random_densities`` draws n states in one call; they and the
+    generator's next draw equal those of n per-state draws."""
+
+    @pytest.mark.parametrize("dim, rank", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3), (4, 4), (8, 5)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_same_bytes_and_stream(self, dim, rank, n):
+        stacked_rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        stack = _random_densities(dim, rank, stacked_rng, n)
+        assert stack.shape == (n, dim, dim)
+        for m in stack:
+            assert m.tobytes() == per_state_density(dim, ref_rng, rank).tobytes()
+        assert stacked_rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("dim, rank", [(2, None), (4, None), (4, 3), (3, 1)])
+    def test_random_density_is_the_single_draw(self, dim, rank):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(5):
+            rho = random_density(dim, rank=rank, seed=rng)
+            assert rho.mat.tobytes() == per_state_density(dim, ref_rng, rank).tobytes()
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+class TestTraceDistance:
+    def test_mismatched_dims(self):
+        with pytest.raises(ValidationError, match=r"\(2,\) vs \(2, 2\)"):
+            trace_distance(maximally_mixed((2,)), maximally_mixed())
+        # same matrix size, different subsystems
+        with pytest.raises(ValidationError, match=r"\(2, 2\) vs \(4,\)"):
+            trace_distance(maximally_mixed(), maximally_mixed((4,)))
+
+    def test_matches_trace_norm(self, rng):
+        for dim in (1, 2, 3, 4):
+            rho, sigma = random_density(dim, seed=rng), random_density(dim, seed=rng)
+            assert trace_distance(rho, sigma) == trace_norm(rho.mat - sigma.mat)
+
+    def test_stacked_matches_per_pair(self, rng):
+        # mixed sizes are measured one stack per size, in the caller's order
+        rhos = [random_density(d, seed=rng) for d in (4, 2, 4, 3, 2)]
+        sigmas = [random_density(d, seed=rng) for d in (4, 2, 4, 3, 2)]
+        got = _trace_distances(rhos, sigmas)
+        assert got.tolist() == [trace_norm(r.mat - s.mat) for r, s in zip(rhos, sigmas)]
+        assert _trace_distances([], []).shape == (0,)
+
+    def test_stacked_checks_each_difference(self, rng):
+        good = random_density(4, seed=rng)
+        skew = good.mat.copy()
+        skew[0, 1] += 1e-6  # no longer Hermitian
+        bad = DensityMatrix(skew, (2, 2), validate=False)
+        with pytest.raises(ValidationError, match="not hermitian"):
+            _trace_distances([good, good, bad], [good, good, good])
+        nan = good.mat.copy()
+        nan[2, 2] = math.nan
+        with pytest.raises(ValidationError, match="finite"):
+            _trace_distances([good, good], [good, DensityMatrix(nan, (2, 2), validate=False)])
 
 
 class TestJson:
