@@ -141,31 +141,25 @@ def audit_lipschitz(
     L: float,
     cfg: AuditConfig,
     pairs: Optional[Sequence[tuple[str, DensityMatrix, DensityMatrix]]] = None,
-    distance: Optional[Callable[[DensityMatrix, DensityMatrix], float]] = None,
 ) -> LipschitzReport:
-    """Check |m(rho1) - m(rho2)| <= L * dist(rho1, rho2) over a pair batch.
+    """Check |m(rho1) - m(rho2)| <= L * D(rho1, rho2) over a pair batch,
+    with D the trace distance.
 
     A pair counts as a violation when the ratio exceeds L by more than the
     relative slack; pairs with an infinite value on either side, or with
     negligible distance, are skipped and counted separately.  ``L`` must be
     finite and >= 0 (ValidationError otherwise).
 
-    ``distance`` None is the trace distance, taken for the whole batch
-    from one stacked eigensolve; each pair must then have equal dims and
-    a finite, Hermitian difference (ValidationError otherwise).  A given
-    ``distance`` is called once per pair.
+    The distances of the whole batch come from one stacked eigensolve;
+    each pair must have equal dims and a finite, Hermitian difference
+    (ValidationError otherwise).
     """
     L = check_finite("L", L, strict=False)
     if pairs is None:
         pairs = lipschitz_pairs(cfg)
     slack = resolve(cfg.tolerance, TOLS.lipschitz_violation_slack)
 
-    if distance is None:
-        dists = _trace_distances(
-            [r1 for _, r1, _ in pairs], [r2 for _, _, r2 in pairs]
-        ).tolist()
-    else:
-        dists = [distance(r1, r2) for _, r1, r2 in pairs]
+    dists = _trace_distances([r1 for _, r1, _ in pairs], [r2 for _, _, r2 in pairs]).tolist()
     ends = [(measure(r1), measure(r2)) for _, r1, r2 in pairs]
     tested = violations = skipped = 0
     max_ratio = 0.0

@@ -3,9 +3,9 @@
 Every threshold used by the library lives in one frozen record so that the
 values are auditable in a single place, and the library reads them from
 TOLS directly.  Only a few solver and audit parameters take a per-call
-override (the ray's ``tol`` and ``s_max``, the axis optimizer's ``xatol``,
-``AuditConfig.tolerance`` and ``bds_params_of(tol)``); passing ``None``
-there means "use the default from TOLS".
+override (the ray's ``tol`` and ``s_max``, ``AuditConfig.tolerance`` and
+``bds_params_of(tol)``); passing ``None`` there means "use the default
+from TOLS".
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class Tolerances:
 
     # solvers
     ray_bisection: float = 1e-6       # default bracket width for robustness_along_ray
-    axis_opt_xatol: float = 1e-9      # axis optimizer stops at zoom brackets this wide in k
 
     # planar geometry
     geometry_membership: float = 1e-9   # distance at which a point counts as in the set

@@ -35,7 +35,7 @@ from .errors import (
     StarConvexityViolationError,
     ValidationError,
 )
-from .operator_core import _require_finite, eig_hermitian
+from .operator_core import _require_finite, require_hermitian
 from .qstates import DensityMatrix, bell_diagonal, bell_state_vectors, bloch_decompose
 
 if TYPE_CHECKING:
@@ -286,11 +286,10 @@ def min_scaling_robustness(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dims != sigma.dims:
         raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
-    spec = eig_hermitian(sigma.mat)
-    v = spec.eigenvectors
+    w, v = np.linalg.eigh(require_hermitian(sigma.mat))
     rot = v.conj().T @ rho.mat @ v
     rot = 0.5 * (rot + rot.conj().T)  # hermitianize rounding noise before eigvalsh
-    return float(_min_scaling_values(rot, spec.eigenvalues))
+    return float(_min_scaling_values(rot, w))
 
 
 # --- discord robustness over Bell-diagonal states ---------------------------
@@ -301,6 +300,7 @@ _AXIS_SIGNS = np.array(BELL_SIGNS)
 _BELL = np.column_stack(bell_state_vectors()).real  # Bell kets as columns
 _ZOOM_STEPS = np.linspace(0.0, 1.0, 33)  # bracket fractions of every zoom round
 _ZOOM_ROUNDS = 64  # hard bound on zoom rounds
+_ZOOM_XATOL = 1e-9  # zooming stops once every bracket in k is this narrow
 # the grid scan evaluates 3*grid pencils in one batch
 MAX_AXIS_GRID = 10_000
 
@@ -337,7 +337,6 @@ def _axis_grid(lo: np.ndarray, hi: np.ndarray, steps: np.ndarray) -> np.ndarray:
 def discord_robustness_axis_opt(
     c: BellDiagonalParams | tuple[float, float, float],
     grid: int = 64,
-    xatol: float | None = None,
 ) -> RobustnessResult:
     """Discord robustness of a Bell-diagonal state by direct optimization.
 
@@ -346,20 +345,18 @@ def discord_robustness_axis_opt(
     Each per-axis objective is a maximum of terms 4 p_i/(1 + k S_ai), hence
     convex in k, so the neighbours of the best point always bracket the
     optimum: a ``grid``-point scan is followed by zoom rounds into those
-    brackets until every bracket is at most ``xatol`` wide or stops
-    narrowing (at most _ZOOM_ROUNDS rounds).  rho and every pencil are
+    brackets until every bracket is at most _ZOOM_XATOL = 1e-9 wide or
+    stops narrowing (at most _ZOOM_ROUNDS rounds).  rho and every pencil are
     diagonal in the Bell basis, rho with the Bell weights p = c.weights()
     as eigenvalues, so there is no eigenbasis and no eigensolve: every
     round evaluates all three axes with arithmetic through the
     min-scaling evaluator.  Ties between axes resolve to the lowest axis
     index, making witnesses deterministic.  ``grid`` must be an integer
-    in [2, MAX_AXIS_GRID] and ``xatol`` finite and > 0 (ValidationError
-    otherwise).
+    in [2, MAX_AXIS_GRID] (ValidationError otherwise).
     """
     if not isinstance(c, BellDiagonalParams):
         c = BellDiagonalParams(*c)
     grid = check_count("grid", grid, least=2, most=MAX_AXIS_GRID)
-    xatol = check_finite("xatol", resolve(xatol, TOLS.axis_opt_xatol), strict=True)
     p = c.weights()
     axes = np.arange(3)
     lo = hi = np.full(3, math.nan)  # no bracket before the grid scan
@@ -384,7 +381,7 @@ def discord_robustness_axis_opt(
         # a zoom round that returns its own bracket would repeat forever
         # (all inner points snapped to +-1, or the bracket is at float
         # resolution), so that axis is as narrow as it gets
-        done = (new_hi - new_lo <= xatol) | ((new_lo == lo) & (new_hi == hi))
+        done = (new_hi - new_lo <= _ZOOM_XATOL) | ((new_lo == lo) & (new_hi == hi))
         lo, hi = new_lo, new_hi
         if done.all():
             break

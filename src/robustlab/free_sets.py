@@ -228,6 +228,10 @@ _UNFAITHFUL_LMI = (_unfaithful_matrix, TOLS.unfaithful_margin)
 # --- member samplers ---------------------------------------------------------
 
 
+# sample_trace_ball gives up after this many draws outside the positive cone
+_BALL_DRAWS = 1000
+
+
 def sample_trace_ball(
     center: DensityMatrix, radius: float, rng: np.random.Generator
 ) -> DensityMatrix:
@@ -235,17 +239,19 @@ def sample_trace_ball(
 
     Draws a random traceless Hermitian direction, normalizes it to unit
     trace norm, and scales by a radius biased toward the ball surface
-    (where membership claims are hardest).  Rejects the rare draws that
-    leave the positive cone.  ``radius`` must be finite and >= 0, and
+    (where membership claims are hardest).  Rejects the draws that leave
+    the positive cone, which are rare while the radius is small against
+    lambda_min of the center.  ``radius`` must be finite and >= 0, and
     ``center`` of dimension >= 2: a one-level state has no traceless
-    direction (ValidationError otherwise).
+    direction; if all of _BALL_DRAWS = 1000 draws leave the cone, the
+    radius is too large for this center (ValidationError in each case).
     """
     radius = check_finite("radius", radius, strict=False)
     d = center.dim
     if d < 2:
         raise ValidationError(f"trace-ball center must have dimension >= 2, got {d}")
     n_dof = d * d - 1
-    for _ in range(1000):
+    for _ in range(_BALL_DRAWS):
         x = rng.standard_normal((2, d, d))
         g = x[0] + 1j * x[1]
         h = (g + g.conj().T) / 2.0
@@ -256,7 +262,11 @@ def sample_trace_ball(
         mat = center.mat + r * h
         if float(np.linalg.eigvalsh(mat)[0]) >= 0.0:
             return DensityMatrix(mat, center.dims, validate=False)
-    raise ConfigurationError("ball sampler failed to find a positive state")
+    lam = float(np.linalg.eigvalsh(center.mat)[0])
+    raise ValidationError(
+        f"trace-ball radius {radius!r} is too large for a center with lambda_min = "
+        f"{lam:.3e}: all {_BALL_DRAWS} draws left the positive cone"
+    )
 
 
 def random_quantum_classical(rng: np.random.Generator) -> DensityMatrix:

@@ -11,9 +11,9 @@ For absolute robustness the noise ranges over the free set; for global
 robustness it ranges over the whole state space.  Along any fixed ray the
 best noise point is the farthest admissible one, so candidates are
 sampled on component boundaries (absolute) or the state-space boundary
-(global); a golden-section pass then refines around the best sample.
-Vertices are always included, which makes the two reference
-constructions below exact at any resolution.
+(global), 65 points per locus; a golden-section pass then refines around
+the best sample.  Vertices are always among the samples, which makes the
+two reference constructions below exact.
 
 Hits indistinguishable from the noise endpoint itself (chord parameter
 u = 1 within tolerance) are discarded: they correspond to s = infinity
@@ -60,8 +60,8 @@ __all__ = [
 _Point = Sequence[float]
 _Pt = tuple[float, float]
 
-# a solve samples resolution + 1 points per locus, so its cost is linear in it
-MAX_RESOLUTION = 10_000
+# a solve samples _RESOLUTION + 1 evenly spaced points per locus, ends included
+_RESOLUTION = 64
 # golden-section refinement stops once its bracket of noise points is this short
 _REFINE_TOL = 1e-9
 
@@ -378,12 +378,11 @@ def _golden_refine(point, locus, f_lo, f_hi):
     return best
 
 
-def _solve(p: _Point, scene: PlanarScene, loci, resolution: int) -> float:
+def _solve(p: _Point, scene: PlanarScene, loci) -> float:
     """Least mixing weight from p over noise points on the given loci
     (see :func:`_segment`): 0 if p is free, else the best of
-    ``resolution + 1`` samples per locus, refined by a golden-section pass
+    ``_RESOLUTION + 1`` samples per locus, refined by a golden-section pass
     around the best sample."""
-    resolution = check_count("resolution", resolution, most=MAX_RESOLUTION)
     px, py = q = _pt(p)
     if not scene.contains(q):
         raise ValidationError(f"point {list(q)} lies outside the state space")
@@ -396,43 +395,33 @@ def _solve(p: _Point, scene: PlanarScene, loci, resolution: int) -> float:
     best_idx = 0
     for locus in loci:
         ax, ay, _, _, ex, ey, _ = locus
-        for j in range(resolution + 1):
-            f = j / resolution
+        for j in range(_RESOLUTION + 1):
+            f = j / _RESOLUTION
             v = _value_for_tau(ax + f * ex, ay + f * ey, point)
             if v < best:
                 best, best_locus, best_idx = v, locus, j
     if best_locus is not None and math.isfinite(best):
-        f_lo = max(0.0, (best_idx - 1) / resolution)
-        f_hi = min(1.0, (best_idx + 1) / resolution)
+        f_lo = max(0.0, (best_idx - 1) / _RESOLUTION)
+        f_hi = min(1.0, (best_idx + 1) / _RESOLUTION)
         if f_hi > f_lo:
             best = min(best, _golden_refine(point, best_locus, f_lo, f_hi))
     return best
 
 
-def absolute_robustness_2d(
-    p: _Point,
-    scene: PlanarScene,
-    resolution: int = 64,
-) -> float:
+def absolute_robustness_2d(p: _Point, scene: PlanarScene) -> float:
     """Least s with (p + s*tau)/(1+s) free for some noise tau in the free
-    set; math.inf when no finite mixture works.  ``resolution`` must be an
-    integer in [1, MAX_RESOLUTION] (ValidationError otherwise)."""
-    return _solve(p, scene, scene._free_loci, resolution)
+    set; math.inf when no finite mixture works."""
+    return _solve(p, scene, scene._free_loci)
 
 
-def global_robustness_2d(
-    p: _Point,
-    scene: PlanarScene,
-    resolution: int = 64,
-) -> float:
+def global_robustness_2d(p: _Point, scene: PlanarScene) -> float:
     """Least s with (p + s*tau)/(1+s) free for some noise tau anywhere in
     the state space; math.inf when no finite mixture works.
 
     Along each ray from p the farthest admissible noise point is optimal,
-    so candidates sweep the state-space boundary only.  ``resolution`` is
-    validated as in :func:`absolute_robustness_2d`.
+    so candidates sweep the state-space boundary only.
     """
-    return _solve(p, scene, scene._space_loci, resolution)
+    return _solve(p, scene, scene._space_loci)
 
 
 def planar_star_probe(

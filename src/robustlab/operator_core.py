@@ -1,13 +1,12 @@
 """Dense linear algebra for small Hilbert spaces (dimension <= 8).
 
 Everything works on plain complex ndarrays.  Matrices are tiny, so clarity
-and strict validation win over asymptotics; the eigensolver delegates to
-LAPACK.
+and strict validation win over asymptotics.  The module validates
+(square, finite, Hermitian) and permutes indices; eigensolves are numpy's
+LAPACK calls, made by the callers on validated arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,12 +14,9 @@ from .config import TOLS
 from .errors import ValidationError
 
 __all__ = [
-    "Spectrum",
     "as_complex_matrix",
     "require_hermitian",
-    "eig_hermitian",
     "trace_norm",
-    "kron",
     "partial_transpose",
 ]
 
@@ -56,43 +52,11 @@ def require_hermitian(h) -> np.ndarray:
     return _require_hermitian(as_complex_matrix(h))
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; column j of ``eigenvectors``
-    belongs to ``eigenvalues[j]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def eig_hermitian(h) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues).
-
-    Input hermiticity is validated first; the decomposition itself is the
-    LAPACK one.
-    """
-    a = require_hermitian(h)
-    w, v = np.linalg.eigh(a)
-    return Spectrum(eigenvalues=w, eigenvectors=v)
-
-
 def trace_norm(h) -> float:
     """Trace norm (sum of |eigenvalues|) of a Hermitian matrix, validated
-    like :func:`eig_hermitian`; one ``eigvalsh``, no eigenvectors."""
+    by :func:`require_hermitian`; one ``eigvalsh``, no eigenvectors."""
     a = require_hermitian(h)
     return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product of two matrices."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def _partial_transpose(a: np.ndarray, da: int, db: int, subsystem: int) -> np.ndarray:

@@ -32,7 +32,6 @@ from .operator_core import (
     _require_finite,
     _require_hermitian,
     as_complex_matrix,
-    kron,
     require_hermitian,
 )
 
@@ -65,12 +64,12 @@ PAULI = (
 )
 
 # precomputed tensor-product Pauli bases for fast Bloch (de)composition
-_PA = np.stack([kron(s, _I2) for s in PAULI])            # (3, 4, 4)
-_PB = np.stack([kron(_I2, s) for s in PAULI])            # (3, 4, 4)
+_PA = np.stack([np.kron(s, _I2) for s in PAULI])         # (3, 4, 4)
+_PB = np.stack([np.kron(_I2, s) for s in PAULI])         # (3, 4, 4)
 _PAB = np.stack([
-    np.stack([kron(si, sj) for sj in PAULI]) for si in PAULI
+    np.stack([np.kron(si, sj) for sj in PAULI]) for si in PAULI
 ])                                                       # (3, 3, 4, 4)
-_PAA = np.stack([kron(s, s) for s in PAULI])             # (3, 4, 4)
+_PAA = np.stack([np.kron(s, s) for s in PAULI])          # (3, 4, 4)
 # For Hermitian P, Re tr(rho P) = sum_ab Re P_ab Re rho_ab + Im P_ab Im rho_ab,
 # so the 15 Bloch coordinates (x, y, T row by row) are one real product of
 # this table, the 15 Pauli products flattened with complex entries read as

@@ -352,14 +352,6 @@ class TestAuditLipschitz:
         assert rep.pairs_tested == 2
         assert rep.max_ratio == pytest.approx(0.5, abs=1e-12)
 
-    def test_custom_distance(self):
-        pairs = [("custom", werner(0.2), werner(0.3))]
-        rep = audit_lipschitz(
-            bds_measure, 1.0, AuditConfig(), pairs=pairs,
-            distance=lambda a, b: 2.0 * trace_distance(a, b),
-        )
-        assert rep.max_ratio == pytest.approx(1.0 / 3.0, abs=1e-9)
-
 
 class TestRayMeasure:
     def test_ppt_ray_within_ball_constant(self):

@@ -201,6 +201,14 @@ class TestSampleTraceBall:
         rho = sample_trace_ball(maximally_mixed(), 0.0, rng)
         assert_allclose(rho.mat, maximally_mixed().mat, atol=1e-15)
 
+    def test_radius_too_large_for_center(self):
+        # lambda_min of this center is 2.1e-4: at radius 1 every draw
+        # leaves the positive cone
+        center = random_density(8, seed=0)
+        with pytest.raises(ValidationError,
+                           match=r"radius 1\.0 .* lambda_min = 2\.089e-04: all 1000 draws"):
+            sample_trace_ball(center, 1.0, np.random.default_rng(0))
+
     def test_one_level_center_rejected(self, rng):
         # a one-level state has no traceless direction to sample along
         with warnings.catch_warnings():

@@ -1,4 +1,4 @@
-"""Linear-algebra layer: eigensolvers, trace norm, partial transpose."""
+"""Linear-algebra layer: validation, trace norm, partial transpose."""
 
 import math
 
@@ -9,10 +9,7 @@ from numpy.testing import assert_allclose
 
 from robustlab.errors import ValidationError
 from robustlab.operator_core import (
-    Spectrum,
     as_complex_matrix,
-    eig_hermitian,
-    kron,
     partial_transpose,
     require_hermitian,
     trace_norm,
@@ -21,70 +18,6 @@ from robustlab.operator_core import (
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def eig_hermitian_jacobi(h, offdiag_tol=1e-13, max_sweeps=60):
-    """Cyclic Jacobi eigendecomposition for complex Hermitian matrices.
-
-    Sweeps over all (p, q) pairs, each time applying the unitary plane
-    rotation that zeroes A[p, q].  Converged when the off-diagonal
-    Frobenius mass drops below ``offdiag_tol``.  A self-contained reference
-    implementation that cross-checks the LAPACK-backed :func:`eig_hermitian`.
-    """
-    a = require_hermitian(h).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return Spectrum(eigenvalues=a.real.diagonal().copy(), eigenvectors=v)
-
-    def offdiag_mass() -> float:
-        off = a - np.diag(np.diagonal(a))
-        return float(np.linalg.norm(off))
-
-    converged = False
-    for _ in range(max_sweeps):
-        if offdiag_mass() < offdiag_tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r < offdiag_tol / (n * n):
-                    continue
-                u = apq / r  # phase e^{i phi}
-                app = a[p, p].real
-                aqq = a[q, q].real
-                # rotation angle for the phase-aligned real 2x2 block
-                tau = (aqq - app) / (2.0 * r)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # columns: col_p' = c*col_p - s*conj(u)*col_q ; col_q' = s*u*col_p + c*col_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(u) * col_q
-                a[:, q] = s * u * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * u * row_q
-                a[q, :] = s * np.conj(u) * row_p + c * row_q
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - s * np.conj(u) * vcol_q
-                v[:, q] = s * u * vcol_p + c * vcol_q
-    if not converged and offdiag_mass() >= offdiag_tol:
-        raise ArithmeticError(
-            f"jacobi sweep did not converge after {max_sweeps} sweeps "
-            f"(off-diagonal mass {offdiag_mass():.3e})"
-        )
-
-    w = np.real(np.diagonal(a)).copy()
-    order = np.argsort(w, kind="stable")
-    return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
 def random_hermitian(rng, n):
@@ -127,58 +60,6 @@ class TestValidation:
             require_hermitian([[0.0, 1.0], [1.0 + 5e-10, 0.0]])
 
 
-class TestEigHermitian:
-    def test_diagonal(self):
-        spec = eig_hermitian(np.diag([3.0, 1.0, 2.0]))
-        assert_allclose(spec.eigenvalues, [1.0, 2.0, 3.0])
-
-    def test_pauli_x(self):
-        spec = eig_hermitian(SX)
-        assert_allclose(spec.eigenvalues, [-1.0, 1.0])
-
-    def test_reconstruction(self, rng):
-        for _ in range(20):
-            h = random_hermitian(rng, 4)
-            spec = eig_hermitian(h)
-            err = np.max(np.abs(spec.reconstruct() - h))
-            assert err <= 1e-10 * 4
-
-    def test_eigenvalue_sum_is_trace(self, rng):
-        for n in (2, 3, 4, 8):
-            h = random_hermitian(rng, n)
-            spec = eig_hermitian(h)
-            assert_allclose(np.sum(spec.eigenvalues), h.trace().real, atol=1e-12)
-
-    def test_eigenvectors_orthonormal(self, rng):
-        v = eig_hermitian(random_hermitian(rng, 5)).eigenvectors
-        assert_allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
-
-
-class TestJacobi:
-    def test_matches_lapack(self, rng):
-        for n in range(2, 9):
-            h = random_hermitian(rng, n)
-            w_ref = eig_hermitian(h).eigenvalues
-            spec = eig_hermitian_jacobi(h)
-            assert_allclose(spec.eigenvalues, w_ref, atol=1e-10)
-            assert np.max(np.abs(spec.reconstruct() - h)) <= 1e-9
-
-    def test_one_by_one(self):
-        spec = eig_hermitian_jacobi([[2.5]])
-        assert_allclose(spec.eigenvalues, [2.5])
-        assert_allclose(spec.eigenvectors, [[1.0]])
-
-    def test_already_diagonal(self):
-        spec = eig_hermitian_jacobi(np.diag([4.0, -1.0, 0.5]))
-        assert_allclose(spec.eigenvalues, [-1.0, 0.5, 4.0])
-
-    def test_complex_offdiagonal(self):
-        h = np.array([[1.0, 0.3 - 0.4j], [0.3 + 0.4j, -1.0]])
-        spec = eig_hermitian_jacobi(h)
-        # analytic: +-sqrt(1 + 0.25)
-        assert_allclose(spec.eigenvalues, [-np.sqrt(1.25), np.sqrt(1.25)], atol=1e-12)
-
-
 class TestTraceNorm:
     def test_diagonal(self):
         assert trace_norm(np.diag([0.5, -0.5])) == pytest.approx(1.0)
@@ -215,18 +96,6 @@ class TestTraceNorm:
             trace_norm(np.array([[math.nan, 0.0], [0.0, 0.0]]))
 
 
-class TestKron:
-    def test_identity(self):
-        assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sz_sz(self):
-        assert_allclose(kron(SZ, SZ), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-    def test_mixed_product(self, rng):
-        a, b, c, d = (random_hermitian(rng, 2) for _ in range(4))
-        assert_allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12)
-
-
 class TestPartialTranspose:
     def test_phi_plus(self):
         v = np.array([1.0, 0, 0, 1.0]) / np.sqrt(2.0)
@@ -259,7 +128,7 @@ class TestPartialTranspose:
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2)
         assert_allclose(
-            partial_transpose(kron(a, b), (2, 2), 1), kron(a, b.T), atol=1e-13
+            partial_transpose(np.kron(a, b), (2, 2), 1), np.kron(a, b.T), atol=1e-13
         )
 
     def test_preserves_trace_and_hermiticity(self, rng):
@@ -281,16 +150,8 @@ finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 @given(a=finite, b=finite, c=finite, d=finite)
 def test_two_by_two_spectral_properties(a, b, c, d):
     h = np.array([[a, c + 1j * d], [c - 1j * d, b]])
-    spec = eig_hermitian(h)
-    w = spec.eigenvalues
+    # the validated eigendecomposition of min_scaling_robustness
+    w, v = np.linalg.eigh(require_hermitian(h))
     assert w[0] <= w[1]
-    assert np.max(np.abs(spec.reconstruct() - h)) <= 1e-10
+    assert np.max(np.abs((v * w) @ v.conj().T - h)) <= 1e-10
     assert trace_norm(h) >= abs(a + b) - 1e-10
-
-
-@given(a=finite, b=finite, c=finite, d=finite)
-def test_jacobi_agrees_on_two_by_two(a, b, c, d):
-    h = np.array([[a, c + 1j * d], [c - 1j * d, b]])
-    assert_allclose(
-        eig_hermitian_jacobi(h).eigenvalues, eig_hermitian(h).eigenvalues, atol=1e-10
-    )
