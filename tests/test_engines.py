@@ -459,16 +459,19 @@ class TestAxisOpt:
                 assert res.value == pytest.approx(small, rel=0.05, abs=1e-9), (c, grid)
                 self._assert_witnesses(c, res)
 
+    def test_sub_resolution_xatol_terminates(self):
+        # at a Bell state the best k is +-1, where points closer than 4e-9
+        # snap to the end, so the bracket stops narrowing 4.1e-9 wide, above
+        # the 1e-9 target, and that rule ends the loop after eight zoom rounds
+        res = discord_robustness_axis_opt((1.0, -1.0, 1.0), grid=16)
+        assert res.value == pytest.approx(1.0, abs=1e-9)
+        assert 1e-9 < res.bracket_width < 1e-8
+        assert res.iterations == 840
+
     def test_iterations_at_grid_16(self):
-        # the grid scan and seven zoom rounds of 33 points on three axes; at
-        # a Bell state the best k is +-1, where points closer than 4e-9 snap
-        # to the end, so the bracket stops narrowing 4.1e-9 wide, above the
-        # 1e-9 target, and that rule ends the loop after eight zoom rounds
-        for params, value, iterations in (((0.5, 0.3, 0.1), 0.3, 741),
-                                          ((1.0, -1.0, 1.0), 1.0, 840)):
-            res = discord_robustness_axis_opt(params, grid=16)
-            assert res.value == pytest.approx(value, abs=1e-9)
-            assert res.iterations == iterations
+        # the grid scan and seven zoom rounds of 33 points on three axes
+        res = discord_robustness_axis_opt((0.5, 0.3, 0.1), grid=16)
+        assert res.iterations == 741
 
     def test_runs_without_eigensolve(self, monkeypatch):
         def refuse(*args, **kwargs):
