@@ -231,6 +231,12 @@ def robustness_along_ray(
     )
 
 
+# sigma's support is its eigenvalues >= _SUPPORT_MIN and its kernel those
+# <= _KERNEL_MAX; one strictly between leaves the rank undecided
+_KERNEL_MAX = TOLS.support_cutoff / 10.0
+_SUPPORT_MIN = TOLS.support_cutoff * 10.0
+
+
 def _min_scaling_values(rot: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Least s >= 0 with rho <= (1+s) sigma, given rho in sigma's eigenbasis.
 
@@ -239,23 +245,22 @@ def _min_scaling_values(rot: np.ndarray, w: np.ndarray) -> np.ndarray:
     rho that commutes with sigma -- rho's eigenvalues on those eigenvectors,
     shape (..., d) in the order of ``w``; the two arrays broadcast and have
     the same number of leading axes.  The support of sigma is its
-    eigenvalues >= 10*cutoff and its kernel those <= cutoff/10; one strictly
-    between raises IllConditionedError rather than guessing the rank.  If
-    the weight of rho outside the support exceeds ``TOLS.support_leak``,
-    supp(rho) is not inside supp(sigma) and the value is inf; otherwise it
-    is max(0, lambda_max(D R D) - 1) with D the diagonal inverse square root
-    on the support: one stacked eigvalsh for the matrix form, and the
-    largest ratio mu_i/w_i over the support (0 on the kernel, as D R D has)
-    for the commuting form.
+    eigenvalues >= _SUPPORT_MIN and its kernel those <= _KERNEL_MAX; one
+    strictly between raises IllConditionedError rather than guessing the
+    rank.  If the weight of rho outside the support exceeds
+    ``TOLS.support_leak``, supp(rho) is not inside supp(sigma) and the
+    value is inf; otherwise it is max(0, lambda_max(D R D) - 1) with D the
+    diagonal inverse square root on the support: one stacked eigvalsh for
+    the matrix form, and the largest ratio mu_i/w_i over the support (0 on
+    the kernel, as D R D has) for the commuting form.
     """
-    lo, hi = TOLS.support_cutoff / 10.0, TOLS.support_cutoff * 10.0
-    bad = (w > lo) & (w < hi)
+    bad = (w > _KERNEL_MAX) & (w < _SUPPORT_MIN)
     if bad.any():
         raise IllConditionedError(
             f"eigenvalue {w[bad][0]:.3e} falls in the ambiguous band "
-            f"({lo:.1e}, {hi:.1e}); cannot decide the support rank"
+            f"({_KERNEL_MAX:.1e}, {_SUPPORT_MIN:.1e}); cannot decide the support rank"
         )
-    keep = w >= hi
+    keep = w >= _SUPPORT_MIN
     if rot.ndim == w.ndim:  # the spectrum of a rho commuting with sigma
         diag = rot
         lam = np.where(keep, rot / np.where(keep, w, 1.0), 0.0).max(axis=-1)
@@ -305,13 +310,8 @@ _ZOOM_XATOL = 1e-9  # zooming stops once every bracket in k is this narrow
 MAX_AXIS_GRID = 10_000
 
 
-def _axis_state(axis: int, k: float) -> DensityMatrix:
-    """Bell-diagonal state with the single correlation k on one axis."""
-    return bell_diagonal(tuple(float(k) if a == axis else 0.0 for a in range(3)))
-
-
 def _axis_pencil_values(p: tuple[float, ...], ks: np.ndarray) -> np.ndarray:
-    """min_scaling_robustness(rho, _axis_state(a, k)) for every axis a and
+    """min_scaling_robustness(rho, sigma_a(k)) for every axis a and
     every k in row a of ``ks`` (shape (3, n)), given the Bell weights
     p = c.weights() of a Bell-diagonal rho.
 
@@ -327,10 +327,10 @@ def _axis_grid(lo: np.ndarray, hi: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Points lo + (hi - lo) * steps for every axis, shape (3, len(steps)).
 
     A point whose vanishing support weight (1 - |k|)/4 would fall below
-    10*cutoff (that is, 1 - |k| < 40*cutoff) snaps to k = +-1, so the
+    _SUPPORT_MIN (that is, 1 - |k| < 40*cutoff) snaps to k = +-1, so the
     min-scaling evaluator can decide the support rank at every point."""
     ks = lo[:, None] + (hi - lo)[:, None] * steps
-    near_edge = 0.25 * (1.0 - np.abs(ks)) < TOLS.support_cutoff * 10.0
+    near_edge = 0.25 * (1.0 - np.abs(ks)) < _SUPPORT_MIN
     return np.where(near_edge, np.sign(ks), ks)
 
 
@@ -353,10 +353,26 @@ def discord_robustness_axis_opt(
     min-scaling evaluator.  Ties between axes resolve to the lowest axis
     index, making witnesses deterministic.  ``grid`` must be an integer
     in [2, MAX_AXIS_GRID] (ValidationError otherwise).
+
+    A rho with at most one nonzero correlation is itself an axis state, so
+    it is free: value exactly 0, rho as the free witness, no evaluation
+    and a bracket of width 0 (axis 1 when every correlation is 0).  The
+    test is for exact zeros, so a genuine value of 1e-11 still goes
+    through the scan.
     """
     if not isinstance(c, BellDiagonalParams):
         c = BellDiagonalParams(*c)
     grid = check_count("grid", grid, least=2, most=MAX_AXIS_GRID)
+    on_axis = [a for a, ca in enumerate(c.as_tuple()) if ca != 0.0]
+    if len(on_axis) <= 1:  # rho is itself the axis state sigma_a(c_a)
+        return RobustnessResult(
+            value=0.0,
+            noise_witness=None,
+            free_witness=bell_diagonal(c),
+            method=f"axis-opt[a={on_axis[0] + 1 if on_axis else 1}]",
+            iterations=0,
+            bracket_width=0.0,
+        )
     p = c.weights()
     axes = np.arange(3)
     lo = hi = np.full(3, math.nan)  # no bracket before the grid scan
@@ -412,8 +428,7 @@ def discord_robustness_axis_opt(
         e[best_axis] -= best_k
         d = [-0.25 * (e[0] * s1 + e[1] * s2 + e[2] * s3) for s1, s2, s3 in zip(*BELL_SIGNS)]
         w = [0.25 * (1.0 + best_k * s) for s in BELL_SIGNS[best_axis]]
-        support = TOLS.support_cutoff * 10.0  # sigma's support, as evaluated
-        v_exact = max(-di / wi for di, wi in zip(d, w) if wi >= support)
+        v_exact = max(-di / wi for di, wi in zip(d, w) if wi >= _SUPPORT_MIN)
         if v_exact > 0.0:
             tau_w = [wi + di / v_exact for di, wi in zip(d, w)]
         else:
@@ -428,7 +443,7 @@ def discord_robustness_axis_opt(
             bracket_width=width,
         )
     tau = DensityMatrix((_BELL * tau_w) @ _BELL.T, (2, 2), validate=False)
-    sigma = _axis_state(best_axis, best_k)
+    sigma = DensityMatrix((_BELL * w) @ _BELL.T, (2, 2), validate=False)
     return RobustnessResult(
         value=best_val,
         noise_witness=tau,
@@ -472,7 +487,17 @@ def _lambda_min(sigma0: DensityMatrix) -> float:
 
 def lipschitz_from_kappa_ball(sigma0: DensityMatrix, kappa: float) -> LipschitzConstant:
     """Constant (1 - lambda_min(sigma0))/kappa from a free ball of radius
-    kappa around sigma0 (valid for star-convex free sets containing it)."""
+    kappa around sigma0 (valid for star-convex free sets containing it).
+
+    The ratio it bounds is |R(rho1) - R(rho2)| / ||rho1 - rho2||_1 in the
+    full trace norm.  The oracles' kappa are not the largest trace-norm
+    radii: 1/sqrt(12) for ``ppt`` is the Gurvits-Barnum Frobenius radius
+    and 1/4 for ``unfaithful`` the operator-norm radius, which give
+    sqrt(27/4) = 2.598 and 3 around 1/4.  The largest trace-norm radii,
+    sqrt(2) - 1 and 1/2, would give 1.81 and 1.5, below the exact
+    constants 1 + sqrt(2) and 2 of the rays toward 1/4: the formula holds
+    here only with the smaller radii.
+    """
     kappa = check_finite("kappa", kappa, strict=True)
     lam = _lambda_min(sigma0)
     return LipschitzConstant(
@@ -482,10 +507,10 @@ def lipschitz_from_kappa_ball(sigma0: DensityMatrix, kappa: float) -> LipschitzC
 
 
 def bound_from_kappa_ball(sigma0: DensityMatrix, kappa: float) -> float:
-    """Uniform robustness bound 2(1 - lambda_min(sigma0))/kappa - 1 under the
-    same hypotheses as :func:`lipschitz_from_kappa_ball`."""
-    kappa = check_finite("kappa", kappa, strict=True)
-    return 2.0 * (1.0 - _lambda_min(sigma0)) / kappa - 1.0
+    """Uniform robustness bound 2L - 1, with L = (1 - lambda_min(sigma0))/kappa
+    the constant of :func:`lipschitz_from_kappa_ball`, under the same
+    hypotheses."""
+    return 2.0 * lipschitz_from_kappa_ball(sigma0, kappa).L - 1.0
 
 
 def lipschitz_full_rank(sigma0: DensityMatrix) -> LipschitzConstant:

@@ -130,8 +130,15 @@ def has_zero_discord(rho: DensityMatrix) -> bool:
 
 
 def separable_ball_radius(d_a: int = 2, d_b: int = 2) -> float:
-    """Trace-norm radius of the Gurvits ball of separable states around 1/D;
-    ``d_a`` and ``d_b`` must be integers >= 2 (ValidationError otherwise)."""
+    """Radius 1/sqrt(D(D-1)) of the Gurvits-Barnum ball of separable states
+    around 1/D, D = d_a d_b; ``d_a`` and ``d_b`` must be integers >= 2
+    (ValidationError otherwise).
+
+    The radius is a Frobenius-norm one.  Since ||X||_2 <= ||X||_1, the
+    trace-norm ball of the same radius lies inside it, so it is also a
+    trace-norm radius, but not the largest: for two qubits the largest
+    trace-norm ball around 1/4 inside PPT has radius sqrt(2) - 1, against
+    1/sqrt(12) = 0.289 here (see :func:`robustlab.engines.lipschitz_from_kappa_ball`)."""
     d = check_count("d_a", d_a, least=2) * check_count("d_b", d_b, least=2)
     return 1.0 / math.sqrt(d * (d - 1))
 
@@ -145,8 +152,14 @@ def gurvits_ball_contains(rho: DensityMatrix) -> bool:
 
 
 def teleportation_ball_radius(d: int = 2) -> float:
-    """Trace-norm radius (d-1)/d^2 of the teleportation-unfaithful ball
-    around 1/d^2; ``d`` must be an integer >= 2 (ValidationError otherwise)."""
+    """Radius (d-1)/d^2 of the teleportation-unfaithful ball around 1/d^2;
+    ``d`` must be an integer >= 2 (ValidationError otherwise).
+
+    The radius is the largest one in operator norm: the singlet fraction of
+    1/d^2 + X is at most 1/d^2 + lambda_max(X).  It is also a Frobenius and
+    a trace-norm radius, but not the largest trace-norm one: for a
+    traceless X, lambda_max(X) <= ||X||_1/2, which gives 2(d-1)/d^2, that
+    is 1/2 for two qubits against 1/4 here."""
     d = check_count("d", d, least=2)
     return (d - 1) / float(d * d)
 
@@ -293,7 +306,7 @@ def _sample_ppt(rng: np.random.Generator) -> DensityMatrix:
     raise ConfigurationError("rejection sampler found no PPT state")
 
 
-def _sample_axis_state(rng: np.random.Generator) -> DensityMatrix:
+def _sample_bds_axes(rng: np.random.Generator) -> DensityMatrix:
     axis = int(rng.integers(0, 3))
     k = float(rng.uniform(-1.0, 1.0))
     c = [0.0, 0.0, 0.0]
@@ -359,7 +372,7 @@ def bds_axes_oracle() -> FreeSetOracle:
         member=member,
         star_center=maximally_mixed(),
         kappa=None,
-        sampler=_sample_axis_state,
+        sampler=_sample_bds_axes,
     )
 
 

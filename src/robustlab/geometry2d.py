@@ -324,19 +324,23 @@ def _first_hit(tx: float, ty: float, point) -> Optional[float]:
     dx, dy = tx - px, ty - py
     dlen = math.hypot(dx, dy)
     best = None
-    hits = []
+    # one pass, segments then polygons; the two loops keep the same rule
+    # written out, since a shared helper costs a call per chord test
     if dlen >= 1e-15:  # else the chord is the point p, which no segment holds
         for seg in segments:
-            hits.append(_hit_segment(px, py, dx, dy, dlen, seg, tol))
+            u = _hit_segment(px, py, dx, dy, dlen, seg, tol)
+            if u is None or not (best is None or u < best):
+                continue
+            if math.hypot(px + u * dx - tx, py + u * dy - ty) <= guard:
+                continue
+            best = u
     for faces in polygons:
-        hits.append(_hit_polygon(dx, dy, faces))
-    for u in hits:
-        if u is None:
+        u = _hit_polygon(dx, dy, faces)
+        if u is None or not (best is None or u < best):
             continue
         if math.hypot(px + u * dx - tx, py + u * dy - ty) <= guard:
             continue
-        if best is None or u < best:
-            best = u
+        best = u
     return best
 
 
@@ -494,65 +498,58 @@ def counterexample1_exact(t: float, delta: float = 0.2) -> float:
 
 # --- reference construction 2: a jump with the infimum attained -------------
 
+# the triangle's third vertex, at angle pi/2 from the edge toward (1, 0);
+# cos(pi/2) is 6.1e-17, not 0, and every solve on the scene reads it
+_CE2_COS, _CE2_SIN = math.cos(math.pi / 2), math.sin(math.pi / 2)
 
-def scene_counterexample2(
-    a: float = 1.0, b: float = 1.0, angle: float = math.pi / 2
-) -> PlanarScene:
-    """Two isolated free points inside a triangle with apex at the origin.
 
-    sigma_a sits at the midpoint of the edge toward (a, 0); sigma_b sits
-    two thirds of the way along the edge at the given angle.  Global
-    robustness is finite only on the two edges (the noise must lie beyond
-    the free point, inside the triangle), which makes the value along the
-    second family jump at the apex.
+def scene_counterexample2() -> PlanarScene:
+    """Two isolated free points inside the triangle (0, 0), (1, 0),
+    (cos(pi/2), sin(pi/2)), with apex at the origin.
+
+    sigma_a sits at the midpoint of the edge toward (1, 0); sigma_b sits
+    two thirds of the way along the other edge.  Global robustness is
+    finite only on the two edges (the noise must lie beyond the free
+    point, inside the triangle), which makes the value along the second
+    family jump at the apex.
     """
-    if a <= 0 or b <= 0:
-        raise ValidationError("edge lengths must be positive")
-    if not 0.0 < angle < math.pi:
-        raise ValidationError(f"angle must be in (0, pi), got {angle!r}")
-    cos, sin = math.cos(angle), math.sin(angle)
-    sigma_a = (a / 2.0, 0.0)
-    sigma_b = (2.0 * b / 3.0 * cos, 2.0 * b / 3.0 * sin)
+    sigma_a = (0.5, 0.0)
+    sigma_b = (2.0 / 3.0 * _CE2_COS, 2.0 / 3.0 * _CE2_SIN)
     free = PlanarFreeSet(
         segments=[(sigma_a, sigma_a), (sigma_b, sigma_b)],
         star_center=None,
     )
-    tri = [(0.0, 0.0), (a, 0.0), (b * cos, b * sin)]
+    tri = [(0.0, 0.0), (1.0, 0.0), (_CE2_COS, _CE2_SIN)]
     return PlanarScene(tri, free)
 
 
-def _apex_parameter(which: str, t: float, a: float, b: float) -> float:
-    """Parameter at which family ``which`` reaches the apex (a/2 on 'a',
-    2b/3 on 'b'), after checking the family name and 0 <= t <= apex."""
+def _apex_parameter(which: str, t: float) -> float:
+    """Parameter at which family ``which`` reaches the apex (1/2 on 'a',
+    2/3 on 'b'), after checking the family name and 0 <= t <= apex."""
     if which not in ("a", "b"):
         raise ValidationError(f"family must be 'a' or 'b', got {which!r}")
-    apex = a / 2.0 if which == "a" else 2.0 * b / 3.0
+    apex = 0.5 if which == "a" else 2.0 / 3.0
     if not 0.0 <= t <= apex:
         raise ValidationError(f"family {which!r} needs t in [0, {apex}], got {t!r}")
     return apex
 
 
-def counterexample2_point(
-    which: str, t: float, a: float = 1.0, b: float = 1.0,
-    angle: float = math.pi / 2
-) -> tuple[float, float]:
+def counterexample2_point(which: str, t: float) -> tuple[float, float]:
     """Families sliding from a free point toward the apex: family 'a'
-    starts at sigma_a (reaches the apex at t = a/2), family 'b' starts at
-    sigma_b (reaches the apex at t = 2b/3)."""
-    r = _apex_parameter(which, t, a, b) - t
+    starts at sigma_a (reaches the apex at t = 1/2), family 'b' starts at
+    sigma_b (reaches the apex at t = 2/3)."""
+    r = _apex_parameter(which, t) - t
     if which == "a":
         return (r, 0.0)
-    return (r * math.cos(angle), r * math.sin(angle))
+    return (r * _CE2_COS, r * _CE2_SIN)
 
 
-def counterexample2_exact(
-    which: str, t: float, a: float = 1.0, b: float = 1.0
-) -> float:
-    """Global robustness along the two families: 2t/a on family 'a'
-    (continuous up to 1 at the apex), 3t/b on family 'b' except at the
-    apex itself, where the route through sigma_a takes over and the value
-    drops to 1 while the one-sided limit is 2."""
-    apex = _apex_parameter(which, t, a, b)
+def counterexample2_exact(which: str, t: float) -> float:
+    """Global robustness along the two families: 2t on family 'a'
+    (continuous up to 1 at the apex), 3t on family 'b' except at the apex
+    itself, where the route through sigma_a takes over and the value drops
+    to 1 while the one-sided limit is 2."""
+    apex = _apex_parameter(which, t)
     if which == "a":
-        return 2.0 * t / a
-    return 1.0 if t == apex else 3.0 * t / b
+        return 2.0 * t
+    return 1.0 if t == apex else 3.0 * t

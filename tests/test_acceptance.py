@@ -110,7 +110,7 @@ def test_criterion_3_jump_for_connected_free_set():
 
 
 def test_criterion_4_jump_with_attained_infimum():
-    scene = scene_counterexample2(a=1.0, b=1.0)
+    scene = scene_counterexample2()
     apex_a = counterexample2_point("a", 0.5)
     apex_b = counterexample2_point("b", 2.0 / 3.0)
     same_point = apex_a == apex_b

@@ -25,7 +25,7 @@ from robustlab.audit import (
     ray_measure,
 )
 from robustlab.config import TOLS
-from robustlab.engines import discord_robustness_bds
+from robustlab.engines import discord_robustness_bds, robustness_along_ray
 from robustlab.errors import ConfigurationError, ValidationError
 from robustlab.free_sets import bds_params_of, oracle_by_name, sample_trace_ball
 from robustlab.operator_core import partial_transpose, trace_norm
@@ -359,6 +359,50 @@ class TestRayMeasure:
         rep = audit_lipschitz(measure, math.sqrt(27.0 / 4.0), AuditConfig(samples=15))
         assert rep.passed
         assert rep.max_ratio <= math.sqrt(27.0 / 4.0)
+
+    @staticmethod
+    def steepest_pairs():
+        """Pairs rho_alpha +- 1e-3 D where the PPT ray toward 1/4 is steepest.
+
+        x = cos(pi/8)|00> + sin(pi/8)|11> is the negative eigenvector of
+        rho_alpha^Gamma, with rho_alpha = (alpha 1 - (xx^dag)^Gamma)/(4 alpha - 1),
+        so the ray's value is -4 lambda_min(rho^Gamma) near rho_alpha and its
+        gradient is -4 (xx^dag)^Gamma.  D = (uu^dag - vv^dag)/2, from that
+        gradient's top and bottom eigenvectors, has trace norm 1 and the
+        largest directional derivative, half the spread: 1 + sqrt(2).
+        """
+        x = np.zeros(4)
+        x[0], x[3] = math.cos(math.pi / 8), math.sin(math.pi / 8)
+        x_gamma = partial_transpose(np.outer(x, x), (2, 2), 1)
+        vecs = np.linalg.eigh(-4.0 * x_gamma)[1]
+        u, v = vecs[:, -1], vecs[:, 0]
+        d = (np.outer(u, u) - np.outer(v, v)) / 2.0
+        pairs = []
+        for alpha in (0.87, 0.93, 0.99):
+            rho = (alpha * np.eye(4) - x_gamma) / (4.0 * alpha - 1.0)
+            pairs.append((f"steepest[{alpha}]", DensityMatrix(rho + 1e-3 * d, (2, 2)),
+                          DensityMatrix(rho - 1e-3 * d, (2, 2))))
+        return pairs
+
+    def test_steepest_pairs_reach_one_plus_sqrt2(self):
+        ppt = oracle_by_name("ppt")
+        for _, r1, r2 in self.steepest_pairs():
+            m1 = robustness_along_ray(r1, maximally_mixed(), ppt, tol=1e-12).value
+            m2 = robustness_along_ray(r2, maximally_mixed(), ppt, tol=1e-12).value
+            ratio = abs(m1 - m2) / trace_norm(r1.mat - r2.mat)
+            assert ratio == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-6)
+
+    def test_audit_sees_a_constant_below_the_steepest_ratio(self):
+        # the sampled batch of audit --check lipschitz --samples 1000 reads
+        # max_ratio 2.0426 at seed 0, so it passes L = 2.4 < 1 + sqrt(2);
+        # the steepest pairs fail it, and the kappa-ball constant passes
+        measure = ray_measure(maximally_mixed(), oracle_by_name("ppt"))
+        pairs = self.steepest_pairs()
+        low = audit_lipschitz(measure, 2.4, AuditConfig(), pairs=pairs)
+        assert low.violations == 3
+        assert low.max_ratio == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-4)
+        ball = audit_lipschitz(measure, math.sqrt(27.0 / 4.0), AuditConfig(), pairs=pairs)
+        assert ball.passed
 
 
 class TestAuditFaithfulness:

@@ -19,7 +19,6 @@ from robustlab.errors import (
 from robustlab.engines import (
     MAX_AXIS_GRID,
     _axis_pencil_values,
-    _axis_state,
     _min_scaling_values,
     bound_from_kappa_ball,
     discord_levelset_grid,
@@ -438,14 +437,16 @@ class TestAxisOpt:
 
     @pytest.mark.parametrize("grid", [16, 64])
     def test_single_axis_witness_is_a_state(self, grid):
-        # zero-discord inputs: the k bracket leaves a residual value near
-        # 1e-11, and the witness ((1+v) sigma - rho)/v formed from the two
-        # matrices divided rounding by it (lambda_min down to -4.2e-6)
+        # a state with at most one nonzero correlation is an axis state: it
+        # is free, with value exactly 0 and no evaluation (the k bracket of
+        # a scan would leave a residual value near 1e-11)
         for axis in range(3):
             for k in np.linspace(-1.0, 1.0, 21):
                 c = tuple(float(k) if a == axis else 0.0 for a in range(3))
                 res = discord_robustness_axis_opt(c, grid=grid)
-                assert res.value <= 1e-9, (c, grid)
+                assert res.value == 0.0, (c, grid)
+                assert (res.iterations, res.bracket_width) == (0, 0.0), (c, grid)
+                assert res.method == f"axis-opt[a={axis + 1 if k else 1}]", (c, grid)
                 self._assert_witnesses(c, res)
 
     @pytest.mark.parametrize("grid", [16, 64])
@@ -489,6 +490,11 @@ class TestAxisOpt:
             discord_robustness_axis_opt((0.5, 0.3, 0.0), grid=grid)
 
 
+def axis_state(axis, k):
+    """The Bell-diagonal state with the single correlation k on one axis."""
+    return bell_diagonal(tuple(float(k) if a == axis else 0.0 for a in range(3)))
+
+
 def bell_weights(params):
     if not isinstance(params, BellDiagonalParams):
         params = BellDiagonalParams(*params)
@@ -502,7 +508,7 @@ class TestAxisPencil:
     def scalar(params, ks):
         rho = bell_diagonal(params)
         return np.array([
-            [min_scaling_robustness(rho, _axis_state(a, k)) for k in ks[a]]
+            [min_scaling_robustness(rho, axis_state(a, k)) for k in ks[a]]
             for a in range(3)
         ])
 
@@ -581,7 +587,7 @@ class TestAxisPencil:
         k = 1.0 - 4.0e-10  # vanishing weight (1 - k)/4 = 1e-10 sits in the band
         rho = bell_diagonal((0.5, 0.3, 0.1))
         with pytest.raises(IllConditionedError):
-            min_scaling_robustness(rho, _axis_state(0, k))
+            min_scaling_robustness(rho, axis_state(0, k))
         with pytest.raises(IllConditionedError):
             _axis_pencil_values(bell_weights((0.5, 0.3, 0.1)), np.full((3, 1), k))
 
@@ -684,6 +690,22 @@ class TestLipschitzConstants:
             lipschitz_teleport(1)
         with pytest.raises(ValidationError):
             teleport_robustness_bound(1)
+
+    def test_kappa_ball_constants_bound_the_exact_ones(self):
+        # kappa is the Gurvits-Barnum Frobenius radius 1/sqrt(12) for PPT and
+        # the operator-norm radius 1/4 for the unfaithful set; the exact
+        # trace-norm constants of the rays toward 1/4 are 1 + sqrt(2) and 2
+        mm = maximally_mixed()
+        for name, exact, shipped in (("ppt", 1.0 + math.sqrt(2.0), math.sqrt(27.0 / 4.0)),
+                                     ("unfaithful", 2.0, 3.0)):
+            oracle = oracle_by_name(name)
+            L = lipschitz_from_kappa_ball(oracle.star_center, oracle.kappa).L
+            assert L == pytest.approx(shipped, abs=1e-12)
+            assert L >= exact
+        # the largest trace-norm balls around 1/4, radii sqrt(2) - 1 and 1/2,
+        # give 1.81 and 1.5: the formula holds only with the smaller radii
+        assert lipschitz_from_kappa_ball(mm, math.sqrt(2.0) - 1.0).L < 1.0 + math.sqrt(2.0)
+        assert lipschitz_from_kappa_ball(mm, 0.5).L < 2.0
 
     def test_kappa_validation(self):
         with pytest.raises(ValidationError):
