@@ -117,11 +117,11 @@ def _state_arg(args) -> DensityMatrix:
     raise ValidationError("provide a state via --bds or --state")
 
 
-def _noise_arg(spec: str) -> DensityMatrix:
+def _noise_arg(spec: str, dims: tuple[int, ...]) -> DensityMatrix:
     if spec == "maxmixed":
         from . import qstates
 
-        return qstates.maximally_mixed()
+        return qstates.maximally_mixed(dims)
     if spec.startswith("state:"):
         return _load_state(spec[len("state:"):])
     raise ValidationError(f"--noise must be 'maxmixed' or 'state:<file>', got {spec!r}")
@@ -203,7 +203,7 @@ def _cmd_ent_ray(args) -> tuple[int, dict]:
     from . import engines, free_sets, qstates
 
     rho = _state_arg(args)
-    sigma = _noise_arg(args.noise)
+    sigma = _noise_arg(args.noise, rho.dims)
     oracle = free_sets.oracle_by_name(args.free_set)
     res = engines.robustness_along_ray(rho, sigma, oracle, s_max=args.s_max, tol=args.tol)
     payload = {
@@ -270,18 +270,6 @@ def _cmd_levelset(args) -> tuple[int, dict]:
     }
 
 
-def _audit_measure(name: str):
-    from . import audit, free_sets, qstates
-
-    if name == "ppt-ray":
-        return audit.ray_measure(qstates.maximally_mixed(), free_sets.oracle_by_name("ppt"))
-    if name == "discord-filtered":
-        return audit.discord_filtered_measure
-    raise ValidationError(
-        f"--measure must be 'ppt-ray' or 'discord-filtered', got {name!r}"
-    )
-
-
 def _cmd_audit(args) -> tuple[int, dict]:
     from . import audit as audit_mod, engines, free_sets
 
@@ -291,8 +279,11 @@ def _cmd_audit(args) -> tuple[int, dict]:
     cfg = audit_mod.AuditConfig(
         samples=args.samples, seed=args.seed, tolerance=args.tol
     )
-    measure = _audit_measure(args.measure)
     oracle = free_sets.oracle_by_name(args.free_set)
+    if args.measure == "ray":
+        measure = audit_mod.ray_measure(oracle.star_center, oracle)
+    else:
+        measure = audit_mod.discord_filtered_measure
     if args.check == "lipschitz":
         L = args.L
         if L is None:
@@ -394,7 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="statistical continuity and structure audits")
     p.add_argument("--check", required=True,
                    choices=("lipschitz", "faithfulness", "monotonicity", "convexity"))
-    p.add_argument("--measure", default="ppt-ray")
+    p.add_argument("--measure", choices=("ray", "discord-filtered"), default="ray",
+                   help="ray: robustness along the noise ray toward the free set's star center")
     p.add_argument("--free-set", default="ppt")
     p.add_argument("--L", type=float, default=None)
     p.add_argument("--samples", type=int, default=100)

@@ -43,10 +43,6 @@ __all__ = [
     "singlet_fraction",
     "is_unfaithful",
     "bds_params_of",
-    "ppt_oracle",
-    "zero_discord_oracle",
-    "unfaithful_oracle",
-    "bds_axes_oracle",
     "oracle_by_name",
     "star_convexity_probe",
     "sample_trace_ball",
@@ -314,84 +310,64 @@ def _sample_bds_axes(rng: np.random.Generator) -> DensityMatrix:
     return bell_diagonal(BellDiagonalParams(*c))
 
 
-# --- oracle constructors -----------------------------------------------------
+# --- oracles by name ---------------------------------------------------------
 
 
-def ppt_oracle() -> FreeSetOracle:
-    """States with positive partial transpose; star center 1/4 with the
-    separable-ball radius attached."""
-    return FreeSetOracle(
-        name="ppt",
-        member=is_ppt,
-        star_center=maximally_mixed(),
-        kappa=separable_ball_radius(2, 2),
-        sampler=_sample_ppt,
-        lmi=_PPT_LMI,
-    )
+def _in_bds_axes(rho: DensityMatrix) -> bool:
+    """Bell diagonal with at most one nonzero c_i: the zero-discord states
+    of the Bell-diagonal family."""
+    params = bds_params_of(rho)
+    if params is None:
+        return False
+    return discord_robustness_bds(params) <= TOLS.discord_membership
 
 
-def zero_discord_oracle() -> FreeSetOracle:
-    """Quantum-classical states (measurement side B).  Star-convex with
-    respect to 1/4 but contains no ball around it, hence kappa is None."""
-    return FreeSetOracle(
-        name="zero-discord",
-        member=has_zero_discord,
-        star_center=maximally_mixed(),
-        kappa=None,
-        sampler=random_quantum_classical,
-    )
-
-
-def unfaithful_oracle() -> FreeSetOracle:
-    """Teleportation-unfaithful states (maximal Bell overlap <= 1/2);
-    membership is exact, see :func:`is_unfaithful`."""
-    center = maximally_mixed()
-    kappa = teleportation_ball_radius(2)
-    return FreeSetOracle(
-        name="unfaithful",
-        member=is_unfaithful,
-        star_center=center,
-        kappa=kappa,
-        sampler=lambda rng: sample_trace_ball(center, kappa, rng),
-        lmi=_UNFAITHFUL_LMI,
-    )
-
-
-def bds_axes_oracle() -> FreeSetOracle:
-    """Bell-diagonal states on a coordinate axis of the tetrahedron
-    (at most one nonzero c_i); the zero-discord states within that family."""
-
-    def member(rho: DensityMatrix) -> bool:
-        params = bds_params_of(rho)
-        if params is None:
-            return False
-        return discord_robustness_bds(params) <= TOLS.discord_membership
-
-    return FreeSetOracle(
-        name="bds-axes",
-        member=member,
-        star_center=maximally_mixed(),
-        kappa=None,
-        sampler=_sample_bds_axes,
-    )
-
-
-_ORACLES = {
-    "ppt": ppt_oracle,
-    "zero-discord": zero_discord_oracle,
-    "unfaithful": unfaithful_oracle,
-    "bds-axes": bds_axes_oracle,
-}
+_FREE_SETS = ("bds-axes", "ppt", "unfaithful", "zero-discord")
 
 
 def oracle_by_name(name: str) -> FreeSetOracle:
-    try:
-        factory = _ORACLES[name]
-    except KeyError:
+    """A fresh oracle for one of the built-in two-qubit free sets, each with
+    star center 1/4:
+
+    - ``ppt``: states with positive partial transpose, with the
+      separable-ball radius as ``kappa``;
+    - ``zero-discord``: quantum-classical states (measurement side B),
+      star-convex with respect to 1/4 but with no ball around it, hence
+      ``kappa`` None;
+    - ``unfaithful``: teleportation-unfaithful states (maximal Bell overlap
+      <= 1/2, exact, see :func:`is_unfaithful`), with the teleportation
+      ball radius as ``kappa``;
+    - ``bds-axes``: Bell-diagonal states on a coordinate axis of the
+      tetrahedron (at most one nonzero c_i), the zero-discord states within
+      that family; ``kappa`` None.
+
+    The membership tests are read from this module at call time, so an
+    oracle built after ``is_ppt``, ``has_zero_discord`` or ``is_unfaithful``
+    is rebound calls the new binding.  Any other name raises
+    ConfigurationError.
+    """
+    if name not in _FREE_SETS:
         raise ConfigurationError(
-            f"unknown free set {name!r}; choose from {sorted(_ORACLES)}"
-        ) from None
-    return factory()
+            f"unknown free set {name!r}; choose from {list(_FREE_SETS)}"
+        )
+    center = maximally_mixed()
+    if name == "ppt":
+        return FreeSetOracle(
+            name, is_ppt, center, separable_ball_radius(2, 2), _sample_ppt, lmi=_PPT_LMI
+        )
+    if name == "zero-discord":
+        return FreeSetOracle(name, has_zero_discord, center, sampler=random_quantum_classical)
+    if name == "unfaithful":
+        kappa = teleportation_ball_radius(2)
+        return FreeSetOracle(
+            name,
+            is_unfaithful,
+            center,
+            kappa,
+            lambda rng: sample_trace_ball(center, kappa, rng),
+            lmi=_UNFAITHFUL_LMI,
+        )
+    return FreeSetOracle(name, _in_bds_axes, center, sampler=_sample_bds_axes)
 
 
 # --- star-convexity probe ----------------------------------------------------

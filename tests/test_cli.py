@@ -223,6 +223,22 @@ class TestEntRay:
         assert (code, out) == (4, "")
         assert "pattern FTFFFFFFF" in err
 
+    @pytest.mark.parametrize("noisy, value", [(True, 1.8), (False, 0.0)])
+    def test_default_noise_has_the_state_dims(self, capsys, tmp_path, noisy, value):
+        # 0.7 psi + 0.3/6 with psi = (|00> + |11>)/sqrt(2) on a qubit-qutrit
+        # pair is PPT from 0.7/(1 + s) = 1/4 on, s = 1.8; the default noise
+        # used to be the two-qubit 1/4, which exited 2 on dims (2, 3)
+        psi = np.zeros(6)
+        psi[[0, 4]] = 1.0 / math.sqrt(2.0)
+        rho = np.eye(6) / 6.0
+        if noisy:
+            rho = 0.7 * np.outer(psi, psi) + 0.3 * rho
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"dims": [2, 3], "re": rho.tolist(), "im": [[0.0] * 6] * 6}))
+        payload = run_json(capsys, "ent-ray", "--state", str(path))
+        assert payload["value"] == pytest.approx(value, abs=1e-6)
+        assert payload["free_witness"]["dims"] == [2, 3]
+
     def test_bad_noise_spec(self, capsys):
         code, _, err = run_cli(capsys, "ent-ray", "--bds", "0,0,0", "--noise", "foo")
         assert code == 2
@@ -456,7 +472,10 @@ class TestLevelsetArguments:
 def audit_argv(draw):
     check = draw(st.sampled_from(["lipschitz", "faithfulness", "monotonicity", "convexity"]))
     argv = ["audit", f"--check={check}", f"--samples={draw(st.integers(-2, 3))}"]
-    for flag, values in (("--L", _NUMBER), ("--tol", _NUMBER),
+    for flag, values in (("--measure", st.sampled_from(["ray", "discord-filtered"])),
+                         ("--free-set", st.sampled_from(
+                             ["ppt", "zero-discord", "unfaithful", "bds-axes", "nonesuch"])),
+                         ("--L", _NUMBER), ("--tol", _NUMBER),
                          ("--seed", st.integers(-3, 2**70).map(str))):
         if draw(st.booleans()):
             argv.append(f"{flag}={draw(values)}")
@@ -656,7 +675,7 @@ class TestAudit:
 
     def test_faithfulness(self, capsys):
         payload = run_json(
-            capsys, "audit", "--check", "faithfulness", "--measure", "ppt-ray",
+            capsys, "audit", "--check", "faithfulness", "--measure", "ray",
             "--free-set", "ppt", "--samples", "10",
         )
         assert payload["passed"] is True
@@ -664,10 +683,44 @@ class TestAudit:
 
     def test_convexity(self, capsys):
         payload = run_json(
-            capsys, "audit", "--check", "convexity", "--measure", "ppt-ray",
+            capsys, "audit", "--check", "convexity", "--measure", "ray",
             "--samples", "6",
         )
         assert payload["passed"] is True
+
+    def test_ray_measures_its_free_set(self, capsys):
+        # the ray toward 1/4 of the unfaithful set, against its kappa-ball
+        # constant 3; the PPT ray, measured whatever --free-set said, read
+        # max_ratio 2.019849 here
+        payload = run_json(capsys, "audit", "--check", "lipschitz", "--free-set", "unfaithful",
+                           "--samples", "20", "--seed", "0")
+        unfaithful = oracle_by_name("unfaithful")
+        rep = audit_mod.audit_lipschitz(
+            audit_mod.ray_measure(maximally_mixed(), unfaithful), 3.0,
+            audit_mod.AuditConfig(samples=20, seed=0),
+        )
+        assert payload["L"] == rep.L_claimed == 3.0
+        assert payload["max_ratio"] == rep.max_ratio
+        assert payload["pairs_tested"] == rep.pairs_tested
+        assert round(payload["max_ratio"], 6) == 1.970942
+        assert payload["passed"] is True
+
+    def test_zero_discord_ray_is_faithful(self, capsys):
+        # the PPT ray read 0 on 16 of these 50 non-free states, which are
+        # PPT but have discord
+        payload = run_json(capsys, "audit", "--check", "faithfulness",
+                           "--free-set", "zero-discord", "--samples", "50", "--seed", "3")
+        assert payload["nonfree_zero"] == 0
+        assert payload["passed"] is True
+
+    def test_ppt_ray_measure_removed(self):
+        proc = run_subprocess("audit", "--check", "lipschitz", "--measure", "ppt-ray")
+        assert proc.returncode == 2
+        assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+            "robustlab audit: error: argument --measure: invalid choice: 'ppt-ray' "
+            "(choose from 'ray', 'discord-filtered')"
+        ]
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("check,samples", [("lipschitz", "0"), ("convexity", "-3")])
     def test_empty_batch_exits_two(self, check, samples):

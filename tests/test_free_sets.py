@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
+from robustlab import free_sets
 from robustlab.config import TOLS
 from robustlab.engines import robustness_along_ray
 from robustlab.errors import ConfigurationError, ValidationError
@@ -421,7 +422,21 @@ class TestOracles:
         for name in ("ppt", "zero-discord", "unfaithful", "bds-axes"):
             oracle = oracle_by_name(name)
             assert oracle.name == name
+            assert np.array_equal(oracle.star_center.mat, np.eye(4) / 4.0)
             assert oracle.member(maximally_mixed())
+
+    @pytest.mark.parametrize("name, attr", [
+        ("ppt", "is_ppt"), ("zero-discord", "has_zero_discord"), ("unfaithful", "is_unfaithful"),
+    ])
+    def test_member_test_read_at_call_time(self, monkeypatch, name, attr):
+        # a tracer that rebinds the module's membership tests must see them
+        # called by every oracle built afterwards
+        def traced(rho):
+            return True
+
+        monkeypatch.setattr(free_sets, attr, traced)
+        assert oracle_by_name(name).member is traced
+        assert oracle_by_name(name) is not oracle_by_name(name)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError, match="unknown free set"):
