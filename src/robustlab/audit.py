@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import TOLS, check_count, check_finite, resolve
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 from .engines import discord_filtered_measure, robustness_along_ray
 from .free_sets import FreeSetOracle, sample_trace_ball
 from .qstates import (
@@ -271,8 +271,9 @@ def channel_local_unitary(u_a: np.ndarray, u_b: np.ndarray) -> Channel:
 
 
 def channel_depolarizing(q: float) -> Channel:
+    """rho -> (1 - q) rho + q 1/d, for q in [0, 1] (ValidationError otherwise)."""
     if not 0.0 <= q <= 1.0:
-        raise ConfigurationError(f"depolarizing weight must be in [0, 1], got {q!r}")
+        raise ValidationError(f"depolarizing weight must be in [0, 1], got {q!r}")
 
     def ch(rho: DensityMatrix) -> DensityMatrix:
         d = rho.dim

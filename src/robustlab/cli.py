@@ -325,7 +325,8 @@ def _cmd_audit(args) -> tuple[int, dict]:
             for f in dataclasses.fields(rep)
             if f.name != "first_violation"
         }
-    payload = {"v": SCHEMA_VERSION, "check": args.check, **fields, "passed": rep.passed}
+    payload = {"v": SCHEMA_VERSION, "check": args.check, "measure": args.measure,
+               "free_set": oracle.name, **fields, "passed": rep.passed}
     return (0 if rep.passed else 1), payload
 
 

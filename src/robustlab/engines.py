@@ -88,11 +88,10 @@ class LipschitzConstant:
     provenance: str
 
 
-# the ray's coarse scan tests the points s_max * f for these fractions f in
-# (0, 1] before bisecting; with a power-of-two count each point equals
+# the ray's coarse scan tests the points s_max * (i / _RAY_SCAN_POINTS) for
+# i = 1..8 before bisecting; with a power-of-two count each point equals
 # np.linspace(0, s_max, 9)[i] exactly
 _RAY_SCAN_POINTS = 8
-_RAY_SCAN = tuple(i / _RAY_SCAN_POINTS for i in range(1, _RAY_SCAN_POINTS + 1))
 
 
 def robustness_along_ray(
@@ -109,26 +108,23 @@ def robustness_along_ray(
     StarConvexityViolationError since bisection would then be unsound.
     The returned value is the feasible end of the final bracket, so the
     free witness is always a genuine member.  ``tol`` and ``s_max`` must be
-    finite and positive (ValidationError otherwise).  For an oracle without
-    ``lmi``, one finiteness check on rho + s_max sigma runs before the
-    first mixture is built, for the reason given below, so a state holding
-    NaN or inf raises ValidationError and not a numpy warning.
+    finite and positive (ValidationError otherwise).
 
-    For an oracle with an ``lmi`` field (L, lmi_tol), A = L(rho) is built
-    once, and B = L(sigma) only when rho itself is not free, so sigma is
-    never read on a ray of value 0.  Every probe is then
+    The ray probes the pencil (A + sB)/(1+s).  For an oracle without
+    ``lmi``, A = rho and B = sigma, and ``member`` is called on each
+    mixture.  For an oracle with an ``lmi`` field (L, lmi_tol), A = L(rho)
+    and B = L(sigma) are built once and every probe is
     lambda_min((A + sB)/(1+s)) >= -lmi_tol, the oracle's own rule on the
-    mixture, and a ``DensityMatrix`` is built only for the free witness.
-    The eight scan probes are independent, so they are one ``eigvalsh``
-    on the stack of their matrices, built with the scalar probe's float
-    operations (same flags; ``iterations`` still counts eight probes).
-    One finiteness check on A + s_max B covers every probe: for
+    mixture; the eight scan probes are one ``eigvalsh`` on the stack of
+    their matrices, built with the scalar probe's float operations (same
+    flags; ``iterations`` still counts eight probes).  One finiteness
+    check on A + s_max B, before the first probe, covers every probe: for
     0 <= s <= s_max each entry of A + sB lies between those of A and of
-    A + s_max B (ValidationError for NaN, inf or an overflow).  If no
-    scan point is free although lambda_min(B) > -lmi_tol, the mixtures
-    enter the set as s grows (they tend to sigma), so the value is finite
-    and past ``s_max``: RayRangeError.  Every other scan with no free point
-    returns inf.
+    A + s_max B, so NaN, inf or an overflow raises ValidationError, even
+    when rho is free.  For an ``lmi`` oracle, a scan with no free point
+    although lambda_min(B) > -lmi_tol raises RayRangeError: the mixtures
+    tend to sigma, so they enter the set past ``s_max`` and the value is
+    finite.  Every other scan with no free point returns inf.
     """
     if rho.dims != sigma.dims:
         raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
@@ -136,29 +132,36 @@ def robustness_along_ray(
     s_max = check_finite(
         "s_max", 2.0 * rho.dim if s_max is None else s_max, strict=True
     )
-    evals = 0
+    grid = [s_max * (i / _RAY_SCAN_POINTS) for i in range(_RAY_SCAN_POINTS + 1)]
 
     def mix(s: float) -> DensityMatrix:
         m = (rho.mat + s * sigma.mat) / (1.0 + s)
         return DensityMatrix(m, rho.dims, validate=False)
 
     if oracle.lmi is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # the check reports them
-            _require_finite(rho.mat + s_max * sigma.mat)
+        a, b = rho.mat, sigma.mat
 
         def member(s: float) -> bool:
-            nonlocal evals
-            evals += 1
             return bool(oracle.member(mix(s)))
 
-        free = member(0.0)
+        def scan() -> list[bool]:
+            return [member(s) for s in grid[1:]]
+
     else:
         to_matrix, lmi_tol = oracle.lmi
-        a = _require_finite(to_matrix(rho))
-        evals += 1
-        free = float(np.linalg.eigvalsh(a)[0]) >= -lmi_tol
+        a, b = to_matrix(rho), to_matrix(sigma)
 
-    if free:
+        def member(s: float) -> bool:
+            return float(np.linalg.eigvalsh((a + s * b) / (1.0 + s))[0]) >= -lmi_tol
+
+        def scan() -> list[bool]:
+            s = np.array(grid[1:])[:, None, None]
+            lam = np.linalg.eigvalsh((a + s * b) / (1.0 + s))
+            return (lam[:, 0] >= -lmi_tol).tolist()
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the check reports them
+        _require_finite(a + s_max * b)
+    if member(0.0):
         return RobustnessResult(
             value=0.0,
             noise_witness=sigma,
@@ -167,25 +170,8 @@ def robustness_along_ray(
             iterations=0,
             bracket_width=0.0,
         )
-
-    if oracle.lmi is not None:
-        b = to_matrix(sigma)
-        with np.errstate(over="ignore", invalid="ignore"):  # the check reports them
-            _require_finite(a + s_max * b)
-
-        def member(s: float) -> bool:
-            nonlocal evals
-            evals += 1
-            return float(np.linalg.eigvalsh((a + s * b) / (1.0 + s))[0]) >= -lmi_tol
-
-    grid = [0.0] + [s_max * f for f in _RAY_SCAN]
-    if oracle.lmi is None:
-        flags = [False] + [member(s) for s in grid[1:]]
-    else:
-        s = np.array(grid[1:])[:, None, None]
-        lam = np.linalg.eigvalsh((a + s * b) / (1.0 + s))
-        evals += _RAY_SCAN_POINTS
-        flags = [False] + (lam[:, 0] >= -lmi_tol).tolist()
+    flags = [False] + scan()
+    evals = 1 + _RAY_SCAN_POINTS
     if any(flags[i] and not flags[i + 1] for i in range(len(flags) - 1)):
         raise StarConvexityViolationError(
             f"membership along the ray toward the noise state is not monotone "
@@ -210,13 +196,13 @@ def robustness_along_ray(
             iterations=evals,
             bracket_width=math.inf,
         )
-    first_true = next(i for i, f in enumerate(flags) if f)
-    lo = float(grid[first_true - 1])
-    hi = float(grid[first_true])
+    first_true = flags.index(True)
+    lo, hi = grid[first_true - 1], grid[first_true]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # bracket at float resolution; tol is below it
             break
+        evals += 1
         if member(mid):
             hi = mid
         else:

@@ -242,7 +242,7 @@ _BALL_DRAWS = 1000
 
 
 def sample_trace_ball(
-    center: DensityMatrix, radius: float, rng: np.random.Generator
+    center: DensityMatrix, radius: float, rng: np.random.Generator | int
 ) -> DensityMatrix:
     """Random state in the trace-norm ball of given radius around ``center``.
 
@@ -250,11 +250,13 @@ def sample_trace_ball(
     trace norm, and scales by a radius biased toward the ball surface
     (where membership claims are hardest).  Rejects the draws that leave
     the positive cone, which are rare while the radius is small against
-    lambda_min of the center.  ``radius`` must be finite and >= 0, and
-    ``center`` of dimension >= 2: a one-level state has no traceless
-    direction; if all of _BALL_DRAWS = 1000 draws leave the cone, the
-    radius is too large for this center (ValidationError in each case).
+    lambda_min of the center.  ``rng`` must be a Generator or an integer
+    seed >= 0, ``radius`` finite and >= 0, and ``center`` of dimension
+    >= 2: a one-level state has no traceless direction; if all of
+    _BALL_DRAWS = 1000 draws leave the cone, the radius is too large for
+    this center (ValidationError in each case).
     """
+    rng = _rng(rng)
     radius = check_finite("radius", radius, strict=False)
     d = center.dim
     if d < 2:
@@ -278,12 +280,14 @@ def sample_trace_ball(
     )
 
 
-def random_quantum_classical(rng: np.random.Generator) -> DensityMatrix:
+def random_quantum_classical(rng: np.random.Generator | int) -> DensityMatrix:
     """Random zero-discord state sum_i p_i rho_i x |psi_i><psi_i|.
 
     Random weights, random single-qubit states on A, random orthonormal
-    measurement basis on B.
+    measurement basis on B.  ``rng`` is a Generator or an integer seed
+    >= 0 (ValidationError otherwise).
     """
+    rng = _rng(rng)
     p = rng.dirichlet((1.0, 1.0))
     v = random_unitary(2, rng)
     mat = np.zeros((4, 4), dtype=complex)

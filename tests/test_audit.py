@@ -498,8 +498,9 @@ class TestAuditMonotonicity:
             )
 
     def test_channel_validation(self):
-        with pytest.raises(ConfigurationError):
-            channel_depolarizing(1.5)
+        for q in (1.5, math.nan):
+            with pytest.raises(ValidationError, match="depolarizing weight"):
+                channel_depolarizing(q)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, None])

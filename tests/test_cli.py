@@ -704,6 +704,9 @@ class TestAudit:
         assert payload["pairs_tested"] == rep.pairs_tested
         assert round(payload["max_ratio"], 6) == 1.970942
         assert payload["passed"] is True
+        # the report names what it audited, right after the check
+        assert list(payload)[:4] == ["v", "check", "measure", "free_set"]
+        assert (payload["measure"], payload["free_set"]) == ("ray", "unfaithful")
 
     def test_zero_discord_ray_is_faithful(self, capsys):
         # the PPT ray read 0 on 16 of these 50 non-free states, which are

@@ -236,22 +236,29 @@ class TestRayPencil:
         assert res.value == math.inf
         assert res.free_witness is None
 
-    @pytest.mark.parametrize("name", ["ppt", "unfaithful"])
+    @pytest.mark.parametrize("name", ["ppt", "unfaithful", "ppt-member", "unfaithful-member",
+                                      "zero-discord", "bds-axes"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (3, 0)], ids=["diag", "upper", "lower"])
     def test_non_finite_entry_raises(self, name, value, entry):
+        # both kinds of probe: the pencil of an lmi oracle, and ``member``
+        # on each mixture (a "-member" name drops the oracle's lmi field)
         mat = np.eye(4, dtype=complex) / 4.0
         mat[entry] = value
         bad = DensityMatrix(mat, (2, 2), validate=False)
         singlet, mm = bell_diagonal((-1.0, -1.0, -1.0)), maximally_mixed()
-        oracle = oracle_by_name(name)
+        base = name.removesuffix("-member")
+        oracle = oracle_by_name(base)
+        if base != name:
+            oracle = dataclasses.replace(oracle, lmi=None)
         with pytest.raises(ValidationError, match="finite"):
             robustness_along_ray(bad, mm, oracle)
         with pytest.raises(ValidationError, match="finite"):
             robustness_along_ray(singlet, bad, oracle)
-        # a free rho is answered without reading sigma
-        res = robustness_along_ray(mm, bad, oracle)
-        assert res.value == 0.0 and res.free_witness is mm
+        # the check runs before the first probe, so a free rho is no escape
+        assert oracle.member(mm)
+        with pytest.raises(ValidationError, match="finite"):
+            robustness_along_ray(mm, bad, oracle)
 
     @pytest.mark.parametrize("name", ["ppt", "unfaithful"])
     def test_overflow_up_to_s_max_raises(self, name):

@@ -235,6 +235,27 @@ class TestSampleTraceBall:
             assert np.linalg.eigvalsh(rho.mat)[0] >= -1e-12
 
 
+# both samplers take a Generator or an integer seed, as qstates' samplers do
+_SAMPLERS = {
+    "trace-ball": lambda rng: sample_trace_ball(maximally_mixed(), 0.1, rng),
+    "quantum-classical": random_quantum_classical,
+}
+
+
+@pytest.mark.parametrize("sampler", _SAMPLERS.values(), ids=_SAMPLERS.keys())
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sampler_integer_seed(sampler, seed):
+    want = sampler(np.random.default_rng(seed))
+    assert sampler(seed).mat.tobytes() == want.mat.tobytes()
+
+
+@pytest.mark.parametrize("sampler", _SAMPLERS.values(), ids=_SAMPLERS.keys())
+@pytest.mark.parametrize("seed", [-1, 2.5])
+def test_sampler_bad_seed(sampler, seed):
+    with pytest.raises(ValidationError, match="seed"):
+        sampler(seed)
+
+
 def _euler(a, b, c):
     """Single-qubit unitary Rz(a) Ry(b) Rz(c)."""
     cb, sb = math.cos(b / 2.0), math.sin(b / 2.0)
