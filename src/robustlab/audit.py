@@ -24,8 +24,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import TOLS, check_count, check_finite, resolve
-from .errors import ConfigurationError, ValidationError
+from .config import TOLS, check_count, check_real, resolve
+from .errors import ConfigurationError
 from .engines import discord_filtered_measure, robustness_along_ray
 from .free_sets import FreeSetOracle, sample_trace_ball
 from .qstates import (
@@ -85,7 +85,7 @@ class AuditConfig:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "seed", check_count("seed", self.seed, least=0))
         if self.tolerance is not None:
-            tol = check_finite("tolerance", self.tolerance, strict=False)
+            tol = check_real("tolerance", self.tolerance, 0.0, ends="[)")
             object.__setattr__(self, "tolerance", tol)
 
 
@@ -151,10 +151,10 @@ def audit_lipschitz(
     finite and >= 0 (ValidationError otherwise).
 
     The distances of the whole batch come from one stacked eigensolve;
-    each pair must have equal dims and a finite, Hermitian difference
+    each pair must have equal dims and a Hermitian difference
     (ValidationError otherwise).
     """
-    L = check_finite("L", L, strict=False)
+    L = check_real("L", L, 0.0, ends="[)")
     if pairs is None:
         pairs = lipschitz_pairs(cfg)
     slack = resolve(cfg.tolerance, TOLS.lipschitz_violation_slack)
@@ -272,8 +272,7 @@ def channel_local_unitary(u_a: np.ndarray, u_b: np.ndarray) -> Channel:
 
 def channel_depolarizing(q: float) -> Channel:
     """rho -> (1 - q) rho + q 1/d, for q in [0, 1] (ValidationError otherwise)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValidationError(f"depolarizing weight must be in [0, 1], got {q!r}")
+    q = check_real("depolarizing weight", q, 0.0, 1.0, "[]")
 
     def ch(rho: DensityMatrix) -> DensityMatrix:
         d = rho.dim

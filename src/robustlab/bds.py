@@ -9,11 +9,10 @@ names; the matrix of the state is ``qstates.bell_diagonal``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .config import TOLS, check_count
-from .errors import PositivityError, ValidationError
+from .config import TOLS, check_count, check_real
+from .errors import PositivityError
 
 __all__ = [
     "BellDiagonalParams",
@@ -49,7 +48,7 @@ def _scaled_weights(c1: float, c2: float, c3: float) -> list[float]:
 class BellDiagonalParams:
     """Correlation triple (c1, c2, c3) of a Bell-diagonal state.
 
-    The correlations must be finite (ValidationError otherwise).  Validity
+    The correlations must be finite reals (ValidationError otherwise).  Validity
     requires the four tetrahedron inequalities
     1-c1-c2-c3 >= 0, 1-c1+c2+c3 >= 0, 1+c1-c2+c3 >= 0, 1+c1+c2-c3 >= 0;
     the error message names the first one violated.
@@ -60,15 +59,11 @@ class BellDiagonalParams:
     c3: float
 
     def __post_init__(self):
-        c1, c2, c3 = float(self.c1), float(self.c2), float(self.c3)
-        if not all(math.isfinite(v) for v in (c1, c2, c3)):
-            # NaN would pass every inequality below
-            raise ValidationError(
-                f"correlations must be finite, got ({c1!r}, {c2!r}, {c3!r})"
-            )
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c3", c3)
+        # NaN would pass every inequality below
+        for name in ("c1", "c2", "c3"):
+            value = check_real(f"correlation {name}", getattr(self, name))
+            object.__setattr__(self, name, value)
+        c1, c2, c3 = self.c1, self.c2, self.c3
         # in lexicographic order of the sign patterns, (-,-,-) first
         for signs, value in sorted(zip(_COLUMNS, _scaled_weights(c1, c2, c3))):
             if value < -TOLS.bds_positivity:
@@ -113,11 +108,11 @@ def discord_levelset_grid(
     step = 2/(grid - 1) and the last point exactly 1; value is the middle
     sorted absolute correlation and inside is 1.0 if value <= r (with a
     small slack so exact-boundary grid points count as inside), else 0.0.
-    ``r`` must be a number >= 0 (not NaN) and ``grid`` an integer in
-    [2, MAX_LEVELSET_GRID] (ValidationError otherwise).
+    ``r`` must be a number >= 0, inf included (NaN would mark every point
+    outside), and ``grid`` an integer in [2, MAX_LEVELSET_GRID]
+    (ValidationError otherwise).
     """
-    if not r >= 0.0:  # also rejects NaN, which would mark every point outside
-        raise ValidationError(f"level must be a number >= 0, got {r!r}")
+    r = check_real("level", r, 0.0, ends="[]")
     grid = check_count("grid", grid, least=2, most=MAX_LEVELSET_GRID)
     step = 2.0 / (grid - 1)
     axis = [-1.0 + i * step for i in range(grid - 1)] + [1.0]

@@ -11,9 +11,12 @@ from TOLS".
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ValidationError
+
+__all__ = ["TOLS", "Tolerances"]
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ TOLS = Tolerances()
 
 def resolve(value: float | None, default: float) -> float:
     """Return ``value`` unless it is None, else ``default``."""
-    return default if value is None else float(value)
+    return default if value is None else value
 
 
 def check_count(name: str, n, least: int = 1, most: int | None = None) -> int:
@@ -73,12 +76,25 @@ def check_count(name: str, n, least: int = 1, most: int | None = None) -> int:
     return int(n)
 
 
-def check_finite(name: str, v, *, strict: bool) -> float:
-    """Return ``v`` as a float if it is finite and > 0 (>= 0 when not
-    ``strict``); raise ValidationError otherwise (NaN included)."""
-    v = float(v)
-    if not (math.isfinite(v) and (v > 0.0 if strict else v >= 0.0)):
-        raise ValidationError(
-            f"{name} must be finite and {'>' if strict else '>='} 0, got {v!r}"
-        )
-    return v
+def check_real(
+    name: str, v, lo: float = -math.inf, hi: float = math.inf, ends: str = "()"
+) -> float:
+    """Return ``v`` as a float if it is a real number in the interval from
+    ``lo`` to ``hi``, each end open or closed as ``ends`` writes it ("()",
+    "[)", "(]" or "[]").  An open infinite end excludes infinity, so the
+    default interval is the finite reals.  Anything else raises
+    ValidationError naming ``name``: strings, bytes, None, sequences,
+    complex numbers and NaN included."""
+    x = float(v) if isinstance(v, numbers.Real) else math.nan
+    if (x > lo if ends[0] == "(" else x >= lo) and (x < hi if ends[1] == ")" else x <= hi):
+        return x
+    op = ">" if ends[0] == "(" else ">="
+    if math.isfinite(hi):
+        rule = f"in {ends[0]}{lo:.16g}, {hi:.16g}{ends[1]}"
+    elif math.isinf(lo):
+        rule = "finite"
+    elif ends[1] == ")":
+        rule = f"finite and {op} {lo:.16g}"
+    else:
+        rule = f"a number {op} {lo:.16g}"
+    raise ValidationError(f"{name} must be {rule}, got {v!r}")

@@ -28,7 +28,7 @@ from .bds import (
     discord_levelset_grid,
     discord_robustness_bds,
 )
-from .config import TOLS, check_count, check_finite, resolve
+from .config import TOLS, check_count, check_real, resolve
 from .errors import (
     IllConditionedError,
     RayRangeError,
@@ -117,21 +117,21 @@ def robustness_along_ray(
     lambda_min((A + sB)/(1+s)) >= -lmi_tol, the oracle's own rule on the
     mixture; the eight scan probes are one ``eigvalsh`` on the stack of
     their matrices, built with the scalar probe's float operations (same
-    flags; ``iterations`` still counts eight probes).  One finiteness
-    check on A + s_max B, before the first probe, covers every probe: for
-    0 <= s <= s_max each entry of A + sB lies between those of A and of
-    A + s_max B, so NaN, inf or an overflow raises ValidationError, even
-    when rho is free.  For an ``lmi`` oracle, a scan with no free point
-    although lambda_min(B) > -lmi_tol raises RayRangeError: the mixtures
-    tend to sigma, so they enter the set past ``s_max`` and the value is
-    finite.  Every other scan with no free point returns inf.
+    flags; ``iterations`` still counts eight probes).  States hold finite
+    entries by construction, but s_max B can overflow and a custom ``lmi``
+    map can return NaN or inf, so one finiteness check on A + s_max B,
+    before the first probe, covers every probe: for 0 <= s <= s_max each
+    entry of A + sB lies between those of A and of A + s_max B, so either
+    case raises ValidationError, even when rho is free.  For an ``lmi``
+    oracle, a scan with no free point although lambda_min(B) > -lmi_tol
+    raises RayRangeError: the mixtures tend to sigma, so they enter the
+    set past ``s_max`` and the value is finite.  Every other scan with no
+    free point returns inf.
     """
     if rho.dims != sigma.dims:
         raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
-    tol = check_finite("tol", resolve(tol, TOLS.ray_bisection), strict=True)
-    s_max = check_finite(
-        "s_max", 2.0 * rho.dim if s_max is None else s_max, strict=True
-    )
+    tol = check_real("tol", resolve(tol, TOLS.ray_bisection), 0.0)
+    s_max = check_real("s_max", resolve(s_max, 2.0 * rho.dim), 0.0)
     grid = [s_max * (i / _RAY_SCAN_POINTS) for i in range(_RAY_SCAN_POINTS + 1)]
 
     def mix(s: float) -> DensityMatrix:
@@ -484,7 +484,7 @@ def lipschitz_from_kappa_ball(sigma0: DensityMatrix, kappa: float) -> LipschitzC
     constants 1 + sqrt(2) and 2 of the rays toward 1/4: the formula holds
     here only with the smaller radii.
     """
-    kappa = check_finite("kappa", kappa, strict=True)
+    kappa = check_real("kappa", kappa, 0.0)
     lam = _lambda_min(sigma0)
     return LipschitzConstant(
         L=(1.0 - lam) / kappa,

@@ -6,6 +6,15 @@ table) can tell input mistakes apart from numerical trouble.
 
 from __future__ import annotations
 
+__all__ = [
+    "ValidationError",
+    "PositivityError",
+    "IllConditionedError",
+    "StarConvexityViolationError",
+    "RayRangeError",
+    "ConfigurationError",
+]
+
 
 class ValidationError(ValueError):
     """An input violates a structural invariant (shape, hermiticity, trace...)."""

@@ -15,9 +15,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bds import discord_robustness_bds
-from .config import TOLS, check_count, check_finite, resolve
+from .config import TOLS, check_count, check_real, resolve
 from .errors import ConfigurationError, ValidationError
-from .operator_core import _partial_transpose, _require_finite
+from .operator_core import _partial_transpose
 from .qstates import (
     BellDiagonalParams,
     DensityMatrix,
@@ -79,13 +79,9 @@ class FreeSetOracle:
 def _lmi_member(rho: DensityMatrix, lmi: tuple[Callable, float]) -> bool:
     """lambda_min(L(rho)) >= -tol for the pair (L, tol) of an oracle's
     ``lmi`` field: the membership rule that ``robustness_along_ray`` applies
-    to the same map.  Finiteness of L(rho) is checked once (ValidationError
-    for NaN or inf, which a state built with ``validate=False`` can hold):
-    ``eigvalsh`` reads one triangle only, so a NaN above the diagonal would
-    otherwise pass unseen."""
+    to the same map."""
     to_matrix, tol = lmi
-    m = _require_finite(to_matrix(rho))
-    return float(np.linalg.eigvalsh(m)[0]) >= -tol
+    return float(np.linalg.eigvalsh(to_matrix(rho))[0]) >= -tol
 
 
 def _partial_transpose_b(rho: DensityMatrix) -> np.ndarray:
@@ -168,7 +164,7 @@ def bds_params_of(
     ``tol`` bounds |x|, |y| and the off-diagonal |T_ij|; it must be finite
     and >= 0 (ValidationError otherwise), default ``TOLS.bds_detect``.
     """
-    tol = check_finite("tol", resolve(tol, TOLS.bds_detect), strict=False)
+    tol = check_real("tol", resolve(tol, TOLS.bds_detect), 0.0, ends="[)")
     if rho.dims != (2, 2):
         return None
     b = bloch_decompose(rho)
@@ -204,20 +200,15 @@ def singlet_fraction(rho: DensityMatrix) -> float:
     the magic basis (Hill & Wootters, PRL 78, 5022 (1997); Grondalski,
     Etlinger & James, Phys. Lett. A 300, 573 (2002)): the overlap with the
     state of real magic-basis coefficients x is x^T (Re rho_M) x.
-    NaN or inf in rho raises ValidationError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # the check reports them
-        m = _magic_real(rho)
-    return float(np.linalg.eigvalsh(_require_finite(m))[-1])
+    return float(np.linalg.eigvalsh(_magic_real(rho))[-1])
 
 
 def _unfaithful_matrix(rho: DensityMatrix) -> np.ndarray:
     """1/2 - Re rho_M, which is positive semidefinite exactly when the
     singlet fraction is at most 1/2; affine on states, as the ``lmi``
-    field asks.  NaN or inf in rho spreads through the basis change
-    silently; the finiteness check on the result reports it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _HALF_I4 - _magic_real(rho)
+    field asks."""
+    return _HALF_I4 - _magic_real(rho)
 
 
 def is_unfaithful(rho: DensityMatrix) -> bool:
@@ -257,7 +248,7 @@ def sample_trace_ball(
     this center (ValidationError in each case).
     """
     rng = _rng(rng)
-    radius = check_finite("radius", radius, strict=False)
+    radius = check_real("radius", radius, 0.0, ends="[)")
     d = center.dim
     if d < 2:
         raise ValidationError(f"trace-ball center must have dimension >= 2, got {d}")

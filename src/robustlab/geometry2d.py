@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .config import TOLS, check_count
+from .config import TOLS, check_count, check_real
 from .errors import ConfigurationError, ValidationError
 
 __all__ = [
@@ -462,16 +462,11 @@ def planar_star_probe(
 # --- reference construction 1: a jump for a connected, star-convex set ------
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must be in (0, 1), got {delta!r}")
-
-
 def scene_counterexample1(delta: float = 0.2) -> PlanarScene:
     """Free set = vertical segment {0} x [0, 1] plus the thin strip
     [-1, 0] x [0, delta], inside a wide box.  Star-convex about (0, 0),
     yet the robustness of the family (t, 1) jumps at t = 0."""
-    _check_delta(delta)
+    delta = check_real("delta", delta, 0.0, 1.0)
     free = PlanarFreeSet(
         segments=[((0.0, 0.0), (0.0, 1.0))],
         polygons=[[(-1.0, 0.0), (0.0, 0.0), (0.0, delta), (-1.0, delta)]],
@@ -483,15 +478,13 @@ def scene_counterexample1(delta: float = 0.2) -> PlanarScene:
 
 def counterexample1_point(t: float) -> tuple[float, float]:
     """The probe family: a horizontal line of states at height 1."""
-    if not -1.0 <= t <= 1.0:
-        raise ValidationError(f"family parameter must be in [-1, 1], got {t!r}")
-    return (float(t), 1.0)
+    return (check_real("family parameter", t, -1.0, 1.0, "[]"), 1.0)
 
 
 def counterexample1_exact(t: float, delta: float = 0.2) -> float:
     """Absolute robustness of the point (t, 1): (1-delta)/delta for t < 0
     (the strip is the only route), t for t >= 0 (shear onto the segment)."""
-    _check_delta(delta)
+    delta = check_real("delta", delta, 0.0, 1.0)
     x, _ = counterexample1_point(t)
     return (1.0 - delta) / delta if x < 0.0 else x
 
@@ -523,22 +516,22 @@ def scene_counterexample2() -> PlanarScene:
     return PlanarScene(tri, free)
 
 
-def _apex_parameter(which: str, t: float) -> float:
-    """Parameter at which family ``which`` reaches the apex (1/2 on 'a',
-    2/3 on 'b'), after checking the family name and 0 <= t <= apex."""
+def _apex_parameter(which: str, t: float) -> tuple[float, float]:
+    """The parameter at which family ``which`` reaches the apex (1/2 on
+    'a', 2/3 on 'b'), and ``t`` as a float, after checking the family name
+    and 0 <= t <= apex."""
     if which not in ("a", "b"):
         raise ValidationError(f"family must be 'a' or 'b', got {which!r}")
     apex = 0.5 if which == "a" else 2.0 / 3.0
-    if not 0.0 <= t <= apex:
-        raise ValidationError(f"family {which!r} needs t in [0, {apex}], got {t!r}")
-    return apex
+    return apex, check_real(f"family {which!r} parameter t", t, 0.0, apex, "[]")
 
 
 def counterexample2_point(which: str, t: float) -> tuple[float, float]:
     """Families sliding from a free point toward the apex: family 'a'
     starts at sigma_a (reaches the apex at t = 1/2), family 'b' starts at
     sigma_b (reaches the apex at t = 2/3)."""
-    r = _apex_parameter(which, t) - t
+    apex, t = _apex_parameter(which, t)
+    r = apex - t
     if which == "a":
         return (r, 0.0)
     return (r * _CE2_COS, r * _CE2_SIN)
@@ -549,7 +542,7 @@ def counterexample2_exact(which: str, t: float) -> float:
     (continuous up to 1 at the apex), 3t on family 'b' except at the apex
     itself, where the route through sigma_a takes over and the value drops
     to 1 while the one-sided limit is 2."""
-    apex = _apex_parameter(which, t)
+    apex, t = _apex_parameter(which, t)
     if which == "a":
         return 2.0 * t
     return 1.0 if t == apex else 3.0 * t

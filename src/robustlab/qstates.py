@@ -26,14 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bds import BELL_SIGNS, BellDiagonalParams
-from .config import TOLS, check_count
+from .config import TOLS, check_count, check_real
 from .errors import PositivityError, ValidationError
-from .operator_core import (
-    _require_finite,
-    _require_hermitian,
-    as_complex_matrix,
-    require_hermitian,
-)
+from .operator_core import _require_finite, _require_hermitian, as_complex_matrix
 
 __all__ = [
     "PAULI",
@@ -83,17 +78,18 @@ class DensityMatrix:
 
     Instances are value-like: the backing array is copied on construction
     and marked read-only.  ``validate=True`` (the default) checks that the
-    entries are numbers, ``dims`` are integers >= 1 whose product is the
-    matrix dimension, and the matrix is Hermitian with unit trace and no
-    eigenvalue below ``-TOLS.psd`` (ValidationError or PositivityError).
+    entries are finite numbers, ``dims`` are integers >= 1 whose product is
+    the matrix dimension, and the matrix is Hermitian with unit trace and
+    no eigenvalue below ``-TOLS.psd`` (ValidationError or PositivityError).
 
     ``validate=False`` is reserved for internal constructors whose output
-    is a state by construction, and still copies the array and makes one
-    check: that its shape is (n, n) with n the product of ``dims``.  The
-    caller guarantees the rest: a fresh, finite, complex array (entries
-    that are numbers), positive semidefinite with unit trace, and ``dims``
-    a sequence of Python ints.  Consumers that need finiteness check it
-    themselves where a NaN would otherwise pass unseen (``is_ppt``).
+    is a state by construction, and still copies the array and makes two
+    checks: that its shape is (n, n) with n the product of ``dims``, and
+    that every entry is finite (ValidationError otherwise).  The caller
+    guarantees the rest: a fresh complex array (entries that are numbers),
+    positive semidefinite with unit trace, and ``dims`` a sequence of
+    Python ints.  So no state holds NaN or inf, and no reader checks for
+    them again.
     """
 
     __slots__ = ("mat", "dims")
@@ -111,8 +107,9 @@ class DensityMatrix:
             raise ValidationError(
                 f"dims {dims} inconsistent with matrix dimension {a.shape[0]}"
             )
+        _require_finite(a)
         if validate:
-            require_hermitian(a)
+            _require_hermitian(a)
             tr = float(a.trace().real)
             if abs(tr - 1.0) > TOLS.trace_one:
                 raise ValidationError(
@@ -181,9 +178,7 @@ def bell_diagonal(c: BellDiagonalParams | tuple[float, float, float]) -> Density
 
 def werner(p: float) -> DensityMatrix:
     """Singlet mixed with white noise: (1-p)|psi-><psi-| + (p/4) 1x1."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"werner parameter must lie in [0, 1], got {p!r}")
+    p = check_real("werner parameter", p, 0.0, 1.0, "[]")
     return bell_diagonal(BellDiagonalParams(-(1 - p), -(1 - p), -(1 - p)))
 
 
@@ -195,14 +190,10 @@ def maximally_mixed(dims=(2, 2)) -> DensityMatrix:
 
 
 def bloch_decompose(rho: DensityMatrix) -> BlochTwoQubit:
-    """Bloch parameters of a two-qubit state (see module conventions).
-
-    NaN or inf in the state's array, which a state built with
-    ``validate=False`` can hold, raises ValidationError rather than
-    spreading into the Bloch data."""
+    """Bloch parameters of a two-qubit state (see module conventions)."""
     if rho.dims != (2, 2):
         raise ValidationError(f"bloch decomposition needs dims (2, 2), got {rho.dims}")
-    v = _BLOCH_TABLE @ _require_finite(rho.mat).reshape(16).view(float)
+    v = _BLOCH_TABLE @ rho.mat.reshape(16).view(float)
     return BlochTwoQubit(x=v[:3], y=v[3:6], T=v[6:].reshape(3, 3))
 
 
@@ -299,9 +290,10 @@ def _trace_distances(rhos, sigmas) -> np.ndarray:
     """Trace norms of the differences rhos[i] - sigmas[i], from one stacked
     ``eigvalsh`` per matrix size (none for no pairs).
 
-    Each pair must have equal dims, and the differences get the checks of
-    ``operator_core.trace_norm``: finite entries, Hermitian within
-    TOLS.hermiticity (ValidationError otherwise)."""
+    Each pair must have equal dims, and each difference must be Hermitian
+    within TOLS.hermiticity, as ``operator_core.trace_norm`` asks
+    (ValidationError otherwise); states hold finite entries by
+    construction."""
     by_size: dict[int, list[int]] = {}
     for i, (rho, sigma) in enumerate(zip(rhos, sigmas)):
         if rho.dims != sigma.dims:
@@ -310,7 +302,7 @@ def _trace_distances(rhos, sigmas) -> np.ndarray:
     out = np.empty(len(rhos))
     for idx in by_size.values():
         diff = np.array([rhos[i].mat for i in idx]) - np.array([sigmas[i].mat for i in idx])
-        _require_hermitian(_require_finite(diff))
+        _require_hermitian(diff)
         out[idx] = np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
     return out
 

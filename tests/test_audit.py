@@ -332,8 +332,9 @@ class TestAuditLipschitz:
             audit_lipschitz(bds_measure, 1.0, AuditConfig(), pairs=pairs)
         nan = rho.mat.copy()
         nan[1, 1] = math.nan
-        pairs = [("nan", DensityMatrix(nan, (2, 2), validate=False), rho)]
+        # the state is refused when it is made, so no pair can hold it
         with pytest.raises(ValidationError, match="finite"):
+            pairs = [("nan", DensityMatrix(nan, (2, 2), validate=False), rho)]
             audit_lipschitz(lambda r: 0.0, 1.0, AuditConfig(), pairs=pairs)
 
     def test_distance_needs_equal_dims(self):

@@ -242,23 +242,27 @@ class TestRayPencil:
     @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (3, 0)], ids=["diag", "upper", "lower"])
     def test_non_finite_entry_raises(self, name, value, entry):
         # both kinds of probe: the pencil of an lmi oracle, and ``member``
-        # on each mixture (a "-member" name drops the oracle's lmi field)
+        # on each mixture (a "-member" name drops the oracle's lmi field);
+        # the state is refused when it is made, so no ray is handed one
         mat = np.eye(4, dtype=complex) / 4.0
         mat[entry] = value
-        bad = DensityMatrix(mat, (2, 2), validate=False)
+
+        def bad():
+            return DensityMatrix(mat, (2, 2), validate=False)
+
         singlet, mm = bell_diagonal((-1.0, -1.0, -1.0)), maximally_mixed()
         base = name.removesuffix("-member")
         oracle = oracle_by_name(base)
         if base != name:
             oracle = dataclasses.replace(oracle, lmi=None)
         with pytest.raises(ValidationError, match="finite"):
-            robustness_along_ray(bad, mm, oracle)
+            robustness_along_ray(bad(), mm, oracle)
         with pytest.raises(ValidationError, match="finite"):
-            robustness_along_ray(singlet, bad, oracle)
-        # the check runs before the first probe, so a free rho is no escape
+            robustness_along_ray(singlet, bad(), oracle)
+        # a free rho is no escape
         assert oracle.member(mm)
         with pytest.raises(ValidationError, match="finite"):
-            robustness_along_ray(mm, bad, oracle)
+            robustness_along_ray(mm, bad(), oracle)
 
     @pytest.mark.parametrize("name", ["ppt", "unfaithful"])
     def test_overflow_up_to_s_max_raises(self, name):

@@ -77,6 +77,16 @@ class TestDensityMatrix:
         m[0, 0] = 7.0
         assert rho.mat[0, 0] == 0.25 and rho.dims == (2, 2)
 
+    @pytest.mark.parametrize("validate", [False, True])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (3, 0)], ids=["diag", "upper", "lower"])
+    def test_non_finite_entry_refused(self, validate, value, entry):
+        # in both modes, so no state hands a reader NaN or inf
+        mat = np.eye(4, dtype=complex) / 4.0
+        mat[entry] = value
+        with pytest.raises(ValidationError, match="finite"):
+            DensityMatrix(mat, (2, 2), validate=validate)
+
     @pytest.mark.parametrize("dims", [(-2, -2), (4.9, 1), (0, 4), ("2", "2"), "22", 4])
     def test_bad_dims(self, dims):
         # (-2, -2) reached partial_transpose; (4.9, 1) was read as (4, 1)
