@@ -33,7 +33,13 @@ def __getattr__(name: str):
     else:
         owner = None
         if name not in _SUBMODULES and not name.startswith("_"):
-            owner = next((m for m in map(_module, _MODULES) if name in m.__all__), None)
+            try:
+                owner = next((m for m in map(_module, _MODULES) if name in m.__all__), None)
+            except ImportError as exc:  # a module the search reached needs a missing one
+                raise AttributeError(
+                    f"module {__name__!r} has no attribute {name!r} among the modules "
+                    f"it could import: {exc}"
+                ) from exc
         if owner is None:
             raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
         value = getattr(owner, name)

@@ -3,9 +3,11 @@
 Every threshold used by the library lives in one frozen record so that the
 values are auditable in a single place, and the library reads them from
 TOLS directly.  Only a few solver and audit parameters take a per-call
-override (the ray's ``tol`` and ``s_max``, ``AuditConfig.tolerance`` and
-``bds_params_of(tol)``); passing ``None`` there means "use the default
-from TOLS".
+override (the ray's ``tol`` and ``s_max`` and ``AuditConfig.tolerance``);
+passing ``None`` there means "use the default from TOLS".  Most thresholds
+are absolute; ``discord_membership`` is relative to the state's Bloch
+weight, so that the zero-discord sets are decided the same way at every
+scale.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ class Tolerances:
 
     # free-set membership
     ppt: float = 1e-10                # lambda_min of the partial transpose
-    discord_membership: float = 1e-9  # discord defect at or below this counts as zero
+    discord_membership: float = 1e-9  # defect at or below this share of the Bloch weight
+    #                                   counts as zero (zero-discord and bds-axes)
     bds_detect: float = 1e-10         # |x|,|y|,|offdiag T| for "is Bell diagonal"
     unfaithful_margin: float = 1e-8   # one-sided slack on F_max <= 1/d
 

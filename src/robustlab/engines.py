@@ -126,7 +126,10 @@ def robustness_along_ray(
     oracle, a scan with no free point although lambda_min(B) > -lmi_tol
     raises RayRangeError: the mixtures tend to sigma, so they enter the
     set past ``s_max`` and the value is finite.  Every other scan with no
-    free point returns inf.
+    free point returns inf.  For the two zero-discord sets toward noise in
+    their star kernel (1/4 for both, sigma_A x 1/2 for ``zero-discord``),
+    that inf is exact: their membership is the same all along such a ray
+    (see ``free_sets.has_zero_discord``), so the value is 0 or inf.
     """
     if rho.dims != sigma.dims:
         raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")

@@ -14,8 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bds import discord_robustness_bds
-from .config import TOLS, check_count, check_real, resolve
+from .config import TOLS, check_count, check_real
 from .errors import ConfigurationError, ValidationError
 from .operator_core import _partial_transpose
 from .qstates import (
@@ -103,6 +102,17 @@ def is_ppt(rho: DensityMatrix) -> bool:
 _PPT_LMI = (_partial_transpose_b, TOLS.ppt)
 
 
+def _discord_weights(rho: DensityMatrix) -> tuple[float, float]:
+    """(|y|^2 + |T|_F^2, lambda_max(y y^T + T^T T)) of a two-qubit state."""
+    b = bloch_decompose(rho)
+    gram = np.outer(b.y, b.y) + b.T.T @ b.T
+    return float(b.y @ b.y + np.sum(b.T * b.T)), float(np.linalg.eigvalsh(gram)[-1])
+
+
+def _weight_free(total: float, allowed: float) -> bool:
+    return total - allowed <= TOLS.discord_membership * total
+
+
 def discord_defect(rho: DensityMatrix) -> float:
     """Zero-discord defect |y|^2 + |T|_F^2 - lambda_max(y y^T + T^T T).
 
@@ -111,14 +121,16 @@ def discord_defect(rho: DensityMatrix) -> float:
     the measurement acts) and is strictly positive otherwise.  Structurally
     >= 0 up to rounding, and invariant under local unitaries on either side.
     """
-    b = bloch_decompose(rho)
-    gram = np.outer(b.y, b.y) + b.T.T @ b.T
-    k_max = float(np.linalg.eigvalsh(gram)[-1])
-    return float(b.y @ b.y + np.sum(b.T * b.T) - k_max)
+    total, allowed = _discord_weights(rho)
+    return total - allowed
 
 
 def has_zero_discord(rho: DensityMatrix) -> bool:
-    return discord_defect(rho) <= TOLS.discord_membership
+    """Whether [y | T^T] has rank <= 1 (Dakic, Vedral & Brukner, PRL 105,
+    190502 (2010)): a defect at most TOLS.discord_membership of |y|^2 +
+    |T|_F^2.  Both scale by 1/(1+s)^2 toward the star kernel {sigma_A x 1/2},
+    so the ray there is exactly 0 or inf; ``bds-axes`` shares the rule."""
+    return _weight_free(*_discord_weights(rho))
 
 
 def separable_ball_radius(d_a: int = 2, d_b: int = 2) -> float:
@@ -156,20 +168,14 @@ def teleportation_ball_radius(d: int = 2) -> float:
     return (d - 1) / float(d * d)
 
 
-def bds_params_of(
-    rho: DensityMatrix, tol: float | None = None
-) -> BellDiagonalParams | None:
-    """Return the (c1, c2, c3) triple if rho is Bell diagonal, else None.
-
-    ``tol`` bounds |x|, |y| and the off-diagonal |T_ij|; it must be finite
-    and >= 0 (ValidationError otherwise), default ``TOLS.bds_detect``.
-    """
-    tol = check_real("tol", resolve(tol, TOLS.bds_detect), 0.0, ends="[)")
+def bds_params_of(rho: DensityMatrix) -> BellDiagonalParams | None:
+    """Return the (c1, c2, c3) triple if rho is Bell diagonal, else None:
+    |x|, |y| and the off-diagonal |T_ij| at most ``TOLS.bds_detect``."""
     if rho.dims != (2, 2):
         return None
     b = bloch_decompose(rho)
     off = b.T - np.diag(np.diagonal(b.T))
-    if max(np.max(np.abs(b.x)), np.max(np.abs(b.y)), np.max(np.abs(off))) > tol:
+    if max(np.max(np.abs(b.x)), np.max(np.abs(b.y)), np.max(np.abs(off))) > TOLS.bds_detect:
         return None
     return BellDiagonalParams(b.T[0, 0], b.T[1, 1], b.T[2, 2])
 
@@ -299,9 +305,8 @@ def _sample_ppt(rng: np.random.Generator) -> DensityMatrix:
 
 def _sample_bds_axes(rng: np.random.Generator) -> DensityMatrix:
     axis = int(rng.integers(0, 3))
-    k = float(rng.uniform(-1.0, 1.0))
     c = [0.0, 0.0, 0.0]
-    c[axis] = k
+    c[axis] = float(rng.uniform(-1.0, 1.0))
     return bell_diagonal(BellDiagonalParams(*c))
 
 
@@ -309,12 +314,12 @@ def _sample_bds_axes(rng: np.random.Generator) -> DensityMatrix:
 
 
 def _in_bds_axes(rho: DensityMatrix) -> bool:
-    """Bell diagonal with at most one nonzero c_i: the zero-discord states
-    of the Bell-diagonal family."""
-    params = bds_params_of(rho)
-    if params is None:
+    """``has_zero_discord``'s rule on |x|^2 + |y|^2 + |T|_F^2, max_i T_ii^2 allowed."""
+    if rho.dims != (2, 2):
         return False
-    return discord_robustness_bds(params) <= TOLS.discord_membership
+    b = bloch_decompose(rho)
+    total = float(b.x @ b.x + b.y @ b.y + np.sum(b.T * b.T))
+    return _weight_free(total, float(np.max(np.diagonal(b.T) ** 2)))
 
 
 _FREE_SETS = ("bds-axes", "ppt", "unfaithful", "zero-discord")
@@ -326,25 +331,22 @@ def oracle_by_name(name: str) -> FreeSetOracle:
 
     - ``ppt``: states with positive partial transpose, with the
       separable-ball radius as ``kappa``;
-    - ``zero-discord``: quantum-classical states (measurement side B),
-      star-convex with respect to 1/4 but with no ball around it, hence
-      ``kappa`` None;
+    - ``zero-discord``: quantum-classical states (measurement side B), with
+      no ball around 1/4 (``kappa`` None); 1/4 lies in its star kernel, so
+      its ray toward 1/4 is exactly 0 or inf (see :func:`has_zero_discord`);
     - ``unfaithful``: teleportation-unfaithful states (maximal Bell overlap
       <= 1/2, exact, see :func:`is_unfaithful`), with the teleportation
       ball radius as ``kappa``;
-    - ``bds-axes``: Bell-diagonal states on a coordinate axis of the
-      tetrahedron (at most one nonzero c_i), the zero-discord states within
-      that family; ``kappa`` None.
+    - ``bds-axes``: Bell-diagonal states with at most one nonzero c_i, by
+      the rule and tolerance of ``zero-discord``, so the two agree on that
+      family and this ray toward 1/4 is exactly 0 or inf too; ``kappa`` None.
 
-    The membership tests are read from this module at call time, so an
-    oracle built after ``is_ppt``, ``has_zero_discord`` or ``is_unfaithful``
-    is rebound calls the new binding.  Any other name raises
-    ConfigurationError.
+    Membership tests are read from this module at call time, so an oracle
+    built after ``is_ppt``, ``has_zero_discord`` or ``is_unfaithful`` is
+    rebound calls the new binding.  Any other name raises ConfigurationError.
     """
     if name not in _FREE_SETS:
-        raise ConfigurationError(
-            f"unknown free set {name!r}; choose from {list(_FREE_SETS)}"
-        )
+        raise ConfigurationError(f"unknown free set {name!r}; choose from {list(_FREE_SETS)}")
     center = maximally_mixed()
     if name == "ppt":
         return FreeSetOracle(
@@ -355,12 +357,8 @@ def oracle_by_name(name: str) -> FreeSetOracle:
     if name == "unfaithful":
         kappa = teleportation_ball_radius(2)
         return FreeSetOracle(
-            name,
-            is_unfaithful,
-            center,
-            kappa,
-            lambda rng: sample_trace_ball(center, kappa, rng),
-            lmi=_UNFAITHFUL_LMI,
+            name, is_unfaithful, center, kappa,
+            lambda rng: sample_trace_ball(center, kappa, rng), lmi=_UNFAITHFUL_LMI,
         )
     return FreeSetOracle(name, _in_bds_axes, center, sampler=_sample_bds_axes)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,6 +323,20 @@ def state_to_json(rho: DensityMatrix) -> dict:
     }
 
 
+def _json_numbers(field: str, value) -> np.ndarray:
+    """The state JSON field ``field`` as a float array.  Anything but a
+    number or a rectangular table of numbers (booleans count, as they do
+    for ``config.check_real``) raises ValidationError naming the field:
+    a string, even a numeric one, null, an object or a ragged table."""
+    try:
+        a = np.array(value)
+    except (TypeError, ValueError):  # ragged
+        a = None
+    if a is None or a.dtype.kind not in "biuf":
+        raise ValidationError(f'"{field}" must hold numbers only, got {reprlib.repr(value)}')
+    return a.astype(float)
+
+
 def state_from_json(obj: dict | str) -> DensityMatrix:
     """Parse a state from any of the three accepted JSON shapes.
 
@@ -340,34 +355,21 @@ def state_from_json(obj: dict | str) -> DensityMatrix:
     if not isinstance(obj, dict):
         raise ValidationError(f"state JSON must be an object, got {type(obj).__name__}")
     if "bds" in obj:
-        c = obj["bds"]
-        if not isinstance(c, (list, tuple)) or len(c) != 3:
+        c = _json_numbers("bds", obj["bds"])
+        if c.shape != (3,):
             raise ValidationError('"bds" must be a list [c1, c2, c3]')
-        try:
-            c = [float(v) for v in c]
-        except (TypeError, ValueError):
-            raise ValidationError(f'"bds" entries must be numbers, got {obj["bds"]!r}') from None
-        return bell_diagonal(BellDiagonalParams(*c))
+        return bell_diagonal(BellDiagonalParams(*c.tolist()))
     if "bloch" in obj:
         b = obj["bloch"]
-        try:
-            params = BlochTwoQubit(
-                x=np.asarray(b["x"], dtype=float),
-                y=np.asarray(b["y"], dtype=float),
-                T=np.asarray(b["T"], dtype=float),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f'"bloch" object needs x, y, T arrays: {exc}') from exc
-        return bloch_compose(params)
+        if not isinstance(b, dict) or not {"x", "y", "T"} <= b.keys():
+            raise ValidationError('"bloch" object needs x, y, T arrays')
+        return bloch_compose(BlochTwoQubit(*(_json_numbers(f"bloch.{k}", b[k]) for k in "xyT")))
     if "re" in obj:
         dims = obj.get("dims")
         if dims is None:
             raise ValidationError('matrix-form state JSON needs a "dims" field')
-        try:
-            re = np.asarray(obj["re"], dtype=float)
-            im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f'"re" and "im" must be tables of numbers: {exc}') from exc
+        re = _json_numbers("re", obj["re"])
+        im = _json_numbers("im", obj["im"]) if "im" in obj else np.zeros_like(re)
         if re.shape != im.shape:
             raise ValidationError('"re" and "im" tables must have the same shape')
         mat = as_complex_matrix(re + 1j * im)

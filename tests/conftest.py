@@ -13,6 +13,11 @@ MALFORMED_STATES = {
     "bds-text": {"bds": ["a", 0, 0]},
     "bds-null": {"bds": [None, 0, 0]},
     "bloch-text": {"bloch": {"x": "abc", "y": [0, 0, 0], "T": [[0, 0, 0]] * 3}},
+    # numeric strings are not numbers either, in any of the three forms
+    "bds-numeric-text": {"bds": ["0.5", "0", " 0 "]},
+    "re-numeric-text": {"dims": [2, 2], "re": [[str(v) for v in row] for row in _QUARTER]},
+    "im-numeric-text": {"dims": [2, 2], "re": _QUARTER, "im": [["0"] * 4] * 4},
+    "bloch-numeric-text": {"bloch": {"x": ["0", 0, 0], "y": [0, 0, 0], "T": [[0, 0, 0]] * 3}},
 }
 
 

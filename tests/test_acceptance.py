@@ -275,7 +275,7 @@ def test_criterion_12_convexity_depends_on_free_set():
     convex = audit_convexity(measure, AuditConfig(samples=50, seed=12))
 
     def bds_measure(rho):
-        return discord_robustness_bds(bds_params_of(rho, tol=1e-6))
+        return discord_robustness_bds(bds_params_of(rho))
 
     broken = audit_convexity(
         bds_measure, AuditConfig(samples=0), extra_pairs=discord_axis_endpoint_pairs()

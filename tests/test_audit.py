@@ -216,7 +216,7 @@ class TestStackedBatches:
 
 
 def bds_measure(rho):
-    params = bds_params_of(rho, tol=1e-6)
+    params = bds_params_of(rho)
     assert params is not None
     return discord_robustness_bds(params)
 

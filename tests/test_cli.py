@@ -195,6 +195,14 @@ class TestEntRay:
         assert payload["value"] == "inf"
         assert "free_witness" not in payload
 
+    @pytest.mark.parametrize("bds, free_set, value, iterations", [
+        ("0.5,1e-4,0", "zero-discord", "inf", 9), ("0.5,5e-9,0", "bds-axes", 0.0, 0),
+    ])
+    def test_zero_discord_sets_are_zero_or_inf(self, capsys, bds, free_set, value, iterations):
+        # bisection on an absolute defect threshold printed 2.162 and 4.0
+        payload = run_json(capsys, "ent-ray", "--bds", bds, "--free-set", free_set)
+        assert (payload["value"], payload["iterations"]) == (value, iterations)
+
     def test_noise_file(self, capsys, tmp_path):
         path = tmp_path / "noise.json"
         path.write_text(json.dumps(state_to_json(maximally_mixed())))

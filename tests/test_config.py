@@ -12,7 +12,6 @@ from robustlab import (
     AuditConfig,
     BellDiagonalParams,
     audit_lipschitz,
-    bds_params_of,
     bound_from_kappa_ball,
     channel_depolarizing,
     counterexample1_exact,
@@ -56,8 +55,6 @@ SITES = {
                         "L", [0, 1e300], [-TINY, math.inf]),
     "AuditConfig": (lambda v: AuditConfig(tolerance=v),
                     "tolerance", [0, 1e300], [-TINY, math.inf]),
-    "bds_params_of": (lambda v: bds_params_of(MM, tol=v),
-                      "tol", [0, 1e300], [-TINY, math.inf]),
     "werner": (werner, "werner parameter", [0, 1], [-TINY, UP, math.inf]),
     "channel_depolarizing": (channel_depolarizing, "depolarizing weight",
                              [0, 1], [-TINY, UP, math.inf]),
@@ -100,7 +97,7 @@ NON_NUMBERS = ["x", "a", "0.5", b"0.5", None, [1], (0.5,), np.array([0.5]), 1j,
 
 
 # at these sites None stands for the default, as the signatures say
-NONE_IS_DEFAULT = {"ray tol", "ray s_max", "AuditConfig", "bds_params_of"}
+NONE_IS_DEFAULT = {"ray tol", "ray s_max", "AuditConfig"}
 
 
 @pytest.mark.parametrize("value", NON_NUMBERS, ids=repr)

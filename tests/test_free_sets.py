@@ -416,6 +416,85 @@ class TestNonFiniteStates:
             _READERS[reader](DensityMatrix(mat, (2, 2), validate=False))
 
 
+# Bell-diagonal states (0.5, e, 0) whose rays toward 1/4 read
+# sqrt(e^2 / 1e-9) - 1 under an absolute defect threshold (2.16, 5.32, 7.85)
+_ARTEFACT_BAND = [(0.5, e, 0.0) for e in (1e-4, 2e-4, 2.8e-4)]
+
+
+def _kernel_ray_states():
+    """Random states of rank 1-4, Bell-diagonal states near an axis (middle
+    |c| log-uniform in [1e-9, 1e-2]), quantum-classical states and the
+    artefact band: members and non-members of both zero-discord sets."""
+    rng = np.random.default_rng(22)
+    states = [random_density(4, rank=1 + i % 4, seed=rng) for i in range(16)]
+    for _ in range(16):
+        c = [float(rng.uniform(-0.5, 0.5)), 10.0 ** rng.uniform(-9, -2), 0.0]
+        states.append(bell_diagonal(tuple(rng.permutation(c))))
+    states += [random_quantum_classical(rng) for _ in range(8)]
+    return states + [bell_diagonal(c) for c in _ARTEFACT_BAND + [(0.5, 1e-5, 0.0), (0.5, 5e-9, 0.0)]]
+
+
+_KERNEL_RAY_STATES = _kernel_ray_states()
+# noise in the star kernel of each set: 1/4 for both, and sigma_A x 1/2 for
+# zero discord (side B is the measured one)
+_KERNEL_NOISES = {
+    "zd-white": ("zero-discord", maximally_mixed()),
+    "zd-sigma-a": ("zero-discord", DensityMatrix(
+        np.kron(random_density(2, seed=7).mat, np.eye(2) / 2.0), (2, 2))),
+    "bds-axes-white": ("bds-axes", maximally_mixed()),
+}
+
+
+class TestKernelRays:
+    """Toward noise in the star kernel of a zero-discord set, the Bloch weight
+    and the defect both scale by 1/(1+s)^2: membership is the same all along
+    the ray, so its value is exactly 0 or inf."""
+
+    @pytest.mark.parametrize("case", _KERNEL_NOISES)
+    def test_value_is_zero_or_inf(self, case):
+        name, sigma = _KERNEL_NOISES[case]
+        oracle = oracle_by_name(name)
+        members = 0
+        for rho in _KERNEL_RAY_STATES:
+            res = robustness_along_ray(rho, sigma, oracle)
+            if oracle.member(rho):
+                members += 1
+                assert (res.value, res.iterations) == (0.0, 0)
+            else:
+                assert (res.value, res.iterations) == (math.inf, 9)
+                assert res.free_witness is None
+        assert 0 < members < len(_KERNEL_RAY_STATES)
+
+    @pytest.mark.parametrize("c", _ARTEFACT_BAND)
+    def test_artefact_band_is_inf(self, c):
+        for name in ("zero-discord", "bds-axes"):
+            res = robustness_along_ray(bell_diagonal(c), maximally_mixed(), oracle_by_name(name))
+            assert res.value == math.inf
+
+    @pytest.mark.parametrize("case", _KERNEL_NOISES)
+    def test_membership_is_constant_along_the_ray(self, case):
+        name, sigma = _KERNEL_NOISES[case]
+        oracle = oracle_by_name(name)
+        for rho in _KERNEL_RAY_STATES:
+            inside = oracle.member(rho)
+            for s in (1e-3, 0.5, 8.0, 1e3):
+                mix = DensityMatrix((rho.mat + s * sigma.mat) / (1.0 + s), (2, 2), validate=False)
+                assert oracle.member(mix) == inside
+
+    def test_the_two_sets_agree_on_bell_diagonal_states(self):
+        rng = np.random.default_rng(23)
+        zero_discord, axes = oracle_by_name("zero-discord"), oracle_by_name("bds-axes")
+        triples = [random_bell_diagonal(rng).as_tuple() for _ in range(100)]
+        for _ in range(100):
+            c = [float(rng.uniform(-0.5, 0.5)), 10.0 ** rng.uniform(-9, -2), 0.0]
+            triples.append(tuple(rng.permutation(c)))
+        # either side of the threshold e^2 = 1e-9 (0.25 + e^2)
+        triples += [(0.5, e, 0.0) for e in (1.5e-5, 1.6e-5)] + [(0.5, 0.0, 0.0)]
+        agreed = [zero_discord.member(bell_diagonal(c)) for c in triples]
+        assert agreed == [axes.member(bell_diagonal(c)) for c in triples]
+        assert True in agreed and False in agreed
+
+
 class TestBdsDetection:
     def test_detects_bell_diagonal(self, rng):
         params = random_bell_diagonal(rng)
@@ -429,13 +508,6 @@ class TestBdsDetection:
 
     def test_rejects_wrong_dims(self):
         assert bds_params_of(DensityMatrix(np.eye(4) / 4.0, (4,))) is None
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
-    def test_bad_tolerance(self, rng, tol):
-        # nan and inf accepted every state as Bell diagonal, -1 rejected all
-        for rho in (random_density(4, seed=rng), maximally_mixed()):
-            with pytest.raises(ValidationError):
-                bds_params_of(rho, tol=tol)
 
 
 class TestOracles:

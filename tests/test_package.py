@@ -76,3 +76,28 @@ def test_numpy_free_names_load_no_numpy():
     assert proc.stdout.strip() == str(["robustlab", "robustlab.bds", "robustlab.cli",
                                        "robustlab.config", "robustlab.errors",
                                        "robustlab.geometry2d"])
+
+
+def test_lookup_without_numpy_is_an_attribute_error():
+    # the search for an unknown name reached a numpy module and raised
+    # ModuleNotFoundError, so hasattr() raised instead of returning False
+    env = dict(os.environ)
+    src = str(Path(robustlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import robustlab\n"
+        "assert not hasattr(robustlab, 'typo')\n"
+        "try:\n"
+        "    robustlab.DensityMatrix\n"
+        "except AttributeError as exc:\n"
+        "    assert 'numpy' in str(exc) and isinstance(exc.__cause__, ImportError), exc\n"
+        "else:\n"
+        "    raise AssertionError('DensityMatrix resolved without numpy')\n"
+        "print(robustlab.PlanarScene.__name__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=30.0, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "PlanarScene"
