@@ -5,9 +5,10 @@ functions, and formats their results.  JSON payloads carry a schema
 version field "v": 1; infinite values serialize as the string "inf".
 Exit codes: 0 success, 1 audit failure, 2 invalid input (bad JSON, bad
 shape, Hermiticity/trace violations, unusable parameters), 3 positivity
-violation, 4 numerical failure (non-monotone membership along a ray, a
-ray whose finite value lies past --s-max, or an eigenvalue too close to
-the support cutoff to decide the rank).
+violation, 4 numerical failure (non-monotone membership along a ray on
+a set without an LMI, such as zero-discord or bds-axes; a ppt or
+unfaithful ray whose finite value lies past --s-max; or an eigenvalue too
+close to the support cutoff to decide the rank).
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ Two complementary computations:
 * ``robustness_along_ray`` mixes the input with one fixed noise state and
   bisects for the first free mixture.  Sound whenever membership along the
   ray is monotone (guaranteed if the free set is star-convex with respect
-  to the noise state); non-monotone feasibility is detected and raised.
+  to the noise state), and for a set stated as a linear matrix inequality,
+  whose free mixtures form an interval; on other sets non-monotone
+  membership is detected and raised.
 * ``min_scaling_robustness`` evaluates, for a fixed candidate free state
   sigma, the least s with rho <= (1+s) sigma; optimizing it over a free
   family gives the global robustness restricted to that family.
@@ -103,33 +105,40 @@ def robustness_along_ray(
 ) -> RobustnessResult:
     """Least s >= 0 with (rho + s sigma)/(1+s) in the oracle's set.
 
-    A coarse scan first tightens the bracket and checks that membership is
-    monotone along the ray; a non-monotone pattern raises
-    StarConvexityViolationError since bisection would then be unsound.
-    The returned value is the feasible end of the final bracket, so the
-    free witness is always a genuine member.  ``tol`` and ``s_max`` must be
-    finite and positive (ValidationError otherwise).
+    A coarse scan of the points s_max*i/8, i = 1..8, brackets the value:
+    with no free scan point it is inf, otherwise bisection runs between
+    the first free point and the one before it.  The returned value is
+    the feasible end of the final bracket, so the free witness is always
+    a genuine member.  ``tol`` and ``s_max`` must be finite and positive
+    (ValidationError otherwise).
 
     The ray probes the pencil (A + sB)/(1+s).  For an oracle without
     ``lmi``, A = rho and B = sigma, and ``member`` is called on each
-    mixture.  For an oracle with an ``lmi`` field (L, lmi_tol), A = L(rho)
-    and B = L(sigma) are built once and every probe is
-    lambda_min((A + sB)/(1+s)) >= -lmi_tol, the oracle's own rule on the
-    mixture; the eight scan probes are one ``eigvalsh`` on the stack of
-    their matrices, built with the scalar probe's float operations (same
-    flags; ``iterations`` still counts eight probes).  States hold finite
-    entries by construction, but s_max B can overflow and a custom ``lmi``
-    map can return NaN or inf, so one finiteness check on A + s_max B,
-    before the first probe, covers every probe: for 0 <= s <= s_max each
-    entry of A + sB lies between those of A and of A + s_max B, so either
-    case raises ValidationError, even when rho is free.  For an ``lmi``
-    oracle, a scan with no free point although lambda_min(B) > -lmi_tol
+    mixture.  Bisection is then sound only where membership is monotone
+    along the ray (guaranteed if the set is star-convex with respect to
+    sigma), so a scan that leaves the set after entering it raises
+    StarConvexityViolationError.  For an oracle with an ``lmi`` field
+    (L, lmi_tol), A = L(rho) and B = L(sigma) are built once and every
+    probe is lambda_min((A + sB)/(1+s)) >= -lmi_tol, the oracle's own rule
+    on the mixture; the eight scan probes are one ``eigvalsh`` on the
+    stack of their matrices, built with the scalar probe's float
+    operations (same flags; ``iterations`` still counts eight probes).
+    Its free mixtures are the s with (A + lmi_tol 1) + s (B + lmi_tol 1)
+    psd, an interval for every noise, so any scan pattern brackets its
+    left end.  A scan with no free point although lambda_min(B) > -lmi_tol
     raises RayRangeError: the mixtures tend to sigma, so they enter the
-    set past ``s_max`` and the value is finite.  Every other scan with no
-    free point returns inf.  For the two zero-discord sets toward noise in
-    their star kernel (1/4 for both, sigma_A x 1/2 for ``zero-discord``),
-    that inf is exact: their membership is the same all along such a ray
-    (see ``free_sets.has_zero_discord``), so the value is 0 or inf.
+    set past ``s_max`` and the value is finite.
+
+    States hold finite entries by construction, but s_max B can overflow
+    and a custom ``lmi`` map can return NaN or inf, so one finiteness
+    check on A + s_max B, before the first probe, covers every probe: for
+    0 <= s <= s_max each entry of A + sB lies between those of A and of
+    A + s_max B, so either case raises ValidationError, even when rho is
+    free.  For the two zero-discord sets toward noise in their star kernel
+    (1/4 for both, sigma_A x 1/2 for ``zero-discord``), a scan with no
+    free point is an exact inf: their membership is the same all along
+    such a ray (see ``free_sets.has_zero_discord``), so the value is 0 or
+    inf.
     """
     if rho.dims != sigma.dims:
         raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
@@ -148,7 +157,14 @@ def robustness_along_ray(
             return bool(oracle.member(mix(s)))
 
         def scan() -> list[bool]:
-            return [member(s) for s in grid[1:]]
+            flags = [member(s) for s in grid[1:]]
+            if flags != sorted(flags):  # a free point before one that is not
+                raise StarConvexityViolationError(
+                    f"membership along the ray toward the noise state is not monotone "
+                    f"(pattern F{''.join('T' if f else 'F' for f in flags)}); "
+                    f"the set is not star-convex with respect to this noise state"
+                )
+            return flags
 
     else:
         to_matrix, lmi_tol = oracle.lmi
@@ -159,8 +175,17 @@ def robustness_along_ray(
 
         def scan() -> list[bool]:
             s = np.array(grid[1:])[:, None, None]
-            lam = np.linalg.eigvalsh((a + s * b) / (1.0 + s))
-            return (lam[:, 0] >= -lmi_tol).tolist()
+            flags = (np.linalg.eigvalsh((a + s * b) / (1.0 + s))[:, 0] >= -lmi_tol).tolist()
+            if not any(flags):
+                lam = float(np.linalg.eigvalsh(b)[0])
+                if lam > -lmi_tol:
+                    raise RayRangeError(
+                        f"no mixture up to s_max = {s_max!r} is free, but the value is "
+                        f"finite: the noise state passes the {oracle.name!r} test with "
+                        f"lambda_min = {lam:.3e} > -{lmi_tol:.1e}, so the mixtures "
+                        f"enter the set past s_max; pass a larger s_max"
+                    )
+            return flags
 
     with np.errstate(over="ignore", invalid="ignore"):  # the check reports them
         _require_finite(a + s_max * b)
@@ -173,24 +198,9 @@ def robustness_along_ray(
             iterations=0,
             bracket_width=0.0,
         )
-    flags = [False] + scan()
+    flags = scan()
     evals = 1 + _RAY_SCAN_POINTS
-    if any(flags[i] and not flags[i + 1] for i in range(len(flags) - 1)):
-        raise StarConvexityViolationError(
-            f"membership along the ray toward the noise state is not monotone "
-            f"(pattern {''.join('T' if f else 'F' for f in flags)}); "
-            f"the set is not star-convex with respect to this noise state"
-        )
-    if not flags[-1]:
-        if oracle.lmi is not None:
-            lam = float(np.linalg.eigvalsh(b)[0])
-            if lam > -lmi_tol:
-                raise RayRangeError(
-                    f"no mixture up to s_max = {s_max!r} is free, but the value is "
-                    f"finite: the noise state passes the {oracle.name!r} test with "
-                    f"lambda_min = {lam:.3e} > -{lmi_tol:.1e}, so the mixtures "
-                    f"enter the set past s_max; pass a larger s_max"
-                )
+    if not any(flags):
         return RobustnessResult(
             value=math.inf,
             noise_witness=sigma,
@@ -200,7 +210,7 @@ def robustness_along_ray(
             bracket_width=math.inf,
         )
     first_true = flags.index(True)
-    lo, hi = grid[first_true - 1], grid[first_true]
+    lo, hi = grid[first_true], grid[first_true + 1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # bracket at float resolution; tol is below it
@@ -395,16 +405,6 @@ def discord_robustness_axis_opt(
     best_val = float(vals_best[best_axis])
     best_k = float(ks_best[best_axis])
     width = float(hi[best_axis] - lo[best_axis])
-
-    if not math.isfinite(best_val):
-        return RobustnessResult(
-            value=math.inf,
-            noise_witness=None,
-            free_witness=None,
-            method="axis-opt",
-            iterations=evals,
-            bracket_width=math.inf,
-        )
     if best_val > 0.0:
         # The noise witness ((1+v) sigma - rho)/v is Bell diagonal with the
         # weights w + d/v, d = w - p.  Formed from w and p, rounding divided

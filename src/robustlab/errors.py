@@ -32,12 +32,16 @@ class IllConditionedError(ArithmeticError):
 
 class StarConvexityViolationError(RuntimeError):
     """Membership along a noise ray was not monotone, so bisection against
-    the free-set oracle is unsound for this input."""
+    the free-set oracle is unsound for this input.  Raised only for oracles
+    without an ``lmi`` field: an LMI set is convex, so its free mixtures
+    along a ray form an interval that any scan pattern brackets."""
 
 
 class RayRangeError(RuntimeError):
     """A noise ray reaches the free set, but only past the scanned range
-    s_max, so the bisection found no free point to start from."""
+    s_max, so the bisection found no free point to start from.  Raised
+    only for oracles with an ``lmi`` field, whose test on the noise state
+    proves that the mixtures enter the set."""
 
 
 class ConfigurationError(ValueError):

@@ -58,7 +58,9 @@ class FreeSetOracle:
     affine on states (so L((rho + s sigma)/(1+s)) = (L(rho) + s L(sigma))/(1+s)),
     and member(rho) holds exactly when lambda_min(L(rho)) >= -tol.
     ``robustness_along_ray`` then probes the pencil L(rho) + s L(sigma)
-    instead of calling ``member`` on rebuilt mixtures.
+    instead of calling ``member`` on rebuilt mixtures.  Such a set is
+    convex, so its free mixtures along any ray form an interval and its
+    ray skips the monotone-scan check that oracles without ``lmi`` keep.
     """
 
     name: str

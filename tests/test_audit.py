@@ -489,6 +489,14 @@ class TestAuditMonotonicity:
         assert rep.violations > 0
         assert rep.worst_increase > 0
 
+    def test_requires_sampler(self):
+        from robustlab.free_sets import FreeSetOracle
+
+        bare = FreeSetOracle(name="bare", member=lambda rho: True)
+        with pytest.raises(ConfigurationError, match="no sampler"):
+            audit_monotonicity(discord_filtered_measure, default_channels(), bare,
+                               AuditConfig(samples=4))
+
     def test_set_breaking_channel_rejected(self):
         with pytest.raises(ConfigurationError, match="maps a free state out"):
             audit_monotonicity(
@@ -572,6 +580,16 @@ class TestAuditConvexity:
         assert rep.violations == 9
         assert rep.worst_gap == pytest.approx(0.5, abs=1e-12)
         assert rep.first_violation is not None
+
+    def test_infinite_mixture_skipped(self):
+        # a measure finite only at the two ends tests no mixture
+        ends = (werner(0.0), maximally_mixed())
+
+        def measure(rho):
+            return 0.0 if any(rho is e for e in ends) else math.inf
+
+        rep = audit_convexity(measure, AuditConfig(samples=0), extra_pairs=[ends])
+        assert (rep.checked, rep.violations, rep.passed) == (0, 0, False)
 
     def test_endpoint_pairs_are_free(self):
         for r1, r2 in discord_axis_endpoint_pairs():

@@ -222,14 +222,20 @@ class TestEntRay:
         assert err.startswith("error: numerical failure") and "s_max = 8.0" in err
         assert run_json(capsys, *argv, "--s-max", "32")["value"] == 20.0
 
-    def test_pattern_from_the_stacked_scan_is_four(self, capsys, tmp_path):
+    def test_phi_plus_noise_on_the_singlet(self, capsys, tmp_path):
         # the noise phi+ gives the weights (s, 1)/(1 + s) on phi+ and the
-        # singlet, so only s = 1 is PPT among the scan points
+        # singlet, so the mixture is free only at s = 1: the convex sets
+        # answer 1, the zero-discord sets refuse the scan pattern
         path = tmp_path / "phi.json"
         path.write_text(json.dumps({"bds": [1, -1, 1]}))
-        code, out, err = run_cli(capsys, "ent-ray", "--bds=-1,-1,-1", "--noise", f"state:{path}")
-        assert (code, out) == (4, "")
-        assert "pattern FTFFFFFFF" in err
+        argv = ["ent-ray", "--bds=-1,-1,-1", "--noise", f"state:{path}", "--free-set"]
+        for free_set in ("ppt", "unfaithful"):
+            payload = run_json(capsys, *argv, free_set)
+            assert (payload["value"], payload["iterations"]) == (1.0, 29)
+        for free_set in ("zero-discord", "bds-axes"):
+            code, out, err = run_cli(capsys, *argv, free_set)
+            assert (code, out) == (4, "")
+            assert "pattern FTFFFFFFF" in err
 
     @pytest.mark.parametrize("noisy, value", [(True, 1.8), (False, 0.0)])
     def test_default_noise_has_the_state_dims(self, capsys, tmp_path, noisy, value):
@@ -816,10 +822,12 @@ class TestExitCodes:
         assert code == 2
 
     def test_numerical_failure_is_four(self, tmp_path):
-        # phi+ noise leaves the PPT set again after entering it: not star-convex
+        # phi+ noise leaves the zero-discord set again after entering it:
+        # not star-convex (the convex PPT set answers 1)
         path = tmp_path / "phi_plus.json"
         path.write_text(json.dumps(state_to_json(bell_states()[0])))
-        proc = run_subprocess("ent-ray", "--bds=-1,-1,-1", "--noise", f"state:{path}")
+        proc = run_subprocess("ent-ray", "--bds=-1,-1,-1", "--noise", f"state:{path}",
+                              "--free-set", "zero-discord")
         assert proc.returncode == 4
         assert proc.stderr.startswith("error: numerical failure")
         assert "Traceback" not in proc.stderr

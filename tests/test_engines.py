@@ -33,7 +33,7 @@ from robustlab.engines import (
     robustness_along_ray,
     teleport_robustness_bound,
 )
-from robustlab.free_sets import FreeSetOracle, bds_params_of, oracle_by_name
+from robustlab.free_sets import FreeSetOracle, bds_params_of, has_zero_discord, oracle_by_name
 from robustlab.qstates import (
     PAULI,
     BellDiagonalParams,
@@ -137,19 +137,48 @@ def _ray_outcome(rho, sigma, oracle):
         return exc
 
 
+def _pencil_root(rho, sigma, oracle):
+    """Least real s >= 0 at which (A + t) + s (B + t) is singular, with
+    A = L(rho), B = L(sigma) and (L, t) the oracle's ``lmi``: the left end
+    of the ray's free interval when rho is not free (on two qubits the
+    partial transpose of a state and 1/2 - Re rho_M have at most one
+    negative eigenvalue, so no other root comes first)."""
+    to_matrix, t = oracle.lmi
+    eye = np.eye(rho.dim)
+    roots = np.linalg.eigvals(np.linalg.solve(to_matrix(sigma) + t * eye,
+                                              -(to_matrix(rho) + t * eye)))
+    real = roots.real[(np.abs(roots.imag) <= 1e-9) & (roots.real >= 0.0)]
+    return float(real.min()) if real.size else math.inf
+
+
+def _assert_left_end(res, rho, sigma, oracle):
+    """A finite LMI ray value is a member, brackets the pencil root and
+    has no free mixture on a 2001-point grid below its bracket."""
+    assert 0.0 < res.value < math.inf
+    assert oracle.member(res.free_witness)
+    root = _pencil_root(rho, sigma, oracle)
+    # the root is computed to about 1e-12, the bracket's probes to rounding
+    assert res.value - res.bracket_width - 1e-9 <= root <= res.value + 1e-9
+    to_matrix, t = oracle.lmi
+    s = np.linspace(0.0, res.value - res.bracket_width, 2001)[:, None, None]
+    lam = np.linalg.eigvalsh((to_matrix(rho) + s * to_matrix(sigma)) / (1.0 + s))
+    assert (lam[:, 0] < -t).all()
+
+
 class TestRayPencil:
     """Oracles with an ``lmi`` field are probed on their pencil
     L(rho) + s L(sigma); the reference is the same oracle without the
     field, which calls ``member`` on rebuilt mixtures.  The pencil path
     answers its eight scan points with one stacked eigensolve, so these
-    comparisons also pin that scan: its flags, its T/F pattern and its
-    count of probes."""
+    comparisons also pin that scan: its flags and its count of probes.
+    Where the reference refuses a non-monotone scan, the pencil path,
+    whose free mixtures form an interval, answers."""
 
     @pytest.mark.parametrize("name", ["ppt", "unfaithful"])
     def test_matches_member_path(self, rng, name):
         oracle = oracle_by_name(name)
         reference = dataclasses.replace(oracle, lmi=None)
-        counts = {"zero": 0, "finite": 0, "inf": 0, "violation": 0, "range": 0}
+        counts = {"zero": 0, "finite": 0, "inf": 0, "answered": 0, "range": 0}
         pairs = 0
         for rho, sigma in _ray_pairs(rng, 200):
             pairs += 1
@@ -166,10 +195,11 @@ class TestRayPencil:
                 assert oracle.member(far.free_witness)
                 counts["range"] += 1
                 continue
-            if isinstance(want, Exception):
-                # the same monotonicity failure, with the same T/F pattern
-                assert (type(got), str(got)) == (type(want), str(want))
-                counts["violation"] += 1
+            if isinstance(want, StarConvexityViolationError):
+                # a pattern the member path refuses; the free mixtures
+                # form an interval, so the LMI path bisects its left end
+                _assert_left_end(got, rho, sigma, oracle)
+                counts["answered"] += 1
                 continue
             assert not isinstance(got, Exception), got
             if math.isinf(want.value):
@@ -194,6 +224,34 @@ class TestRayPencil:
                    "finite" if math.isfinite(got.value) else "inf"] += 1
         assert pairs >= 500
         assert min(counts.values()) > 0, counts  # every outcome occurs
+
+    def test_lmi_rays_answer_every_scan_pattern(self):
+        # rho and sigma alternately from random_density(4); the member path
+        # refuses 57 of the 200 pairs on ppt and 30 on unfaithful, but the
+        # free mixtures of an lmi set form an interval, so its ray answers
+        rng = np.random.default_rng(7)
+        pairs = [(random_density(4, seed=rng), random_density(4, seed=rng))
+                 for _ in range(200)]
+        for name in ("ppt", "unfaithful"):
+            oracle = oracle_by_name(name)
+            reference = dataclasses.replace(oracle, lmi=None)
+            refused = 0
+            for rho, sigma in pairs:
+                got = _ray_outcome(rho, sigma, oracle)
+                assert not isinstance(got, StarConvexityViolationError), got
+                if not isinstance(got, RayRangeError) and 0.0 < got.value < math.inf:
+                    _assert_left_end(got, rho, sigma, oracle)
+                refused += isinstance(_ray_outcome(rho, sigma, reference),
+                                      StarConvexityViolationError)
+            assert refused > 0, name
+        # phi+ noise on the singlet: the mixture is PPT, and has zero
+        # discord, only at s = 1; a custom oracle on the set of zero
+        # discord, which is not convex, still refuses that scan
+        phi, singlet = bell_diagonal((1.0, -1.0, 1.0)), bell_diagonal((-1.0, -1.0, -1.0))
+        assert robustness_along_ray(singlet, phi, oracle_by_name("ppt")).value == 1.0
+        custom = FreeSetOracle(name="custom", member=has_zero_discord)
+        with pytest.raises(StarConvexityViolationError, match="pattern FTFFFFFFF"):
+            robustness_along_ray(singlet, phi, custom)
 
     def test_scan_is_one_eigensolve(self, monkeypatch):
         # one eigvalsh at s = 0, one for the eight scan points and one per

@@ -153,6 +153,10 @@ class TestBallRadii:
         assert gurvits_ball_contains(maximally_mixed())
         assert not gurvits_ball_contains(bell_states()[0])
 
+    def test_gurvits_needs_a_bipartite_state(self):
+        with pytest.raises(ValidationError, match="bipartite"):
+            gurvits_ball_contains(DensityMatrix(np.eye(4) / 4.0, (4,)))
+
     def test_gurvits_werner_threshold(self):
         # ||werner(p) - 1/4|| = 1.5 (1-p), so membership starts at 1 - kappa/1.5
         p_star = 1.0 - separable_ball_radius(2, 2) / 1.5
@@ -546,6 +550,23 @@ class TestOracles:
         assert not oracle.member(bell_diagonal((0.6, 0.2, 0.0)))
         assert not oracle.member(random_density(4, seed=5))
 
+    def test_bds_axes_refuses_other_dims(self):
+        # a qubit-qutrit state is never a two-qubit axis state, so its ray
+        # has no free point at all
+        mm = DensityMatrix(np.eye(6) / 6.0, (2, 3))
+        oracle = oracle_by_name("bds-axes")
+        assert not oracle.member(mm)
+        res = robustness_along_ray(mm, mm, oracle)
+        assert (res.value, res.iterations) == (math.inf, 9)
+
+    def test_ppt_sampler_gives_up(self, monkeypatch):
+        # rejection sampling has a bound: with no PPT state to find it
+        # raises instead of looping
+        sampler = oracle_by_name("ppt").sampler
+        monkeypatch.setattr(free_sets, "is_ppt", lambda rho: False)
+        with pytest.raises(ConfigurationError, match="no PPT state"):
+            sampler(np.random.default_rng(0))
+
     def test_bad_star_center_rejected(self):
         with pytest.raises(ConfigurationError, match="star center"):
             FreeSetOracle(
@@ -580,6 +601,18 @@ class TestStarConvexityProbe:
         assert not report.passed
         assert report.violations > 0
         assert report.first_violation is not None
+
+    def test_sampler_output_not_a_member_is_a_violation(self):
+        oracle = FreeSetOracle(
+            name="pure-center",
+            member=lambda rho: np.real(np.trace(rho.mat @ rho.mat)) >= 0.99,
+            star_center=bell_states()[0],
+            sampler=lambda g: maximally_mixed(),
+        )
+        report = star_convexity_probe(oracle, samples=3, mix_points=2)
+        assert (report.checked, report.violations) == (0, 3)
+        assert report.first_violation == "sample 0: sampler output is not a member"
+        assert not report.passed
 
     def test_requires_center_and_sampler(self):
         no_center = FreeSetOracle(name="nc", member=lambda rho: True)

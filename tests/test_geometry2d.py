@@ -111,6 +111,10 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="not convex"):
             PlanarScene(NOTCHED, free)
 
+    def test_two_vertices_rejected(self):
+        with pytest.raises(ValidationError, match="three vertices"):
+            PlanarFreeSet(polygons=[[(0, 0), (1, 0)]])
+
     def test_repeated_vertex_rejected(self):
         # the edge from a vertex to its repeat has no normal
         with pytest.raises(ValidationError, match="repeat"):

@@ -256,6 +256,12 @@ class TestStateInversion:
         )
         assert_allclose(state_inversion(inv).mat, rho.mat, atol=1e-12)
 
+    @pytest.mark.parametrize("dims", [(4,), (2, 3)])
+    def test_needs_two_qubits(self, dims):
+        d = math.prod(dims)
+        with pytest.raises(ValidationError, match="dims"):
+            state_inversion(DensityMatrix(np.eye(d) / d, dims))
+
 
 class TestSampling:
     def test_rank_one_is_pure(self):
