@@ -6,9 +6,9 @@ version field "v": 1; infinite values serialize as the string "inf".
 Exit codes: 0 success, 1 audit failure, 2 invalid input (bad JSON, bad
 shape, Hermiticity/trace violations, unusable parameters), 3 positivity
 violation, 4 numerical failure (non-monotone membership along a ray on
-a set without an LMI, such as zero-discord or bds-axes; a ppt or
-unfaithful ray whose finite value lies past --s-max; or an eigenvalue too
-close to the support cutoff to decide the rank).
+a set without an LMI, such as zero-discord or bds-axes; or a number too
+close to its threshold to decide: an eigenvalue near the support cutoff,
+or the margin of a ppt or unfaithful noise state near 0).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
     ConfigurationError,
     IllConditionedError,
     PositivityError,
-    RayRangeError,
     StarConvexityViolationError,
     ValidationError,
 )
@@ -346,8 +345,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write output to this file")
 
     state_in = argparse.ArgumentParser(add_help=False)
-    state_in.add_argument("--bds", default=None, help="c1,c2,c3 correlations")
-    state_in.add_argument("--state", default=None, help="state JSON file")
+    one_state = state_in.add_mutually_exclusive_group()
+    one_state.add_argument("--bds", default=None, help="c1,c2,c3 correlations")
+    one_state.add_argument("--state", default=None, help="state JSON file")
 
     p = sub.add_parser("discord", parents=[common, state_in],
                        help="discord robustness of a Bell-diagonal state")
@@ -374,9 +374,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, choices=(1, 2), required=True)
     p.add_argument("--delta", type=float, default=0.2)
     p.add_argument("--branch", choices=("a", "b"), default=None)
-    p.add_argument("--sweep", default=None,
-                   help=f"start:stop:step, stop exclusive, at most {MAX_SWEEP_POINTS} points")
-    p.add_argument("--t", type=float, default=None)
+    points = p.add_mutually_exclusive_group()
+    points.add_argument("--sweep", default=None,
+                        help=f"start:stop:step, stop exclusive, at most {MAX_SWEEP_POINTS} points")
+    points.add_argument("--t", type=float, default=None)
 
     p = sub.add_parser("levelset", parents=[common],
                        help="discord robustness sublevel set on the tetrahedron")
@@ -443,7 +444,7 @@ def main(argv=None) -> int:
     except (ValidationError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StarConvexityViolationError, RayRangeError, IllConditionedError) as exc:
+    except (StarConvexityViolationError, IllConditionedError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 4
     return code

@@ -6,8 +6,8 @@ Two complementary computations:
   bisects for the first free mixture.  Sound whenever membership along the
   ray is monotone (guaranteed if the free set is star-convex with respect
   to the noise state), and for a set stated as a linear matrix inequality,
-  whose free mixtures form an interval; on other sets non-monotone
-  membership is detected and raised.
+  whose free mixtures form an interval that Weyl's inequality bounds when
+  the noise is free; on other sets non-monotone membership is raised.
 * ``min_scaling_robustness`` evaluates, for a fixed candidate free state
   sigma, the least s with rho <= (1+s) sigma; optimizing it over a free
   family gives the global robustness restricted to that family.
@@ -33,7 +33,6 @@ from .bds import (
 from .config import TOLS, check_count, check_real, resolve
 from .errors import (
     IllConditionedError,
-    RayRangeError,
     StarConvexityViolationError,
     ValidationError,
 )
@@ -123,18 +122,19 @@ def robustness_along_ray(
     on the mixture; the eight scan probes are one ``eigvalsh`` on the
     stack of their matrices, built with the scalar probe's float
     operations (same flags; ``iterations`` still counts eight probes).
-    Its free mixtures are the s with (A + lmi_tol 1) + s (B + lmi_tol 1)
-    psd, an interval for every noise, so any scan pattern brackets its
-    left end.  A scan with no free point although lambda_min(B) > -lmi_tol
-    raises RayRangeError: the mixtures tend to sigma, so they enter the
-    set past ``s_max`` and the value is finite.
+    Its free mixtures are the s with A' + sB' psd, where X' = X + lmi_tol 1:
+    an interval for every noise, so any scan pattern brackets its left
+    end.  With no free scan point and lambda_min(B') > 0, Weyl's
+    inequality puts that end at or below s_W = -lambda_min(A')/lambda_min(B'),
+    so one more probe, at top = 2 s_W, opens the bracket (s_max, top]; if
+    it fails, lambda_min(B') is within rounding of 0 (IllConditionedError).
 
-    States hold finite entries by construction, but s_max B can overflow
-    and a custom ``lmi`` map can return NaN or inf, so one finiteness
-    check on A + s_max B, before the first probe, covers every probe: for
-    0 <= s <= s_max each entry of A + sB lies between those of A and of
-    A + s_max B, so either case raises ValidationError, even when rho is
-    free.  For the two zero-discord sets toward noise in their star kernel
+    States hold finite entries by construction, but s B can overflow and a
+    custom ``lmi`` map can return NaN or inf, so a finiteness check on
+    A + s_max B before the first probe, and on A + top B before the probe
+    at top, covers every probe (each entry of A + sB lies between those of
+    A and of the checked end): ValidationError, even when rho is free.
+    For the two zero-discord sets toward noise in their star kernel
     (1/4 for both, sigma_A x 1/2 for ``zero-discord``), a scan with no
     free point is an exact inf: their membership is the same all along
     such a ray (see ``free_sets.has_zero_discord``), so the value is 0 or
@@ -176,15 +176,18 @@ def robustness_along_ray(
         def scan() -> list[bool]:
             s = np.array(grid[1:])[:, None, None]
             flags = (np.linalg.eigvalsh((a + s * b) / (1.0 + s))[:, 0] >= -lmi_tol).tolist()
-            if not any(flags):
-                lam = float(np.linalg.eigvalsh(b)[0])
-                if lam > -lmi_tol:
-                    raise RayRangeError(
-                        f"no mixture up to s_max = {s_max!r} is free, but the value is "
-                        f"finite: the noise state passes the {oracle.name!r} test with "
-                        f"lambda_min = {lam:.3e} > -{lmi_tol:.1e}, so the mixtures "
-                        f"enter the set past s_max; pass a larger s_max"
+            lam = 0.0 if any(flags) else float(np.linalg.eigvalsh(b)[0]) + lmi_tol
+            if lam > 0.0:  # free noise: its value lies in (s_max, top]
+                top = -2.0 * (float(np.linalg.eigvalsh(a)[0]) + lmi_tol) / lam
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _require_finite(a + top * b)
+                if not (top > s_max and member(top)):
+                    raise IllConditionedError(
+                        f"the mixture at s = {top!r}, twice the Weyl bound, is not free: "
+                        f"the noise state's margin {lam:.3e} is within rounding of 0"
                     )
+                grid.append(top)
+                flags.append(True)
             return flags
 
     with np.errstate(over="ignore", invalid="ignore"):  # the check reports them
@@ -199,7 +202,7 @@ def robustness_along_ray(
             bracket_width=0.0,
         )
     flags = scan()
-    evals = 1 + _RAY_SCAN_POINTS
+    evals = 1 + len(flags)
     if not any(flags):
         return RobustnessResult(
             value=math.inf,
@@ -470,10 +473,6 @@ def discord_robustness_bounds(rho: DensityMatrix) -> tuple[float, float]:
 # --- Lipschitz constants -----------------------------------------------------
 
 
-def _lambda_min(sigma0: DensityMatrix) -> float:
-    return float(np.linalg.eigvalsh(sigma0.mat)[0])
-
-
 def lipschitz_from_kappa_ball(sigma0: DensityMatrix, kappa: float) -> LipschitzConstant:
     """Constant (1 - lambda_min(sigma0))/kappa from a free ball of radius
     kappa around sigma0 (valid for star-convex free sets containing it).
@@ -488,7 +487,7 @@ def lipschitz_from_kappa_ball(sigma0: DensityMatrix, kappa: float) -> LipschitzC
     here only with the smaller radii.
     """
     kappa = check_real("kappa", kappa, 0.0)
-    lam = _lambda_min(sigma0)
+    lam = float(np.linalg.eigvalsh(sigma0.mat)[0])
     return LipschitzConstant(
         L=(1.0 - lam) / kappa,
         provenance=f"kappa-ball(lambda_min={lam:.9g}, kappa={kappa:.9g})",
@@ -505,7 +504,7 @@ def bound_from_kappa_ball(sigma0: DensityMatrix, kappa: float) -> float:
 def lipschitz_full_rank(sigma0: DensityMatrix) -> LipschitzConstant:
     """Constant 1/lambda_min(sigma0) for global robustness with a full-rank
     star center (finite on the effective domain of the measure)."""
-    lam = _lambda_min(sigma0)
+    lam = float(np.linalg.eigvalsh(sigma0.mat)[0])
     if lam <= TOLS.psd:
         raise ValidationError(
             f"star center must be full rank; smallest eigenvalue {lam:.3e}"

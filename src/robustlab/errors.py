@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-Each class maps to one failure mode so callers (and the CLI exit-code
+Each class maps to one kind of failure so callers (and the CLI exit-code
 table) can tell input mistakes apart from numerical trouble.
 """
 
@@ -11,7 +11,6 @@ __all__ = [
     "PositivityError",
     "IllConditionedError",
     "StarConvexityViolationError",
-    "RayRangeError",
     "ConfigurationError",
 ]
 
@@ -26,8 +25,11 @@ class PositivityError(ValidationError):
 
 
 class IllConditionedError(ArithmeticError):
-    """An eigenvalue sits too close to the support cutoff to classify as
-    zero or nonzero; refusing to guess the rank."""
+    """A decision rests on a number within rounding of its threshold: an
+    eigenvalue too close to the support cutoff to classify as zero or
+    nonzero, or the margin by which the noise state of an LMI ray passes
+    the test, too small for the probe at twice the Weyl bound to pass.
+    Refusing to guess."""
 
 
 class StarConvexityViolationError(RuntimeError):
@@ -35,13 +37,6 @@ class StarConvexityViolationError(RuntimeError):
     the free-set oracle is unsound for this input.  Raised only for oracles
     without an ``lmi`` field: an LMI set is convex, so its free mixtures
     along a ray form an interval that any scan pattern brackets."""
-
-
-class RayRangeError(RuntimeError):
-    """A noise ray reaches the free set, but only past the scanned range
-    s_max, so the bisection found no free point to start from.  Raised
-    only for oracles with an ``lmi`` field, whose test on the noise state
-    proves that the mixtures enter the set."""
 
 
 class ConfigurationError(ValueError):

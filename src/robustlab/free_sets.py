@@ -56,11 +56,11 @@ class FreeSetOracle:
     ``lmi``, when given, is a pair (L, tol) that states the set as one
     linear matrix inequality: L maps a state to a Hermitian matrix, is
     affine on states (so L((rho + s sigma)/(1+s)) = (L(rho) + s L(sigma))/(1+s)),
-    and member(rho) holds exactly when lambda_min(L(rho)) >= -tol.
-    ``robustness_along_ray`` then probes the pencil L(rho) + s L(sigma)
-    instead of calling ``member`` on rebuilt mixtures.  Such a set is
-    convex, so its free mixtures along any ray form an interval and its
-    ray skips the monotone-scan check that oracles without ``lmi`` keep.
+    and member(rho) holds exactly when lambda_min(L(rho)) >= -tol, a finite
+    tol >= 0 (ValidationError otherwise).  ``robustness_along_ray`` then
+    probes the pencil L(rho) + s L(sigma) instead of calling ``member`` on
+    rebuilt mixtures.  Such a set is convex, so its free mixtures along any
+    ray form an interval, with no monotone-scan check to keep.
     """
 
     name: str
@@ -71,6 +71,10 @@ class FreeSetOracle:
     lmi: Optional[tuple[Callable[[DensityMatrix], np.ndarray], float]] = None
 
     def __post_init__(self):
+        if self.lmi is not None:  # the ray's Weyl bracket needs a finite tol >= 0
+            to_matrix, tol = self.lmi
+            tol = check_real("lmi tolerance", tol, 0.0, ends="[)")
+            object.__setattr__(self, "lmi", (to_matrix, tol))
         if self.star_center is not None and not self.member(self.star_center):
             raise ConfigurationError(
                 f"star center of oracle {self.name!r} is not a member of the set"

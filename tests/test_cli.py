@@ -211,15 +211,16 @@ class TestEntRay:
         )
         assert payload["value"] == pytest.approx(2.0, abs=1e-6)
 
-    def test_noise_value_past_s_max_is_four(self, capsys, tmp_path):
+    def test_noisy_singlet_answers_at_default_s_max(self, capsys, tmp_path):
         # the noisy singlet reaches the PPT set at s = 20, past the default
-        # s_max = 8; the scan used to report "inf" with exit 0
+        # s_max = 8; the noise is PPT, so Weyl's bound brackets the value
         path = tmp_path / "noise.json"
         path.write_text(json.dumps({"bds": [-0.3, -0.3, -0.3]}))
         argv = ["ent-ray", "--bds=-1,-1,-1", "--noise", f"state:{path}"]
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (4, "")
-        assert err.startswith("error: numerical failure") and "s_max = 8.0" in err
+        payload = run_json(capsys, *argv)
+        assert abs(payload["value"] - 20.0) <= min(payload["bracket_width"], 1e-6)
+        witness = state_from_json(json.dumps(payload["free_witness"]))
+        assert oracle_by_name("ppt").member(witness)
         assert run_json(capsys, *argv, "--s-max", "32")["value"] == 20.0
 
     def test_phi_plus_noise_on_the_singlet(self, capsys, tmp_path):
@@ -820,6 +821,18 @@ class TestExitCodes:
         assert code == 2
         code, _, _ = run_cli(capsys, "discord", "--bds", "a,b,c")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("discord", "--bds", "0.5,0.3,0", "--state", "s.json"),
+        ("ent-ray", "--state", "s.json", "--bds", "0.5,0.3,0"),
+        ("counterexample", "--id", "1", "--sweep", "0:0.2:0.1", "--t", "0.9"),
+    ], ids=["discord", "ent-ray", "counterexample"])
+    def test_conflicting_flags_are_two(self, capsys, argv):
+        # the second flag of each pair used to be dropped without a word
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_numerical_failure_is_four(self, tmp_path):
         # phi+ noise leaves the zero-discord set again after entering it:

@@ -11,6 +11,7 @@ import pytest
 from robustlab import (
     AuditConfig,
     BellDiagonalParams,
+    FreeSetOracle,
     audit_lipschitz,
     bound_from_kappa_ball,
     channel_depolarizing,
@@ -20,6 +21,7 @@ from robustlab import (
     counterexample2_point,
     discord_levelset_grid,
     discord_robustness_bds,
+    is_ppt,
     lipschitz_from_kappa_ball,
     maximally_mixed,
     oracle_by_name,
@@ -88,6 +90,10 @@ SITES = {
                               [-1, 1], [math.inf, -math.inf]),
     "discord_robustness_bds": (lambda v: discord_robustness_bds((0, v, 0)), "correlation c2",
                                [-1, 1], [math.inf, -math.inf]),
+    # unchecked, nan and -1 gave the singlet's ray toward 1/4 the value inf,
+    # inf gave 0 and "x" a bare TypeError
+    "FreeSetOracle lmi": (lambda v: FreeSetOracle("ppt copy", is_ppt, lmi=(PPT.lmi[0], v)),
+                          "lmi tolerance", [0, 1e300], [-TINY, math.inf]),
 }
 
 # numeric strings such as "0.5" are not numbers either; "a" and [1] are the

@@ -12,7 +12,6 @@ from robustlab.bds import BELL_SIGNS
 from robustlab.config import TOLS
 from robustlab.errors import (
     IllConditionedError,
-    RayRangeError,
     StarConvexityViolationError,
     ValidationError,
 )
@@ -133,7 +132,7 @@ def _ray_pairs(rng, n):
 def _ray_outcome(rho, sigma, oracle):
     try:
         return robustness_along_ray(rho, sigma, oracle)
-    except (StarConvexityViolationError, RayRangeError) as exc:
+    except StarConvexityViolationError as exc:
         return exc
 
 
@@ -172,28 +171,28 @@ class TestRayPencil:
     answers its eight scan points with one stacked eigensolve, so these
     comparisons also pin that scan: its flags and its count of probes.
     Where the reference refuses a non-monotone scan, the pencil path,
-    whose free mixtures form an interval, answers."""
+    whose free mixtures form an interval, answers, and where its scan
+    finds no free point toward free noise, Weyl's bound brackets the
+    value past s_max."""
 
     @pytest.mark.parametrize("name", ["ppt", "unfaithful"])
     def test_matches_member_path(self, rng, name):
         oracle = oracle_by_name(name)
         reference = dataclasses.replace(oracle, lmi=None)
-        counts = {"zero": 0, "finite": 0, "inf": 0, "answered": 0, "range": 0}
+        counts = {"zero": 0, "finite": 0, "inf": 0, "answered": 0, "past s_max": 0}
         pairs = 0
         for rho, sigma in _ray_pairs(rng, 200):
             pairs += 1
             got = _ray_outcome(rho, sigma, oracle)
             want = _ray_outcome(rho, sigma, reference)
-            if isinstance(got, RayRangeError):
+            if not isinstance(want, Exception) and math.isinf(want.value) and got.value < math.inf:
                 # the member path returns its unproven inf here, from a scan
-                # with no free point; the value is finite, past s_max
-                assert "s_max = 8.0" in str(got)
-                assert (want.value, want.iterations) == (math.inf, 9)
-                assert oracle.member(sigma)
-                far = robustness_along_ray(rho, sigma, oracle, s_max=1e6)
-                assert 2.0 * rho.dim < far.value < math.inf
-                assert oracle.member(far.free_witness)
-                counts["range"] += 1
+                # with no free point; the noise is free, so the pencil path
+                # bisects up to twice the Weyl bound
+                assert want.iterations == 9 and oracle.member(sigma)
+                assert got.value > 2.0 * rho.dim
+                _assert_left_end(got, rho, sigma, oracle)
+                counts["past s_max"] += 1
                 continue
             if isinstance(want, StarConvexityViolationError):
                 # a pattern the member path refuses; the free mixtures
@@ -202,9 +201,7 @@ class TestRayPencil:
                 counts["answered"] += 1
                 continue
             assert not isinstance(got, Exception), got
-            if math.isinf(want.value):
-                # a scan with no free point raises exactly when the noise
-                # state is free
+            if math.isinf(want.value):  # the noise state is not free
                 assert not oracle.member(sigma)
             assert got.method == want.method
             if name == "ppt":  # the same float operations: bit-identical
@@ -239,7 +236,7 @@ class TestRayPencil:
             for rho, sigma in pairs:
                 got = _ray_outcome(rho, sigma, oracle)
                 assert not isinstance(got, StarConvexityViolationError), got
-                if not isinstance(got, RayRangeError) and 0.0 < got.value < math.inf:
+                if 0.0 < got.value < math.inf:
                     _assert_left_end(got, rho, sigma, oracle)
                 refused += isinstance(_ray_outcome(rho, sigma, reference),
                                       StarConvexityViolationError)
@@ -272,20 +269,78 @@ class TestRayPencil:
         assert calls[1] == (8, 4, 4)
 
     @pytest.mark.parametrize("name", ["ppt", "unfaithful"])
-    def test_noise_inside_the_set_past_s_max_raises(self, name):
+    def test_noise_inside_the_set_past_s_max_answers(self, name):
         # the noisy singlet reaches the set at s = 20 (PPT) or s = 5
         # (unfaithful, noise singlet fraction 0.475; the 1e-8 margin moves
         # it by 2.4e-6), so the scan up to s_max = 8 (PPT) or 4 finds no
-        # member although the value is finite
+        # member; the noise is free, so one probe at twice the Weyl bound
+        # opens the bracket (s_max, top]
         rho = bell_diagonal((-1.0, -1.0, -1.0) if name == "ppt" else (-0.5, -0.5, -0.5))
         sigma = bell_diagonal((-0.3, -0.3, -0.3))
         exact, s_max = (20.0, 8.0) if name == "ppt" else (5.0, 4.0)
         oracle = oracle_by_name(name)
-        with pytest.raises(RayRangeError, match=f"s_max = {s_max!r}"):
-            robustness_along_ray(rho, sigma, oracle, s_max=s_max)
-        res = robustness_along_ray(rho, sigma, oracle, s_max=4.0 * s_max)
+        res = robustness_along_ray(rho, sigma, oracle, s_max=s_max)
+        _assert_left_end(res, rho, sigma, oracle)
         assert res.value == pytest.approx(exact, abs=5e-6)
-        assert oracle.member(res.free_witness)
+        if name == "ppt":  # no margin moves this value
+            assert exact - res.bracket_width <= res.value <= exact
+        # a larger s_max finds the point in its scan, within both brackets
+        far = robustness_along_ray(rho, sigma, oracle, s_max=4.0 * s_max)
+        assert abs(far.value - res.value) <= max(far.bracket_width, res.bracket_width)
+
+    def test_product_noise_matches_a_large_s_max(self):
+        # |00><00| is PPT, yet the singlet enters the set only at 49999.5:
+        # the block [[s + t(1+s), -1/2], [-1/2, t(1+s)]] of the tolerance
+        # t = 1e-10 needs t s^2 near 1/4; the scan of s_max = 1e5 finds it
+        singlet = bell_diagonal((-1.0, -1.0, -1.0))
+        product = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), (2, 2))
+        oracle = oracle_by_name("ppt")
+        near, far = (robustness_along_ray(singlet, product, oracle, s_max=s_max)
+                     for s_max in (None, 1e5))
+        for res in (near, far):
+            assert res.value == pytest.approx(49999.5, abs=1e-6)
+            _assert_left_end(res, singlet, product, oracle)
+        assert near.value - near.bracket_width <= far.value
+        assert far.value - far.bracket_width <= near.value
+
+    def test_weyl_bound_overflow_raises(self):
+        # t = 0 and lambda_min(L(sigma)) = 5e-324: twice the Weyl bound is
+        # inf, so the finiteness check on A + top B refuses it
+        singlet = bell_diagonal((-1.0, -1.0, -1.0))
+        noise = DensityMatrix(np.diag([5e-324, 1.0 / 3, 1.0 / 3, 1.0 / 3]).astype(complex),
+                              (2, 2), validate=False)
+        to_matrix = oracle_by_name("ppt").lmi[0]
+        assert np.linalg.eigvalsh(to_matrix(noise))[0] == 5e-324
+        tight = FreeSetOracle(name="tight", member=lambda r: False, lmi=(to_matrix, 0.0))
+        with pytest.raises(ValidationError, match="finite"):
+            robustness_along_ray(singlet, noise, tight)
+
+    def test_margin_within_rounding_raises(self):
+        # custom pencils with lambda_min(B) = 1e-16: twice the Weyl bound
+        # is near 1e16, where rounding in the probe can exceed the margin;
+        # such a probe raises, every other ray answers a member or inf
+        rng = np.random.default_rng(0)
+        rho, sigma = random_density(4, seed=1), maximally_mixed()
+        outcomes = set()
+        for _ in range(100):
+            x = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+            a, b = x + x.conj().transpose(0, 2, 1)
+            b = b + (1e-16 - np.linalg.eigvalsh(b)[0]) * np.eye(4)
+            lmi = (lambda r, a=a, b=b: a if r is rho else b, 0.0)
+            oracle = FreeSetOracle(name="custom", member=lambda r: False, lmi=lmi)
+            try:
+                res = robustness_along_ray(rho, sigma, oracle)
+            except IllConditionedError as exc:
+                assert "within rounding of 0" in str(exc)
+                outcomes.add("ill-conditioned")
+                continue
+            if math.isfinite(res.value):
+                m = (a + res.value * b) / (1.0 + res.value)
+                assert np.linalg.eigvalsh(m)[0] >= 0.0
+                outcomes.add("past s_max" if res.value > 8.0 else "finite")
+            else:
+                outcomes.add("inf")
+        assert outcomes == {"ill-conditioned", "past s_max", "finite", "inf"}
 
     def test_noise_outside_the_set_keeps_inf(self):
         # mixing the singlet with itself never leaves the entangled states

@@ -567,6 +567,15 @@ class TestOracles:
         with pytest.raises(ConfigurationError, match="no PPT state"):
             sampler(np.random.default_rng(0))
 
+    def test_lmi_tolerance_stored_as_float(self):
+        # bad tolerances are refused with the other real parameters, in
+        # tests/test_config.py
+        to_matrix = oracle_by_name("ppt").lmi[0]
+        oracle = FreeSetOracle(name="ppt copy", member=is_ppt, lmi=(to_matrix, 0))
+        assert oracle.lmi == (to_matrix, 0.0) and type(oracle.lmi[1]) is float
+        res = robustness_along_ray(werner(0.0), maximally_mixed(), oracle)
+        assert res.value == pytest.approx(2.0, abs=1e-6)
+
     def test_bad_star_center_rejected(self):
         with pytest.raises(ConfigurationError, match="star center"):
             FreeSetOracle(
