@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import TOLS, check_count, check_real, resolve
+from .config import TOLS, check_count, check_real
 from .errors import ConfigurationError
 from .engines import discord_filtered_measure, robustness_along_ray
 from .free_sets import FreeSetOracle, sample_trace_ball
@@ -69,24 +69,21 @@ MAX_AUDIT_SAMPLES = 1000
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Batch size, seed and an optional override of the audit tolerance.
+    """Batch size and seed of an audit.
 
-    ``samples`` must be an integer in [0, MAX_AUDIT_SAMPLES], ``seed`` an
-    integer >= 0 and ``tolerance`` None or a finite number >= 0
-    (ValidationError otherwise).
+    ``samples`` must be an integer in [0, MAX_AUDIT_SAMPLES] and ``seed`` an
+    integer >= 0 (ValidationError otherwise).  Each audit reads its one
+    threshold from TOLS: ``lipschitz_violation_slack``, ``audit_zero``, or
+    for monotonicity and convexity twice the ray's ``ray_bisection``.
     """
 
     samples: int = 100
     seed: int = 0
-    tolerance: Optional[float] = None
 
     def __post_init__(self):
         samples = check_count("samples", self.samples, least=0, most=MAX_AUDIT_SAMPLES)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "seed", check_count("seed", self.seed, least=0))
-        if self.tolerance is not None:
-            tol = check_real("tolerance", self.tolerance, 0.0, ends="[)")
-            object.__setattr__(self, "tolerance", tol)
 
 
 # --- Lipschitz ---------------------------------------------------------------
@@ -157,7 +154,6 @@ def audit_lipschitz(
     L = check_real("L", L, 0.0, ends="[)")
     if pairs is None:
         pairs = lipschitz_pairs(cfg)
-    slack = resolve(cfg.tolerance, TOLS.lipschitz_violation_slack)
 
     dists = _trace_distances([r1 for _, r1, _ in pairs], [r2 for _, _, r2 in pairs]).tolist()
     ends = [(measure(r1), measure(r2)) for _, r1, r2 in pairs]
@@ -173,7 +169,7 @@ def audit_lipschitz(
         if ratio > max_ratio:
             max_ratio = ratio
             worst = (regime, r1, r2, m1, m2, dist)
-        if ratio > L * (1.0 + slack):
+        if ratio > L * (1.0 + TOLS.lipschitz_violation_slack):
             violations += 1
     return LipschitzReport(
         L_claimed=L,
@@ -221,7 +217,6 @@ def audit_faithfulness(
     """Check measure = 0 exactly on free samples and > 0 off the set."""
     if oracle.sampler is None:
         raise ConfigurationError(f"oracle {oracle.name!r} has no sampler to audit with")
-    zero = resolve(cfg.tolerance, TOLS.audit_zero)
     rng = np.random.default_rng(cfg.seed)
     free = [oracle.sampler(rng) for _ in range(cfg.samples)]
     nonfree = []
@@ -233,8 +228,8 @@ def audit_faithfulness(
             nonfree.append(rho)
     free_vals = [measure(rho) for rho in free]
     nonfree_vals = [measure(rho) for rho in nonfree]
-    free_nonzero = sum(1 for v in free_vals if v > zero)
-    nonfree_zero = sum(1 for v in nonfree_vals if v <= zero)
+    free_nonzero = sum(1 for v in free_vals if v > TOLS.audit_zero)
+    nonfree_zero = sum(1 for v in nonfree_vals if v <= TOLS.audit_zero)
     return FaithfulnessReport(
         free_checked=len(free),
         nonfree_checked=len(nonfree),
@@ -324,7 +319,6 @@ def audit_monotonicity(
     """
     if oracle.sampler is None:
         raise ConfigurationError(f"oracle {oracle.name!r} has no sampler to audit with")
-    tol = resolve(cfg.tolerance, 2.0 * TOLS.ray_bisection)
     rng = np.random.default_rng(cfg.seed)
     probes = [oracle.sampler(rng) for _ in range(min(cfg.samples, 16))]
     for name, ch in channels:
@@ -348,7 +342,7 @@ def audit_monotonicity(
             checked += 1
             inc = v1 - v0
             worst = max(worst, inc)
-            if inc > tol:
+            if inc > 2.0 * TOLS.ray_bisection:
                 violations += 1
                 per_channel[name] += 1
     return MonotonicityReport(
@@ -404,7 +398,6 @@ def audit_convexity(
     ``extra_pairs`` are checked ahead of the random batch, so deliberate
     counterexample constructions appear in the report deterministically.
     """
-    tol = resolve(cfg.tolerance, 2.0 * TOLS.ray_bisection)
     rng = np.random.default_rng(cfg.seed)
     drawn = _states(_random_densities(_DIM, _DIM, rng, 2 * cfg.samples))
     pairs = list(extra_pairs) + list(zip(drawn[::2], drawn[1::2]))
@@ -426,7 +419,7 @@ def audit_convexity(
             rhs = lam * m1 + (1.0 - lam) * m2
             gap = lhs - rhs
             worst = max(worst, gap)
-            if gap > tol:
+            if gap > 2.0 * TOLS.ray_bisection:
                 violations += 1
                 if first is None:
                     first = (r1, r2, lam, lhs, rhs)

@@ -3,12 +3,12 @@
 Every subcommand is a thin adapter: it parses arguments, calls library
 functions, and formats their results.  JSON payloads carry a schema
 version field "v": 1; infinite values serialize as the string "inf".
-Exit codes: 0 success, 1 audit failure, 2 invalid input (bad JSON, bad
-shape, Hermiticity/trace violations, unusable parameters), 3 positivity
-violation, 4 numerical failure (non-monotone membership along a ray on
-a set without an LMI, such as zero-discord or bds-axes; or a number too
-close to its threshold to decide: an eigenvalue near the support cutoff,
-or the margin of a ppt or unfaithful noise state near 0).
+Exit codes: 0 success, 1 audit failure, 2 invalid input (bad JSON, bad shape,
+Hermiticity/trace violations, unusable parameters, a flag given where it does
+not act), 3 positivity violation, 4 numerical failure (non-monotone membership
+along a ray on a set without an LMI, such as zero-discord or bds-axes; or a
+number too close to its threshold to decide: an eigenvalue near the support
+cutoff, or the margin of a ppt or unfaithful noise state near 0).
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ SCHEMA_VERSION = 1
 
 
 def _scalar(v):
-    np = sys.modules.get("numpy")  # no numpy loaded means no numpy scalars
-    if np is not None and isinstance(v, (np.floating, np.integer)):
-        v = v.item()
     if isinstance(v, float):
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
@@ -85,6 +82,11 @@ def _emit(payload, fmt: str, out: Optional[str]) -> None:
 
 
 # --- input parsing -----------------------------------------------------------
+
+
+def _given(args, name: str) -> dict:
+    """{name: value} if the flag was given, else {}: the library's default."""
+    return {} if getattr(args, name) is None else {name: getattr(args, name)}
 
 
 def _parse_bds(text: str) -> BellDiagonalParams:
@@ -182,7 +184,7 @@ def _cmd_discord(args) -> tuple[int, dict]:
     else:
         from . import engines
 
-        res = engines.discord_robustness_axis_opt(params, grid=args.grid)
+        res = engines.discord_robustness_axis_opt(params, **_given(args, "grid"))
         payload = {
             "v": SCHEMA_VERSION,
             "value": res.value,
@@ -238,8 +240,9 @@ def _ce_rows(args) -> tuple[list[str], list[tuple]]:
     if ts == [None]:
         raise ValidationError("provide --sweep start:stop:step or --t value")
     if args.id == 1:
-        scene, solve = g2.scene_counterexample1(args.delta), g2.absolute_robustness_2d
-        exact = functools.partial(g2.counterexample1_exact, delta=args.delta)
+        delta = _given(args, "delta")
+        scene, solve = g2.scene_counterexample1(**delta), g2.absolute_robustness_2d
+        exact = functools.partial(g2.counterexample1_exact, **delta)
         point = g2.counterexample1_point
     else:
         scene, solve = g2.scene_counterexample2(), g2.global_robustness_2d
@@ -276,9 +279,7 @@ def _cmd_audit(args) -> tuple[int, dict]:
     # an empty batch tests nothing and would read as a failed audit (exit 1)
     if args.samples < 1:
         raise ValidationError(f"--samples must be at least 1, got {args.samples}")
-    cfg = audit_mod.AuditConfig(
-        samples=args.samples, seed=args.seed, tolerance=args.tol
-    )
+    cfg = audit_mod.AuditConfig(samples=args.samples, seed=args.seed)
     oracle = free_sets.oracle_by_name(args.free_set)
     if args.measure == "ray":
         measure = audit_mod.ray_measure(oracle.star_center, oracle)
@@ -287,10 +288,10 @@ def _cmd_audit(args) -> tuple[int, dict]:
     if args.check == "lipschitz":
         L = args.L
         if L is None:
-            if oracle.star_center is None or oracle.kappa is None:
-                raise ValidationError(
-                    f"free set {oracle.name!r} carries no ball data; pass --L"
-                )
+            # the kappa-ball constant bounds the ray toward a free set with a ball
+            if args.measure != "ray" or oracle.kappa is None:
+                raise ValidationError(f"--measure {args.measure} on free set "
+                                      f"{oracle.name!r} has no default constant; pass --L")
             L = engines.lipschitz_from_kappa_ball(oracle.star_center, oracle.kappa).L
         rep = audit_mod.audit_lipschitz(measure, L, cfg)
         worst = None
@@ -353,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="discord robustness of a Bell-diagonal state")
     p.add_argument("--method", choices=("closed-form", "axis-opt"),
                    default="closed-form")
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=int, help="axis grid of --method axis-opt (default 64)")
 
     sub.add_parser("discord-bounds", parents=[common, state_in],
                    help="two-sided discord robustness bounds for any state")
@@ -372,8 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", parents=[common],
                        help="exact vs numeric values along the reference families")
     p.add_argument("--id", type=int, choices=(1, 2), required=True)
-    p.add_argument("--delta", type=float, default=0.2)
-    p.add_argument("--branch", choices=("a", "b"), default=None)
+    p.add_argument("--delta", type=float, help="scene parameter of --id 1 (default 0.2)")
+    p.add_argument("--branch", choices=("a", "b"), help="family of --id 2, required there")
     points = p.add_mutually_exclusive_group()
     points.add_argument("--sweep", default=None,
                         help=f"start:stop:step, stop exclusive, at most {MAX_SWEEP_POINTS} points")
@@ -391,10 +392,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=("ray", "discord-filtered"), default="ray",
                    help="ray: robustness along the noise ray toward the free set's star center")
     p.add_argument("--free-set", default="ppt")
-    p.add_argument("--L", type=float, default=None)
+    p.add_argument("--L", type=float, help="for --check lipschitz (default: the ray's kappa-ball L)")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
 
     return parser
 
@@ -408,6 +408,11 @@ _HANDLERS = {
     "levelset": _cmd_levelset,
     "audit": _cmd_audit,
 }
+
+# flag -> (argument, value): the flag acts only with that value; given means not None
+_ONLY_WITH = {"discord": {"grid": ("method", "axis-opt")},
+              "counterexample": {"delta": ("id", 1), "branch": ("id", 2)},
+              "audit": {"L": ("check", "lipschitz")}}
 
 # tabular subcommands default to csv, scalar ones to json
 _DEFAULT_FORMAT = {"counterexample": "csv", "levelset": "csv"}
@@ -432,6 +437,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_preprocess(list(argv)))
     try:
+        for flag, (arg, value) in _ONLY_WITH.get(args.cmd, {}).items():
+            if getattr(args, flag) is not None and getattr(args, arg) != value:
+                raise ValidationError(f"--{flag} acts only with --{arg} {value}")
         code, payload = _HANDLERS[args.cmd](args)
         fmt = args.format or _DEFAULT_FORMAT.get(args.cmd, "json")
         _emit(payload, fmt, args.out)

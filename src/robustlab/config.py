@@ -1,13 +1,14 @@
 """Centralized numerical tolerances and argument checks.
 
-Every threshold used by the library lives in one frozen record so that the
+The library's numerical thresholds live in one frozen record so that the
 values are auditable in a single place, and the library reads them from
-TOLS directly.  Only a few solver and audit parameters take a per-call
-override (the ray's ``tol`` and ``s_max`` and ``AuditConfig.tolerance``);
-passing ``None`` there means "use the default from TOLS".  Most thresholds
-are absolute; ``discord_membership`` is relative to the state's Bloch
-weight, so that the zero-discord sets are decided the same way at every
-scale.
+TOLS directly.  Only the ray's ``tol`` and ``s_max`` take a per-call
+override; passing ``None`` there means "use the default".  Each solver's
+own accuracy setting is a private constant of its module
+(``engines._ZOOM_XATOL``, ``geometry2d._REFINE_TOL``,
+``bds._LEVEL_SLACK``).  Most thresholds are absolute;
+``discord_membership`` is relative to the state's Bloch weight, so that
+the zero-discord sets are decided the same way at every scale.
 """
 
 from __future__ import annotations
@@ -57,11 +58,6 @@ class Tolerances:
 
 
 TOLS = Tolerances()
-
-
-def resolve(value: float | None, default: float) -> float:
-    """Return ``value`` unless it is None, else ``default``."""
-    return default if value is None else value
 
 
 def check_count(name: str, n, least: int = 1, most: int | None = None) -> int:

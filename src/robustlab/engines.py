@@ -30,7 +30,7 @@ from .bds import (
     discord_levelset_grid,
     discord_robustness_bds,
 )
-from .config import TOLS, check_count, check_real, resolve
+from .config import TOLS, check_count, check_real
 from .errors import (
     IllConditionedError,
     StarConvexityViolationError,
@@ -142,8 +142,8 @@ def robustness_along_ray(
     """
     if rho.dims != sigma.dims:
         raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
-    tol = check_real("tol", resolve(tol, TOLS.ray_bisection), 0.0)
-    s_max = check_real("s_max", resolve(s_max, 2.0 * rho.dim), 0.0)
+    tol = check_real("tol", TOLS.ray_bisection if tol is None else tol, 0.0)
+    s_max = check_real("s_max", 2.0 * rho.dim if s_max is None else s_max, 0.0)
     grid = [s_max * (i / _RAY_SCAN_POINTS) for i in range(_RAY_SCAN_POINTS + 1)]
 
     def mix(s: float) -> DensityMatrix:

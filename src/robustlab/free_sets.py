@@ -53,9 +53,9 @@ __all__ = [
 class FreeSetOracle:
     """A named free set: membership test plus optional geometry metadata.
 
-    ``lmi``, when given, is a pair (L, tol) that states the set as one
-    linear matrix inequality: L maps a state to a Hermitian matrix, is
-    affine on states (so L((rho + s sigma)/(1+s)) = (L(rho) + s L(sigma))/(1+s)),
+    ``lmi``, when given, is a tuple (L, tol) that states the set as one
+    linear matrix inequality: a callable L maps a state to a Hermitian
+    matrix, is affine on states (so L((rho + s sigma)/(1+s)) = (L(rho) + s L(sigma))/(1+s)),
     and member(rho) holds exactly when lambda_min(L(rho)) >= -tol, a finite
     tol >= 0 (ValidationError otherwise).  ``robustness_along_ray`` then
     probes the pencil L(rho) + s L(sigma) instead of calling ``member`` on
@@ -72,6 +72,8 @@ class FreeSetOracle:
 
     def __post_init__(self):
         if self.lmi is not None:  # the ray's Weyl bracket needs a finite tol >= 0
+            if not (isinstance(self.lmi, tuple) and len(self.lmi) == 2 and callable(self.lmi[0])):
+                raise ValidationError(f"lmi must be a pair (L, tol), L callable, got {self.lmi!r}")
             to_matrix, tol = self.lmi
             tol = check_real("lmi tolerance", tol, 0.0, ends="[)")
             object.__setattr__(self, "lmi", (to_matrix, tol))

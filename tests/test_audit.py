@@ -70,7 +70,6 @@ def per_state_lipschitz_pairs(cfg):
 
 def per_pair_lipschitz(measure, L, cfg, pairs):
     """Reference: the Lipschitz report with one trace norm per pair."""
-    slack = TOLS.lipschitz_violation_slack if cfg.tolerance is None else cfg.tolerance
     rows = [(measure(r1), measure(r2), trace_norm(r1.mat - r2.mat)) for _, r1, r2 in pairs]
     tested = violations = skipped = 0
     max_ratio = 0.0
@@ -84,7 +83,7 @@ def per_pair_lipschitz(measure, L, cfg, pairs):
         if ratio > max_ratio:
             max_ratio = ratio
             worst = (regime, r1, r2, m1, m2, dist)
-        if ratio > L * (1.0 + slack):
+        if ratio > L * (1.0 + TOLS.lipschitz_violation_slack):
             violations += 1
     return LipschitzReport(L, tested, max_ratio, worst, violations, skipped)
 
@@ -223,20 +222,19 @@ def bds_measure(rho):
 
 class TestAuditConfig:
     def test_accepts_boundary_values(self):
-        cfg = AuditConfig(seed=0, tolerance=0.0)
-        assert (cfg.seed, cfg.tolerance) == (0, 0.0)
+        assert AuditConfig(seed=0).seed == 0
         assert AuditConfig(seed=2.0).seed == 2  # an integral float is an integer
-        assert AuditConfig().tolerance is None
+
+    def test_tolerance_field_removed(self):
+        # it meant a relative slack, an absolute zero or an allowed gap,
+        # depending on the audit; each audit reads its threshold from TOLS
+        with pytest.raises(TypeError, match="tolerance"):
+            AuditConfig(tolerance=0.0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, math.inf])
     def test_bad_seed(self, seed):
         with pytest.raises(ValidationError, match="seed"):
             AuditConfig(seed=seed)
-
-    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, math.inf])
-    def test_bad_tolerance(self, tolerance):
-        with pytest.raises(ValidationError, match="tolerance"):
-            AuditConfig(tolerance=tolerance)
 
     @pytest.mark.parametrize("samples", [-3, 2.5, math.nan, math.inf])
     def test_bad_samples(self, samples):

@@ -490,7 +490,7 @@ def audit_argv(draw):
     for flag, values in (("--measure", st.sampled_from(["ray", "discord-filtered"])),
                          ("--free-set", st.sampled_from(
                              ["ppt", "zero-discord", "unfaithful", "bds-axes", "nonesuch"])),
-                         ("--L", _NUMBER), ("--tol", _NUMBER),
+                         ("--L", _NUMBER),
                          ("--seed", st.integers(-3, 2**70).map(str))):
         if draw(st.booleans()):
             argv.append(f"{flag}={draw(values)}")
@@ -665,15 +665,10 @@ class TestAudit:
     def test_lipschitz_payload(self, capsys):
         payload = run_json(
             capsys, "audit", "--check", "lipschitz", "--measure", "discord-filtered",
-            "--samples", "20", "--seed", "3",
+            "--samples", "20", "--seed", "3", "--L", "1",
         )
-        from robustlab.engines import lipschitz_from_kappa_ball
-
-        ppt = oracle_by_name("ppt")
         rep = audit_mod.audit_lipschitz(
-            audit_mod.discord_filtered_measure,
-            lipschitz_from_kappa_ball(ppt.star_center, ppt.kappa).L,
-            audit_mod.AuditConfig(samples=20, seed=3),
+            audit_mod.discord_filtered_measure, 1.0, audit_mod.AuditConfig(samples=20, seed=3),
         )
         assert payload["passed"] is True
         assert payload["max_ratio"] == rep.max_ratio
@@ -764,12 +759,31 @@ class TestAudit:
         (("--check", "lipschitz", "--L", "nan"), "L must"),  # passed every pair
         (("--check", "lipschitz", "--L", "-1"), "L must"),   # failed every pair
         (("--check", "lipschitz", "--seed", "-1"), "seed"),  # numpy traceback
-        (("--check", "lipschitz", "--tol", "nan"), "tolerance"),  # passed
-        (("--check", "convexity", "--tol", "-1"), "tolerance"),   # gap 0.0 violations
     ])
     def test_bad_audit_arguments_exit_two(self, args, word):
         proc = run_subprocess("audit", *args, "--samples", "5")
         assert_rejected(proc, word)
+
+    @pytest.mark.parametrize("free_set", ["ppt", "unfaithful"])
+    def test_discord_filtered_needs_L(self, capsys, free_set):
+        # the free set's kappa-ball constant bounds its ray, not this measure;
+        # on unfaithful it was taken as the claim L = 3
+        code, _, err = run_cli(
+            capsys, "audit", "--check", "lipschitz", "--measure", "discord-filtered",
+            "--free-set", free_set, "--samples", "5",
+        )
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "pass --L" in err
+
+    def test_tolerance_flag_removed(self):
+        # --tol was a relative slack for lipschitz, an absolute zero for
+        # faithfulness and an allowed gap for monotonicity and convexity
+        proc = run_subprocess("audit", "--check", "lipschitz", "--samples", "2",
+                              "--tol", "1e-3", timeout=10.0)
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --tol" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_ball_free_set_without_kappa_needs_L(self, capsys):
         code, _, err = run_cli(
@@ -833,6 +847,26 @@ class TestExitCodes:
             main(list(argv))
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, refused, accepted", [
+        ("--grid", ("discord", "--bds", "0.5,0.3,0", "--grid", "-5"),
+         ("discord", "--bds", "0.5,0.3,0", "--method", "axis-opt", "--grid", "5")),
+        ("--delta",
+         ("counterexample", "--id", "2", "--branch", "a", "--t", "0.1", "--delta", "nan"),
+         ("counterexample", "--id", "1", "--t", "0.1", "--delta", "0.5")),
+        ("--branch", ("counterexample", "--id", "1", "--branch", "b", "--t", "0.1"),
+         ("counterexample", "--id", "2", "--branch", "b", "--t", "0.1")),
+        ("--L", ("audit", "--check", "monotonicity", "--samples", "3", "--L", "-5"),
+         ("audit", "--check", "lipschitz", "--samples", "3", "--L", "5")),
+    ], ids=["grid", "delta", "branch", "L"])
+    def test_flag_where_it_does_not_act_is_two(self, capsys, flag, refused, accepted):
+        # each refused flag was ignored with exit 0, its value never checked
+        code, out, err = run_cli(capsys, *refused)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} acts only with --")
+        assert err.count("\n") == 1
+        code, _, err = run_cli(capsys, *accepted)
+        assert code == 0, err
 
     def test_numerical_failure_is_four(self, tmp_path):
         # phi+ noise leaves the zero-discord set again after entering it:

@@ -55,8 +55,6 @@ SITES = {
                           "radius", [0, 1e-3], [-TINY, math.inf]),
     "audit_lipschitz": (lambda v: audit_lipschitz(lambda r: 0.0, v, AuditConfig(samples=1)),
                         "L", [0, 1e300], [-TINY, math.inf]),
-    "AuditConfig": (lambda v: AuditConfig(tolerance=v),
-                    "tolerance", [0, 1e300], [-TINY, math.inf]),
     "werner": (werner, "werner parameter", [0, 1], [-TINY, UP, math.inf]),
     "channel_depolarizing": (channel_depolarizing, "depolarizing weight",
                              [0, 1], [-TINY, UP, math.inf]),
@@ -103,7 +101,7 @@ NON_NUMBERS = ["x", "a", "0.5", b"0.5", None, [1], (0.5,), np.array([0.5]), 1j,
 
 
 # at these sites None stands for the default, as the signatures say
-NONE_IS_DEFAULT = {"ray tol", "ray s_max", "AuditConfig"}
+NONE_IS_DEFAULT = {"ray tol", "ray s_max"}
 
 
 @pytest.mark.parametrize("value", NON_NUMBERS, ids=repr)

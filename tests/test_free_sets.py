@@ -576,6 +576,17 @@ class TestOracles:
         res = robustness_along_ray(werner(0.0), maximally_mixed(), oracle)
         assert res.value == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("make", [
+        lambda L: 5,  # a bare TypeError from unpacking
+        lambda L: (L,),  # a bare ValueError
+        lambda L: (L, 1e-10, 3),  # a bare ValueError
+        lambda L: ("notcallable", 1e-10),  # accepted; the first ray raised TypeError
+    ], ids=["number", "one item", "three items", "not callable"])
+    def test_malformed_lmi_rejected(self, make):
+        lmi = make(oracle_by_name("ppt").lmi[0])
+        with pytest.raises(ValidationError, match="^lmi must be a pair"):
+            FreeSetOracle(name="ppt copy", member=is_ppt, lmi=lmi)
+
     def test_bad_star_center_rejected(self):
         with pytest.raises(ConfigurationError, match="star center"):
             FreeSetOracle(
