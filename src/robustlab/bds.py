@@ -1,17 +1,18 @@
 """Bell-diagonal states by their correlation triple, on plain Python floats.
 
 A Bell-diagonal state (1/4)(1x1 + sum_i c_i sigma_i x sigma_i) is fixed by
-(c1, c2, c3); its validity, its Bell-basis weights, its closed-form discord
-robustness and the sublevel sets of that robustness need no matrices, so
+(c1, c2, c3); its validity, its Bell-basis weights, its matrix entries, its
+closed-form discord robustness and the sublevel sets of that robustness,
+its zero-discord test and its singlet fraction need no matrix algebra, so
 this module runs without numpy.  ``qstates`` and ``engines`` re-export its
-names; the matrix of the state is ``qstates.bell_diagonal``.
+public names; the state as a ``DensityMatrix`` is ``qstates.bell_diagonal``.
+The matrix functions of ``free_sets`` and ``engines`` stay the reference
+for the rules here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .config import TOLS, check_count, check_real
+from .config import TOLS, FrozenRecord, check_count, check_real
 from .errors import PositivityError
 
 __all__ = [
@@ -44,25 +45,22 @@ def _scaled_weights(c1: float, c2: float, c3: float) -> list[float]:
     return [1.0 + s1 * c1 + s2 * c2 + s3 * c3 for s1, s2, s3 in _COLUMNS]
 
 
-@dataclass(frozen=True)
-class BellDiagonalParams:
+class BellDiagonalParams(FrozenRecord):
     """Correlation triple (c1, c2, c3) of a Bell-diagonal state.
 
     The correlations must be finite reals (ValidationError otherwise).  Validity
     requires the four tetrahedron inequalities
     1-c1-c2-c3 >= 0, 1-c1+c2+c3 >= 0, 1+c1-c2+c3 >= 0, 1+c1+c2-c3 >= 0;
-    the error message names the first one violated.
+    the error message names the first one violated.  Instances are frozen,
+    and equal when their triples are.
     """
 
-    c1: float
-    c2: float
-    c3: float
+    _repr_fields = ("c1", "c2", "c3")
 
-    def __post_init__(self):
+    def __init__(self, c1: float, c2: float, c3: float):
         # NaN would pass every inequality below
-        for name in ("c1", "c2", "c3"):
-            value = check_real(f"correlation {name}", getattr(self, name))
-            object.__setattr__(self, name, value)
+        for name, value in (("c1", c1), ("c2", c2), ("c3", c3)):
+            object.__setattr__(self, name, check_real(f"correlation {name}", value))
         c1, c2, c3 = self.c1, self.c2, self.c3
         # in lexicographic order of the sign patterns, (-,-,-) first
         for signs, value in sorted(zip(_COLUMNS, _scaled_weights(c1, c2, c3))):
@@ -72,12 +70,37 @@ class BellDiagonalParams:
                 )
                 raise PositivityError(f"{name} >= 0 violated (got {value:.6g})")
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.as_tuple() == other.as_tuple()
+
+    def __hash__(self) -> int:
+        return hash(self.as_tuple())
+
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.c1, self.c2, self.c3)
 
     def weights(self) -> tuple[float, float, float, float]:
         """Bell-basis weights in (phi+, phi-, psi+, psi-) order."""
         return tuple(v / 4.0 for v in _scaled_weights(self.c1, self.c2, self.c3))
+
+    def matrix(self) -> list[list[float]]:
+        """Rows of the state's matrix in the computational basis; it is real.
+
+        The entries are (1 +- c3)/4 on the diagonal and (c1 -+ c2)/4 on the
+        antidiagonal, rounded as the sum 1x1 + c1 XX + c2 YY + c3 ZZ of
+        complex arrays rounds them, to the bit and the sign of zero.
+        """
+        c1, c2, c3 = self.c1, self.c2, self.c3
+        d, e = 0.25 * (1.0 + c3), 0.25 * (1.0 - c3)
+        # 0.0 + c1 turns c1 = -0.0 into +0.0, as adding the identity's zero does
+        f, g = 0.25 * (0.0 + c1 - c2), 0.25 * (0.0 + c1 + c2)
+        return [[d, 0.0, 0.0, f], [0.0, e, g, 0.0], [0.0, g, e, 0.0], [f, 0.0, 0.0, d]]
+
+
+def _params(c: BellDiagonalParams | tuple[float, float, float]) -> BellDiagonalParams:
+    return c if isinstance(c, BellDiagonalParams) else BellDiagonalParams(*c)
 
 
 def _middle_abs(c1: float, c2: float, c3: float) -> float:
@@ -91,9 +114,41 @@ def discord_robustness_bds(
 ) -> float:
     """Closed-form discord robustness of a Bell-diagonal state: the middle
     of the sorted absolute correlations."""
-    if not isinstance(c, BellDiagonalParams):
-        c = BellDiagonalParams(*c)
-    return float(_middle_abs(c.c1, c.c2, c.c3))
+    return float(_middle_abs(*_params(c).as_tuple()))
+
+
+def discord_weight_free(total: float, allowed: float) -> bool:
+    """The zero-discord rule on a two-qubit state's weights, total = |y|^2
+    + |T|_F^2 and allowed = lambda_max(y y^T + T^T T): free when the defect
+    total - allowed is at most TOLS.discord_membership of total.  Both
+    weights scale by 1/(1+s)^2 toward the star kernel, so the rule is the
+    same all along such a ray."""
+    return total - allowed <= TOLS.discord_membership * total
+
+
+def has_zero_discord_bds(c: BellDiagonalParams | tuple[float, float, float]) -> bool:
+    """Whether a Bell-diagonal state has zero discord: the rule of
+    :func:`discord_weight_free` on y = 0 and T = diag(c), so total is
+    sum c_i^2 and allowed max c_i^2.  With x = 0 and T diagonal it is also
+    the ``bds-axes`` test, and along the ray toward 1/4, which scales c,
+    the answer never changes: the ray's value on both sets is 0 or inf."""
+    squares = [v * v for v in _params(c).as_tuple()]
+    return discord_weight_free(sum(squares), max(squares))
+
+
+def singlet_fraction_bds(c: BellDiagonalParams | tuple[float, float, float]) -> float:
+    """Maximal singlet fraction of a Bell-diagonal state: its largest Bell
+    weight p_max.  The magic basis is the Bell basis up to phases, so
+    Re rho_M is diag(p), whose top eigenvalue is what
+    ``free_sets.singlet_fraction`` computes."""
+    return max(_params(c).weights())
+
+
+def is_unfaithful_bds(c: BellDiagonalParams | tuple[float, float, float]) -> bool:
+    """Whether a Bell-diagonal state is unfaithful for teleportation:
+    p_max <= 1/2 + TOLS.unfaithful_margin, the one-sided slack of the
+    ``unfaithful`` oracle."""
+    return singlet_fraction_bds(c) <= 0.5 + TOLS.unfaithful_margin
 
 
 def discord_levelset_grid(

@@ -14,8 +14,6 @@ cutoff, or the margin of a ppt or unfaithful noise state near 0).
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import functools
 import io
 import json
@@ -36,8 +34,12 @@ if TYPE_CHECKING:
     from .qstates import DensityMatrix
 
 # Each handler imports only the modules it uses, and calls library functions
-# through their owning module, so `counterexample`, `levelset` and the closed
-# form of `discord --bds` never load numpy.
+# through their owning module.  `counterexample`, `levelset`, and on --bds
+# input `discord`, `discord-bounds`, `tel-check` and the `ent-ray` toward
+# maxmixed noise on zero-discord or bds-axes never load numpy: the last
+# three answer from the plain-float rules of `bds`.  `csv` and
+# `dataclasses` load only where they are used, since `dataclasses` imports
+# `inspect`.
 
 SCHEMA_VERSION = 1
 
@@ -66,11 +68,13 @@ def _emit(payload, fmt: str, out: Optional[str]) -> None:
     if fmt == "csv":
         if not (isinstance(payload, dict) and "columns" in payload):
             raise ConfigurationError("this subcommand has no tabular output; use json")
+        import csv
+
+        # csv writes a float by its repr, so inf, -inf and nan print as _scalar names them
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(payload["columns"])
-        for row in payload["rows"]:
-            writer.writerow([_scalar(v) for v in row])
+        writer.writerows(payload["rows"])
         text = buf.getvalue()
     else:
         text = json.dumps(_jsonify(payload), indent=2) + "\n"
@@ -195,13 +199,54 @@ def _cmd_discord(args) -> tuple[int, dict]:
 
 
 def _cmd_discord_bounds(args) -> tuple[int, dict]:
-    from . import engines
+    if args.bds is not None:
+        from . import bds
 
-    lo, hi = engines.discord_robustness_bounds(_state_arg(args))
+        # x = y = 0, so the bounds meet at the closed form
+        lo = hi = bds.discord_robustness_bds(_parse_bds(args.bds))
+    else:
+        from . import engines
+
+        lo, hi = engines.discord_robustness_bounds(_state_arg(args))
     return 0, {"v": SCHEMA_VERSION, "lo": lo, "hi": hi}
 
 
+# free sets whose membership is the same all along the ray from a
+# Bell-diagonal state toward 1/4 (see bds.has_zero_discord_bds)
+_BDS_CONSTANT_RAYS = ("zero-discord", "bds-axes")
+
+
+def _bds_ray(args) -> dict:
+    """ent-ray's payload for --bds input toward maxmixed noise on a set of
+    _BDS_CONSTANT_RAYS: exactly 0 or inf, with no search."""
+    from . import bds, config
+
+    params = _parse_bds(args.bds)
+    for name in ("tol", "s_max"):  # checked as robustness_along_ray checks them
+        if getattr(args, name) is not None:
+            config.check_real(name, getattr(args, name), 0.0)
+    free = bds.has_zero_discord_bds(params)
+    payload = {
+        "v": SCHEMA_VERSION,
+        "free_set": args.free_set,
+        "value": 0.0 if free else math.inf,
+        "method": "closed-form",
+        "iterations": 0,
+        "bracket_width": 0.0,
+    }
+    if free:
+        # qstates.state_to_json(qstates.bell_diagonal(params)), whose entries
+        # are those of params.matrix()
+        payload["free_witness"] = {
+            "dims": [2, 2], "re": params.matrix(), "im": [[0.0] * 4 for _ in range(4)],
+        }
+    return payload
+
+
 def _cmd_ent_ray(args) -> tuple[int, dict]:
+    if (args.bds is not None and args.noise == "maxmixed"
+            and args.free_set in _BDS_CONSTANT_RAYS):
+        return 0, _bds_ray(args)
     from . import engines, free_sets, qstates
 
     rho = _state_arg(args)
@@ -222,14 +267,21 @@ def _cmd_ent_ray(args) -> tuple[int, dict]:
 
 
 def _cmd_tel_check(args) -> tuple[int, dict]:
-    from . import free_sets
+    if args.bds is not None:
+        from . import bds
 
-    rho = _state_arg(args)
+        params = _parse_bds(args.bds)
+        fraction, unfaithful = bds.singlet_fraction_bds(params), bds.is_unfaithful_bds(params)
+    else:
+        from . import free_sets
+
+        rho = _state_arg(args)
+        fraction, unfaithful = free_sets.singlet_fraction(rho), free_sets.is_unfaithful(rho)
     return 0, {
         "v": SCHEMA_VERSION,
-        "singlet_fraction": free_sets.singlet_fraction(rho),
+        "singlet_fraction": fraction,
         "threshold": 0.5,
-        "unfaithful": free_sets.is_unfaithful(rho),
+        "unfaithful": unfaithful,
     }
 
 
@@ -274,6 +326,8 @@ def _cmd_levelset(args) -> tuple[int, dict]:
 
 
 def _cmd_audit(args) -> tuple[int, dict]:
+    import dataclasses
+
     from . import audit as audit_mod, engines, free_sets
 
     # an empty batch tests nothing and would read as a failed audit (exit 1)

@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 
 __all__ = ["TOLS", "Tolerances"]
 
 
-@dataclass(frozen=True)
-class Tolerances:
+# Tolerances is a NamedTuple, and the other records of the numpy-free
+# modules are FrozenRecord subclasses, not frozen dataclasses: importing
+# ``dataclasses`` loads ``inspect``, about 12 ms of every numpy-free command.
+class Tolerances(NamedTuple):
     # matrix-level structure
     hermiticity: float = 1e-12        # max |H - H^dag| accepted as Hermitian
 
@@ -58,6 +60,26 @@ class Tolerances:
 
 
 TOLS = Tolerances()
+
+
+class FrozenRecord:
+    """Base of an immutable record: a subclass sets its fields once in
+    ``__init__`` through ``object.__setattr__``, after which assigning or
+    deleting an attribute raises AttributeError, as a frozen dataclass
+    does.  ``repr`` shows the fields named in ``_repr_fields``; equality
+    stays identity unless the subclass defines it."""
+
+    _repr_fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._repr_fields)
+        return f"{type(self).__qualname__}({body})"
 
 
 def check_count(name: str, n, least: int = 1, most: int | None = None) -> int:

@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .bds import discord_weight_free
 from .config import TOLS, check_count, check_real
 from .errors import ConfigurationError, ValidationError
 from .operator_core import _partial_transpose
@@ -117,10 +118,6 @@ def _discord_weights(rho: DensityMatrix) -> tuple[float, float]:
     return float(b.y @ b.y + np.sum(b.T * b.T)), float(np.linalg.eigvalsh(gram)[-1])
 
 
-def _weight_free(total: float, allowed: float) -> bool:
-    return total - allowed <= TOLS.discord_membership * total
-
-
 def discord_defect(rho: DensityMatrix) -> float:
     """Zero-discord defect |y|^2 + |T|_F^2 - lambda_max(y y^T + T^T T).
 
@@ -138,7 +135,7 @@ def has_zero_discord(rho: DensityMatrix) -> bool:
     190502 (2010)): a defect at most TOLS.discord_membership of |y|^2 +
     |T|_F^2.  Both scale by 1/(1+s)^2 toward the star kernel {sigma_A x 1/2},
     so the ray there is exactly 0 or inf; ``bds-axes`` shares the rule."""
-    return _weight_free(*_discord_weights(rho))
+    return discord_weight_free(*_discord_weights(rho))
 
 
 def separable_ball_radius(d_a: int = 2, d_b: int = 2) -> float:
@@ -327,7 +324,7 @@ def _in_bds_axes(rho: DensityMatrix) -> bool:
         return False
     b = bloch_decompose(rho)
     total = float(b.x @ b.x + b.y @ b.y + np.sum(b.T * b.T))
-    return _weight_free(total, float(np.max(np.diagonal(b.T) ** 2)))
+    return discord_weight_free(total, float(np.max(np.diagonal(b.T) ** 2)))
 
 
 _FREE_SETS = ("bds-axes", "ppt", "unfaithful", "zero-discord")

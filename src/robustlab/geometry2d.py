@@ -37,10 +37,9 @@ would cost more than the arithmetic, and the module needs no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .config import TOLS, check_count, check_real
+from .config import TOLS, FrozenRecord, check_count, check_real
 from .errors import ConfigurationError, ValidationError
 
 __all__ = [
@@ -129,24 +128,23 @@ def _segment(a: _Pt, b: _Pt) -> tuple[float, ...]:
     return (ax, ay, bx, by, ex, ey, math.hypot(ex, ey))
 
 
-@dataclass(frozen=True, eq=False)
-class PlanarFreeSet:
+class PlanarFreeSet(FrozenRecord):
     """Union of segments and convex polygons, with an optional star center.
 
     Segments may be degenerate (both endpoints equal), representing
     isolated points.  Polygons are stored counterclockwise regardless of
     input orientation.  Points are stored as (x, y) tuples of floats,
     and the chord tests' per-component records (see :func:`_faces` and
-    :func:`_segment`) are built once here.
+    :func:`_segment`) are built once here.  Instances are frozen and equal
+    only to themselves.
     """
 
     segments: tuple[tuple[_Pt, _Pt], ...]
     polygons: tuple[tuple[_Pt, ...], ...]
     star_center: Optional[_Pt]
-    _segment_records: tuple[tuple[float, ...], ...] = field(repr=False)
-    _polygon_faces: tuple[tuple[tuple[float, float, float, float], ...], ...] = field(
-        repr=False
-    )
+    _segment_records: tuple[tuple[float, ...], ...]
+    _polygon_faces: tuple[tuple[tuple[float, float, float, float], ...], ...]
+    _repr_fields = ("segments", "polygons", "star_center")
 
     def __init__(
         self,
@@ -182,19 +180,20 @@ class PlanarFreeSet:
         return False
 
 
-@dataclass(frozen=True, eq=False)
-class PlanarScene:
+class PlanarScene(FrozenRecord):
     """A convex polygonal state space together with a free subset.
 
     The noise loci of the two solvers, with their lengths, are built once
     here: the free set's segments and polygon edges for absolute
-    robustness, the state-space edges for global robustness.
+    robustness, the state-space edges for global robustness.  Instances
+    are frozen and equal only to themselves.
     """
 
     state_space: tuple[_Pt, ...]
     free: PlanarFreeSet
-    _free_loci: tuple[tuple[float, ...], ...] = field(repr=False)
-    _space_loci: tuple[tuple[float, ...], ...] = field(repr=False)
+    _free_loci: tuple[tuple[float, ...], ...]
+    _space_loci: tuple[tuple[float, ...], ...]
+    _repr_fields = ("state_space", "free")
 
     def __init__(self, state_space: Sequence[_Point], free: PlanarFreeSet):
         object.__setattr__(self, "state_space", _ccw(state_space))

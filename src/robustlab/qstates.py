@@ -65,7 +65,6 @@ _PB = np.stack([np.kron(_I2, s) for s in PAULI])         # (3, 4, 4)
 _PAB = np.stack([
     np.stack([np.kron(si, sj) for sj in PAULI]) for si in PAULI
 ])                                                       # (3, 3, 4, 4)
-_PAA = np.stack([np.kron(s, s) for s in PAULI])          # (3, 4, 4)
 # For Hermitian P, Re tr(rho P) = sum_ab Re P_ab Re rho_ab + Im P_ab Im rho_ab,
 # so the 15 Bloch coordinates (x, y, T row by row) are one real product of
 # this table, the 15 Pauli products flattened with complex entries read as
@@ -173,8 +172,7 @@ def bell_diagonal(c: BellDiagonalParams | tuple[float, float, float]) -> Density
     """Bell-diagonal state (1/4)(1x1 + sum_i c_i sigma_i x sigma_i)."""
     if not isinstance(c, BellDiagonalParams):
         c = BellDiagonalParams(*c)
-    mat = 0.25 * (_I4 + c.c1 * _PAA[0] + c.c2 * _PAA[1] + c.c3 * _PAA[2])
-    return DensityMatrix(mat, (2, 2), validate=False)
+    return DensityMatrix(c.matrix(), (2, 2), validate=False)
 
 
 def werner(p: float) -> DensityMatrix:

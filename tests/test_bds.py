@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import robustlab
-from robustlab import bds, engines, qstates
+from robustlab import bds, engines, free_sets, qstates
 from robustlab.config import TOLS
 from robustlab.errors import PositivityError, ValidationError
 
@@ -100,3 +100,119 @@ class TestLevelsetGrid:
         rows = bds.discord_levelset_grid(0.3, 7)
         assert max(row[0] for row in rows) == 1.0
         assert min(row[0] for row in rows) == -1.0
+
+
+class TestRecord:
+    def test_frozen(self):
+        c = bds.BellDiagonalParams(0.1, 0.2, 0.3)
+        for name in ("c1", "c4"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(c, name, 0.0)
+        with pytest.raises(AttributeError, match="cannot delete field 'c1'"):
+            del c.c1
+        assert c.as_tuple() == (0.1, 0.2, 0.3)
+
+    def test_equality_repr_and_hash_by_value(self):
+        c = bds.BellDiagonalParams(0.1, -0.0, 0.3)
+        same = bds.BellDiagonalParams(c1=0.1, c2=0.0, c3=0.3)
+        assert c == same and hash(c) == hash(same) and len({c, same}) == 1
+        assert c != bds.BellDiagonalParams(0.1, 0.0, 0.2)
+        assert c != (0.1, 0.0, 0.3)
+        assert repr(c) == "BellDiagonalParams(c1=0.1, c2=-0.0, c3=0.3)"
+
+
+def _pauli_sum(c):
+    """The complex sum (1/4)(1x1 + sum_a c_a sigma_a x sigma_a) that
+    qstates.bell_diagonal built before BellDiagonalParams.matrix."""
+    paa = [np.kron(s, s) for s in qstates.PAULI]
+    return 0.25 * (np.eye(4, dtype=complex) + c[0] * paa[0] + c[1] * paa[1] + c[2] * paa[2])
+
+
+def _triples(seed, n):
+    """n valid triples: a third uniform on the tetrahedron, a third near an
+    axis (the other two correlations 1e-2 to 1e-12 of the first, where
+    zero-discord turns on), a third with the largest Bell weight 1e-6 to
+    1e-14 from 1/2 + TOLS.unfaithful_margin, and the corners and the center."""
+    rng = np.random.default_rng(seed)
+    signs = np.array(bds.BELL_SIGNS)
+    out = [bds.BellDiagonalParams(*map(float, c)) for c in [*signs.T, np.zeros(3)]]
+    for k in range(n - len(out)):
+        if k % 3 == 0:
+            c = signs @ rng.dirichlet(np.ones(4))
+        elif k % 3 == 1:
+            c = np.zeros(3)
+            c[rng.integers(3)] = rng.uniform(-1.0, 1.0)
+            c += np.max(np.abs(c)) * 10.0 ** -rng.uniform(2.0, 12.0) * rng.uniform(-1.0, 1.0, 3)
+        else:
+            top = 0.5 + TOLS.unfaithful_margin + rng.choice([-1, 1]) * 10.0 ** -rng.uniform(6, 14)
+            c = signs @ np.insert(rng.dirichlet(np.ones(3)) * (1.0 - top), rng.integers(4), top)
+        try:
+            out.append(bds.BellDiagonalParams(*map(float, c)))
+        except PositivityError:
+            continue
+    return out
+
+
+TRIPLES = _triples(26, 1500)
+
+
+class TestMatrixParity:
+    """The plain-float rules against the matrix engines, which stay the reference."""
+
+    def test_enough_triples(self):
+        assert len(TRIPLES) >= 1000
+        free = sum(bds.has_zero_discord_bds(c) for c in TRIPLES)
+        assert 100 <= free <= len(TRIPLES) - 100
+
+    def test_matrix_is_the_pauli_sum_to_the_bit(self):
+        extra = [(0.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (0.5, 0.5, -0.0), (-0.5, 0.5, 1e-300),
+                 (5e-324, -5e-324, 0.0), (1 / 3, -1 / 3, 1 / 3)]
+        for c in [*TRIPLES, *(bds.BellDiagonalParams(*c) for c in extra)]:
+            ref = _pauli_sum(c.as_tuple())
+            assert np.array(c.matrix(), dtype=complex).tobytes() == ref.tobytes(), c
+            assert qstates.bell_diagonal(c).mat.tobytes() == ref.tobytes(), c
+
+    def test_zero_discord_rays(self):
+        sigma = qstates.maximally_mixed()
+        oracles = [free_sets.oracle_by_name(n) for n in ("zero-discord", "bds-axes")]
+        for c in TRIPLES:
+            rho = qstates.bell_diagonal(c)
+            want = 0.0 if bds.has_zero_discord_bds(c) else math.inf
+            for oracle in oracles:
+                assert engines.robustness_along_ray(rho, sigma, oracle).value == want, c
+
+    def test_singlet_fraction_and_unfaithful_flag(self):
+        near = 0
+        for c in TRIPLES:
+            rho = qstates.bell_diagonal(c)
+            fraction = bds.singlet_fraction_bds(c)
+            assert abs(fraction - free_sets.singlet_fraction(rho)) <= 1e-15, c
+            if abs(fraction - (0.5 + TOLS.unfaithful_margin)) <= 1e-15:
+                near += 1
+                continue
+            assert bds.is_unfaithful_bds(c) == free_sets.is_unfaithful(rho), c
+        assert near <= 5
+
+    def test_discord_bounds_meet_at_the_closed_form(self):
+        for c in TRIPLES:
+            value = bds.discord_robustness_bds(c)
+            lo, hi = engines.discord_robustness_bounds(qstates.bell_diagonal(c))
+            assert abs(lo - value) <= 1e-15 and abs(hi - value) <= 1e-15, c
+
+    @pytest.mark.parametrize("c1", [0.9, -0.5, 0.1, 0.01])
+    def test_sweep_across_the_relative_threshold(self, c1):
+        # c2/c1 = sqrt(1e-9) (1 + d): the defect c2^2 is 1e-9 (1 + 2d) of
+        # c1^2, so the state is free for d below about 5e-10 and not above;
+        # the relative offsets d stay well clear of the matrix path's rounding
+        sigma = qstates.maximally_mixed()
+        oracles = [free_sets.oracle_by_name(n) for n in ("zero-discord", "bds-axes")]
+        for d in (-1e-4, -1e-5, -1e-6, 1e-6, 1e-5, 1e-4):
+            for c in [(c1, c1 * math.sqrt(1e-9) * (1.0 + d), 0.0),
+                      (0.0, -0.1 * c1, c1 * math.sqrt(1e-9) * (1.0 + d) * -0.1)]:
+                params = bds.BellDiagonalParams(*c)
+                free = bds.has_zero_discord_bds(params)
+                assert free == (d < 0), (c, d)
+                rho = qstates.bell_diagonal(params)
+                for oracle in oracles:
+                    value = engines.robustness_along_ray(rho, sigma, oracle).value
+                    assert value == (0.0 if free else math.inf), (c, d, oracle.name)

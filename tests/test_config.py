@@ -30,7 +30,7 @@ from robustlab import (
     scene_counterexample1,
     werner,
 )
-from robustlab.config import check_real
+from robustlab.config import TOLS, Tolerances, check_real
 from robustlab.errors import ValidationError
 
 MM = maximally_mixed()
@@ -142,3 +142,13 @@ def test_check_real_returns_a_float():
 def test_message_states_the_interval(lo, hi, ends, rule):
     with pytest.raises(ValidationError, match=re.escape(f"x must be {rule}, got 'y'")):
         check_real("x", "y", lo, hi, ends)
+
+
+class TestTolerances:
+    def test_frozen_record_with_defaults(self):
+        with pytest.raises(AttributeError):
+            TOLS.ppt = 1.0
+        assert TOLS == Tolerances() and hash(TOLS) == hash(Tolerances())
+        assert (TOLS.discord_membership, TOLS.unfaithful_margin) == (1e-9, 1e-8)
+        assert Tolerances(ppt=1e-8).ppt == 1e-8 and Tolerances(ppt=1e-8) != TOLS
+        assert repr(TOLS).startswith("Tolerances(hermiticity=1e-12, trace_one=1e-10, psd=1e-10,")

@@ -554,3 +554,19 @@ class TestPreparedGeometryParity:
     def test_random_convex_scenes(self, scene, x, y):
         assume(scene.contains((x, y)))
         self.assert_parity((x, y), scene)
+
+
+def test_scene_records_are_frozen_and_equal_only_to_themselves():
+    scene = scene_counterexample2()
+    with pytest.raises(AttributeError, match="cannot assign to field 'free'"):
+        scene.free = None
+    with pytest.raises(AttributeError, match="cannot assign to field 'star_center'"):
+        scene.free.star_center = (0.0, 0.0)
+    assert scene == scene and scene != scene_counterexample2()
+    assert len({scene, scene_counterexample2()}) == 2
+    free = PlanarFreeSet(segments=[((0, 0), (1, 0))], star_center=(0.5, 0))
+    assert repr(free) == (
+        "PlanarFreeSet(segments=(((0.0, 0.0), (1.0, 0.0)),), polygons=(), star_center=(0.5, 0.0))"
+    )
+    assert repr(scene).startswith("PlanarScene(state_space=((0.0, 0.0), (1.0, 0.0), ")
+    assert "_loci" not in repr(scene)
