@@ -3,8 +3,8 @@
 A Bell-diagonal state (1/4)(1x1 + sum_i c_i sigma_i x sigma_i) is fixed by
 (c1, c2, c3); its validity, its Bell-basis weights, its matrix entries, its
 closed-form discord robustness and the sublevel sets of that robustness,
-its zero-discord test and its singlet fraction need no matrix algebra, so
-this module runs without numpy.  ``qstates`` and ``engines`` re-export its
+and its zero-discord test need no matrix algebra, so this module runs
+without numpy.  ``qstates`` and ``engines`` re-export its
 public names; the state as a ``DensityMatrix`` is ``qstates.bell_diagonal``.
 The matrix functions of ``free_sets`` and ``engines`` stay the reference
 for the rules here.
@@ -134,21 +134,6 @@ def has_zero_discord_bds(c: BellDiagonalParams | tuple[float, float, float]) -> 
     the answer never changes: the ray's value on both sets is 0 or inf."""
     squares = [v * v for v in _params(c).as_tuple()]
     return discord_weight_free(sum(squares), max(squares))
-
-
-def singlet_fraction_bds(c: BellDiagonalParams | tuple[float, float, float]) -> float:
-    """Maximal singlet fraction of a Bell-diagonal state: its largest Bell
-    weight p_max.  The magic basis is the Bell basis up to phases, so
-    Re rho_M is diag(p), whose top eigenvalue is what
-    ``free_sets.singlet_fraction`` computes."""
-    return max(_params(c).weights())
-
-
-def is_unfaithful_bds(c: BellDiagonalParams | tuple[float, float, float]) -> bool:
-    """Whether a Bell-diagonal state is unfaithful for teleportation:
-    p_max <= 1/2 + TOLS.unfaithful_margin, the one-sided slack of the
-    ``unfaithful`` oracle."""
-    return singlet_fraction_bds(c) <= 0.5 + TOLS.unfaithful_margin
 
 
 def discord_levelset_grid(

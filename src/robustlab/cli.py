@@ -35,11 +35,10 @@ if TYPE_CHECKING:
 
 # Each handler imports only the modules it uses, and calls library functions
 # through their owning module.  `counterexample`, `levelset`, and on --bds
-# input `discord`, `discord-bounds`, `tel-check` and the `ent-ray` toward
-# maxmixed noise on zero-discord or bds-axes never load numpy: the last
-# three answer from the plain-float rules of `bds`.  `csv` and
-# `dataclasses` load only where they are used, since `dataclasses` imports
-# `inspect`.
+# input `discord` and the `ent-ray` toward maxmixed noise on zero-discord
+# never load numpy: the last answers from the plain-float rule of `bds`.
+# `csv` and `dataclasses` load only where they are used, since
+# `dataclasses` imports `inspect`.
 
 SCHEMA_VERSION = 1
 
@@ -199,32 +198,20 @@ def _cmd_discord(args) -> tuple[int, dict]:
 
 
 def _cmd_discord_bounds(args) -> tuple[int, dict]:
-    if args.bds is not None:
-        from . import bds
+    from . import engines
 
-        # x = y = 0, so the bounds meet at the closed form
-        lo = hi = bds.discord_robustness_bds(_parse_bds(args.bds))
-    else:
-        from . import engines
-
-        lo, hi = engines.discord_robustness_bounds(_state_arg(args))
+    lo, hi = engines.discord_robustness_bounds(_state_arg(args))
     return 0, {"v": SCHEMA_VERSION, "lo": lo, "hi": hi}
 
 
-# free sets whose membership is the same all along the ray from a
-# Bell-diagonal state toward 1/4 (see bds.has_zero_discord_bds)
-_BDS_CONSTANT_RAYS = ("zero-discord", "bds-axes")
-
-
 def _bds_ray(args) -> dict:
-    """ent-ray's payload for --bds input toward maxmixed noise on a set of
-    _BDS_CONSTANT_RAYS: exactly 0 or inf, with no search."""
+    """ent-ray's payload for --bds input toward maxmixed noise on
+    zero-discord: membership is the same all along that ray (see
+    bds.has_zero_discord_bds), so the value is exactly 0 or inf."""
     from . import bds, config
 
     params = _parse_bds(args.bds)
-    for name in ("tol", "s_max"):  # checked as robustness_along_ray checks them
-        if getattr(args, name) is not None:
-            config.check_real(name, getattr(args, name), 0.0)
+    config.ray_options(args.tol, args.s_max, 4)  # the checks of robustness_along_ray
     free = bds.has_zero_discord_bds(params)
     payload = {
         "v": SCHEMA_VERSION,
@@ -235,17 +222,14 @@ def _bds_ray(args) -> dict:
         "bracket_width": 0.0,
     }
     if free:
-        # qstates.state_to_json(qstates.bell_diagonal(params)), whose entries
-        # are those of params.matrix()
-        payload["free_witness"] = {
-            "dims": [2, 2], "re": params.matrix(), "im": [[0.0] * 4 for _ in range(4)],
-        }
+        # qstates.state_to_json(qstates.bell_diagonal(params)): the state is real
+        payload["free_witness"] = config.state_json(
+            (2, 2), params.matrix(), [[0.0] * 4 for _ in range(4)])
     return payload
 
 
 def _cmd_ent_ray(args) -> tuple[int, dict]:
-    if (args.bds is not None and args.noise == "maxmixed"
-            and args.free_set in _BDS_CONSTANT_RAYS):
+    if args.bds is not None and args.noise == "maxmixed" and args.free_set == "zero-discord":
         return 0, _bds_ray(args)
     from . import engines, free_sets, qstates
 
@@ -267,21 +251,14 @@ def _cmd_ent_ray(args) -> tuple[int, dict]:
 
 
 def _cmd_tel_check(args) -> tuple[int, dict]:
-    if args.bds is not None:
-        from . import bds
+    from . import free_sets
 
-        params = _parse_bds(args.bds)
-        fraction, unfaithful = bds.singlet_fraction_bds(params), bds.is_unfaithful_bds(params)
-    else:
-        from . import free_sets
-
-        rho = _state_arg(args)
-        fraction, unfaithful = free_sets.singlet_fraction(rho), free_sets.is_unfaithful(rho)
+    rho = _state_arg(args)
     return 0, {
         "v": SCHEMA_VERSION,
-        "singlet_fraction": fraction,
+        "singlet_fraction": free_sets.singlet_fraction(rho),
         "threshold": 0.5,
-        "unfaithful": unfaithful,
+        "unfaithful": free_sets.is_unfaithful(rho),
     }
 
 

@@ -1,4 +1,4 @@
-"""Centralized numerical tolerances and argument checks.
+"""Centralized numerical tolerances, argument checks and the state JSON layout.
 
 The library's numerical thresholds live in one frozen record so that the
 values are auditable in a single place, and the library reads them from
@@ -25,6 +25,7 @@ __all__ = ["TOLS", "Tolerances"]
 # Tolerances is a NamedTuple, and the other records of the numpy-free
 # modules are FrozenRecord subclasses, not frozen dataclasses: importing
 # ``dataclasses`` loads ``inspect``, about 12 ms of every numpy-free command.
+# A variant of TOLS is TOLS._replace(field=value).
 class Tolerances(NamedTuple):
     # matrix-level structure
     hermiticity: float = 1e-12        # max |H - H^dag| accepted as Hermitian
@@ -119,3 +120,18 @@ def check_real(
     else:
         rule = f"a number {op} {lo:.16g}"
     raise ValidationError(f"{name} must be {rule}, got {v!r}")
+
+
+def ray_options(tol, s_max, dim: int) -> tuple[float, float]:
+    """The bracket width and scan end of a ray on states of dimension
+    ``dim``: TOLS.ray_bisection and 2*dim where None is given, and each
+    must be finite and positive (ValidationError otherwise)."""
+    tol = check_real("tol", TOLS.ray_bisection if tol is None else tol, 0.0)
+    s_max = check_real("s_max", 2.0 * dim if s_max is None else s_max, 0.0)
+    return tol, s_max
+
+
+def state_json(dims, re: list[list[float]], im: list[list[float]]) -> dict:
+    """A state in its canonical JSON form: dims and the tables of the real
+    and imaginary parts of its matrix entries."""
+    return {"dims": list(dims), "re": re, "im": im}

@@ -30,7 +30,7 @@ from .bds import (
     discord_levelset_grid,
     discord_robustness_bds,
 )
-from .config import TOLS, check_count, check_real
+from .config import TOLS, check_count, check_real, ray_options
 from .errors import (
     IllConditionedError,
     StarConvexityViolationError,
@@ -142,8 +142,7 @@ def robustness_along_ray(
     """
     if rho.dims != sigma.dims:
         raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
-    tol = check_real("tol", TOLS.ray_bisection if tol is None else tol, 0.0)
-    s_max = check_real("s_max", 2.0 * rho.dim if s_max is None else s_max, 0.0)
+    tol, s_max = ray_options(tol, s_max, rho.dim)
     grid = [s_max * (i / _RAY_SCAN_POINTS) for i in range(_RAY_SCAN_POINTS + 1)]
 
     def mix(s: float) -> DensityMatrix:

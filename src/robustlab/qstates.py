@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bds import BELL_SIGNS, BellDiagonalParams
-from .config import TOLS, check_count, check_real
+from .config import TOLS, check_count, check_real, state_json
 from .errors import PositivityError, ValidationError
 from .operator_core import _require_finite, _require_hermitian, as_complex_matrix
 
@@ -314,11 +314,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def state_to_json(rho: DensityMatrix) -> dict:
     """Canonical JSON-ready form: dims plus real/imag entry tables."""
-    return {
-        "dims": list(rho.dims),
-        "re": [[float(v) for v in row] for row in rho.mat.real],
-        "im": [[float(v) for v in row] for row in rho.mat.imag],
-    }
+    return state_json(rho.dims, rho.mat.real.tolist(), rho.mat.imag.tolist())
 
 
 def _json_numbers(field: str, value) -> np.ndarray:

@@ -186,19 +186,8 @@ class TestDiscord:
 
 class TestDiscordBounds:
     def test_matches_library(self, capsys):
-        # x = y = 0, so the bounds meet at the closed form; the matrix path
-        # read 0.30000000000000004 for both
         payload = run_json(capsys, "discord-bounds", "--bds", "0.5,0.3,0.1")
-        assert payload == {"v": 1, "lo": 0.3, "hi": 0.3}
-        assert payload["lo"] == discord_robustness_bds((0.5, 0.3, 0.1))
         lo, hi = discord_robustness_bounds(bell_diagonal((0.5, 0.3, 0.1)))
-        assert abs(lo - 0.3) <= 1e-15 and abs(hi - 0.3) <= 1e-15
-
-    def test_state_file_keeps_the_matrix_path(self, capsys, tmp_path):
-        path = tmp_path / "bds.json"
-        path.write_text(json.dumps({"bds": [0.5, 0.3, 0.1]}))
-        lo, hi = discord_robustness_bounds(bell_diagonal((0.5, 0.3, 0.1)))
-        payload = run_json(capsys, "discord-bounds", "--state", str(path))
         assert payload == {"v": 1, "lo": lo, "hi": hi}
 
 
@@ -228,38 +217,47 @@ class TestEntRay:
     ])
     def test_zero_discord_sets_are_zero_or_inf(self, capsys, bds, free_set, value, iterations):
         # bisection on an absolute defect threshold printed 2.162 and 4.0;
-        # the matrix path takes 9 probes to the inf, bds's rule none
+        # the matrix path took 9 probes to the zero-discord inf, bds's rule none
         payload = run_json(capsys, "ent-ray", "--bds", bds, "--free-set", free_set)
         assert (payload["value"], payload["iterations"]) == (value, iterations)
-        assert (payload["method"], payload["bracket_width"]) == ("closed-form", 0.0)
 
-    @pytest.mark.parametrize("free_set", ["zero-discord", "bds-axes"])
+    @pytest.mark.parametrize("bds", ["0.5,1e-4,0", "0.5,5e-9,0"])
+    def test_zero_discord_ray_is_closed_form(self, capsys, bds):
+        # only zero-discord answers from bds's rule; bds-axes, whose ray has
+        # the same value, keeps the matrix path
+        argv = ["ent-ray", "--bds", bds, "--free-set"]
+        payload = run_json(capsys, *argv, "zero-discord")
+        assert (payload["method"], payload["iterations"], payload["bracket_width"]) == (
+            "closed-form", 0, 0.0)
+        matrix = run_json(capsys, *argv, "bds-axes")
+        assert matrix["method"] == "ray-bisection"
+        assert matrix["value"] == payload["value"]
+
     @pytest.mark.parametrize("c", [
         (0.5, 0.0, 0.0), (0.0, -0.7, 0.0), (-0.0, 0.0, 0.0), (0.0, -0.0, 1.0),
         (-0.9, 5e-9, -0.0), (1 / 3, 1e-300, -0.0), (0.0, 0.0, 0.0),
     ])
-    def test_free_witness_is_the_matrix_paths(self, capsys, free_set, c):
-        argv = ["ent-ray", f"--bds={','.join(map(repr, c))}", "--free-set", free_set]
+    def test_free_witness_is_the_matrix_paths(self, capsys, c):
+        argv = ["ent-ray", f"--bds={','.join(map(repr, c))}", "--free-set", "zero-discord"]
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         rho = bell_diagonal(c)
-        res = robustness_along_ray(rho, maximally_mixed(), oracle_by_name(free_set))
+        res = robustness_along_ray(rho, maximally_mixed(), oracle_by_name("zero-discord"))
         assert res.value == 0.0 and res.free_witness is rho
         witness = json.dumps(state_to_json(rho), indent=2).replace("\n", "\n  ")
         assert f'"free_witness": {witness}\n}}\n' in out
 
-    @pytest.mark.parametrize("free_set", ["zero-discord", "bds-axes"])
     @pytest.mark.parametrize("flag, value", [
         ("--tol", "0"), ("--tol", "nan"), ("--s-max", "-1"), ("--s-max", "inf"),
     ])
-    def test_closed_form_checks_the_ray_parameters(self, capsys, free_set, flag, value):
+    def test_closed_form_checks_the_ray_parameters(self, capsys, flag, value):
         # the same check, message and exit code as robustness_along_ray's
-        argv = ["ent-ray", "--bds", "0.5,0,0", "--free-set", free_set, f"{flag}={value}"]
+        argv = ["ent-ray", "--bds", "0.5,0,0", "--free-set", "zero-discord", f"{flag}={value}"]
         code, out, err = run_cli(capsys, *argv)
         name = flag.lstrip("-").replace("-", "_")
         with pytest.raises(ValidationError) as exc:
             robustness_along_ray(bell_diagonal((0.5, 0, 0)), maximally_mixed(),
-                                 oracle_by_name(free_set), **{name: float(value)})
+                                 oracle_by_name("zero-discord"), **{name: float(value)})
         assert (code, out, err) == (2, "", f"error: {exc.value}\n")
 
     def test_noise_file_keeps_the_matrix_path(self, capsys, tmp_path):
@@ -345,19 +343,6 @@ class TestTelCheck:
         assert payload["singlet_fraction"] == singlet_fraction(rho)
         assert payload["threshold"] == 0.5
         assert payload["unfaithful"] == is_unfaithful(rho)
-
-    @pytest.mark.parametrize("c, fraction, unfaithful", [
-        ((-1.0, -1.0, -1.0), 1.0, False), ((0.5, 0.3, 0.1), 0.425, True),
-        ((-0.5, -0.5, -0.5), 0.625, False), ((0.0, 0.0, 0.0), 0.25, True),
-    ])
-    def test_bds_is_its_largest_bell_weight(self, capsys, c, fraction, unfaithful):
-        # the matrix path read 0.9999999999999998 and 0.42499999999999993
-        payload = run_json(capsys, "tel-check", f"--bds={','.join(map(repr, c))}")
-        assert payload == {"v": 1, "singlet_fraction": fraction, "threshold": 0.5,
-                           "unfaithful": unfaithful}
-        rho = bell_diagonal(c)
-        assert abs(singlet_fraction(rho) - fraction) <= 1e-15
-        assert is_unfaithful(rho) == unfaithful
 
     def test_restart_flags_removed(self, capsys):
         for flag in ("--samples", "--seed"):
@@ -726,7 +711,7 @@ class TestLevelset:
 
 class TestNumpyFree:
     # each loads neither numpy nor dataclasses (and so no inspect); 3 is the
-    # positivity rejection, 2 a ray parameter that the closed form checks
+    # positivity rejection, 2 a ray parameter that bds's ray rule checks
     @pytest.mark.parametrize("argv, code", [
         (("discord", "--bds", "0.1,0.2,0.3"), 0),
         (("discord", "--bds", "0.8,0.6,0.6"), 3),
@@ -734,14 +719,7 @@ class TestNumpyFree:
         (("ent-ray", "--bds", "0.5,0,0", "--free-set", "zero-discord"), 0),
         (("ent-ray", "--bds", "0.5,1e-4,0", "--free-set", "zero-discord"), 0),
         (("ent-ray", "--bds", "0.8,0.6,0.6", "--free-set", "zero-discord"), 3),
-        (("ent-ray", "--bds", "0.5,5e-9,0", "--free-set", "bds-axes"), 0),
-        (("ent-ray", "--bds", "0.5,0.3,0.1", "--free-set", "bds-axes"), 0),
-        (("ent-ray", "--bds", "0.8,0.6,0.6", "--free-set", "bds-axes"), 3),
-        (("ent-ray", "--bds", "0.5,0,0", "--free-set", "bds-axes", "--tol", "0"), 2),
-        (("tel-check", "--bds=-1,-1,-1"), 0),
-        (("tel-check", "--bds", "0.8,0.6,0.6"), 3),
-        (("discord-bounds", "--bds", "0.5,0.3,0.1"), 0),
-        (("discord-bounds", "--bds", "0.8,0.6,0.6"), 3),
+        (("ent-ray", "--bds", "0.5,0,0", "--free-set", "zero-discord", "--tol", "0"), 2),
         (("counterexample", "--id", "2", "--branch", "a", "--t", "0.2"), 0),
     ])
     def test_command_leaves_numpy_unimported(self, argv, code):
@@ -760,11 +738,14 @@ class TestNumpyFree:
     @pytest.mark.parametrize("argv", [
         ("ent-ray", "--bds", "0.5,0,0", "--free-set", "ppt"),
         ("ent-ray", "--bds", "0.5,0,0", "--free-set", "unfaithful"),
+        ("ent-ray", "--bds", "0.5,0,0", "--free-set", "bds-axes"),
+        ("tel-check", "--bds=-1,-1,-1"),
+        ("discord-bounds", "--bds", "0.5,0.3,0.1"),
         ("discord", "--bds", "0.5,0.3,0", "--method", "axis-opt", "--grid", "4"),
     ])
     def test_matrix_paths_still_load_numpy(self, argv):
-        # the ppt and unfaithful rays and the axis optimiser stay on the
-        # matrix engines, so the check above would see numpy if they moved
+        # these stay on the matrix engines, so the check above would see
+        # numpy if they moved
         proc = run_listing_heavy(*argv)
         assert "'numpy'" in proc.stderr.splitlines()[-1]
 

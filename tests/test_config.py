@@ -30,7 +30,7 @@ from robustlab import (
     scene_counterexample1,
     werner,
 )
-from robustlab.config import TOLS, Tolerances, check_real
+from robustlab.config import TOLS, Tolerances, check_real, ray_options
 from robustlab.errors import ValidationError
 
 MM = maximally_mixed()
@@ -152,3 +152,22 @@ class TestTolerances:
         assert (TOLS.discord_membership, TOLS.unfaithful_margin) == (1e-9, 1e-8)
         assert Tolerances(ppt=1e-8).ppt == 1e-8 and Tolerances(ppt=1e-8) != TOLS
         assert repr(TOLS).startswith("Tolerances(hermiticity=1e-12, trace_one=1e-10, psd=1e-10,")
+
+    def test_variant_by_replace(self):
+        # a NamedTuple, not a dataclass: _replace derives a variant
+        variant = TOLS._replace(ppt=1e-8)
+        assert variant.ppt == 1e-8 and variant._replace(ppt=TOLS.ppt) == TOLS
+
+
+class TestRayOptions:
+    def test_defaults_and_given_values(self):
+        assert ray_options(None, None, 4) == (TOLS.ray_bisection, 8.0)
+        assert ray_options(1e-3, 3, 6) == (1e-3, 3.0)
+
+    @pytest.mark.parametrize("tol, s_max, name", [
+        (0.0, None, "tol"), (math.nan, math.nan, "tol"), (None, math.inf, "s_max"),
+        (None, -1.0, "s_max"),
+    ])
+    def test_tol_is_checked_before_s_max(self, tol, s_max, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite and > 0"):
+            ray_options(tol, s_max, 4)
