@@ -25,9 +25,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import TOLS, check_count, check_real
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 from .engines import discord_filtered_measure, robustness_along_ray
 from .free_sets import FreeSetOracle, sample_trace_ball
+from .operator_core import as_complex_matrix
 from .qstates import (
     BellDiagonalParams,
     DensityMatrix,
@@ -256,10 +257,30 @@ class MonotonicityReport:
         return self.violations == 0 and self.checked > 0
 
 
+def _unitary(name: str, u) -> np.ndarray:
+    """``u`` as a complex matrix if it is square, finite and unitary, with
+    max |U^dag U - 1| at most TOLS.hermiticity; ValidationError otherwise."""
+    u = as_complex_matrix(u)
+    dev = float(np.abs(u.conj().T @ u - np.eye(len(u))).max(initial=0.0))
+    if dev > TOLS.hermiticity:
+        raise ValidationError(
+            f"{name} is not unitary: max |U^dag U - 1| = {dev:.3e} exceeds {TOLS.hermiticity:.1e}"
+        )
+    return u
+
+
 def channel_local_unitary(u_a: np.ndarray, u_b: np.ndarray) -> Channel:
+    """rho -> (u_a x u_b) rho (u_a x u_b)^dag on states of dims (d_a, d_b),
+    the sizes of the two factors.  Each factor must be a square, finite,
+    unitary matrix, and each state must have these dims (ValidationError
+    otherwise)."""
+    u_a, u_b = _unitary("u_a", u_a), _unitary("u_b", u_b)
+    dims = (len(u_a), len(u_b))
     u = np.kron(u_a, u_b)
 
     def ch(rho: DensityMatrix) -> DensityMatrix:
+        if rho.dims != dims:
+            raise ValidationError(f"local unitaries act on dims {dims}, got dims {rho.dims}")
         return DensityMatrix(u @ rho.mat @ u.conj().T, rho.dims, validate=False)
 
     return ch
@@ -280,9 +301,12 @@ def channel_depolarizing(q: float) -> Channel:
 
 def channel_measure_prepare_b() -> Channel:
     """Projective measurement on side B in the computational basis,
-    followed by re-preparation in the same basis."""
+    followed by re-preparation in the same basis; a state that is not
+    bipartite raises ValidationError."""
 
     def ch(rho: DensityMatrix) -> DensityMatrix:
+        if len(rho.dims) != 2:
+            raise ValidationError(f"measure-prepare needs a bipartite state, got dims {rho.dims}")
         # sum_j (1 x |j><j|) rho (1 x |j><j|) keeps the entries
         # rho[(a, b), (a', b')] with b = b' and zeroes the rest
         d_a, d_b = rho.dims

@@ -54,10 +54,7 @@ __all__ = [
     "discord_levelset_grid",
     "lipschitz_from_kappa_ball",
     "bound_from_kappa_ball",
-    "lipschitz_full_rank",
-    "lipschitz_separable",
     "lipschitz_teleport",
-    "teleport_robustness_bound",
 ]
 
 
@@ -500,37 +497,12 @@ def bound_from_kappa_ball(sigma0: DensityMatrix, kappa: float) -> float:
     return 2.0 * lipschitz_from_kappa_ball(sigma0, kappa).L - 1.0
 
 
-def lipschitz_full_rank(sigma0: DensityMatrix) -> LipschitzConstant:
-    """Constant 1/lambda_min(sigma0) for global robustness with a full-rank
-    star center (finite on the effective domain of the measure)."""
-    lam = float(np.linalg.eigvalsh(sigma0.mat)[0])
-    if lam <= TOLS.psd:
-        raise ValidationError(
-            f"star center must be full rank; smallest eigenvalue {lam:.3e}"
-        )
-    return LipschitzConstant(
-        L=1.0 / lam, provenance=f"full-rank-center(lambda_min={lam:.9g})"
-    )
-
-
-def lipschitz_separable(d_a: int, d_b: int) -> LipschitzConstant:
-    """Constant min(d_a, d_b) - 1/2 for the absolute robustness of
-    entanglement on a d_a x d_b system."""
-    d_a = check_count("d_a", d_a, least=2)
-    d_b = check_count("d_b", d_b, least=2)
-    return LipschitzConstant(
-        L=min(d_a, d_b) - 0.5,
-        provenance=f"separable(d_a={d_a}, d_b={d_b})",
-    )
-
-
 def lipschitz_teleport(d: int) -> LipschitzConstant:
-    """Constant d + 1 for the robustness of teleportability on d x d."""
+    """Constant d + 1 for the robustness of teleportability on d x d: the
+    kappa-ball constant at the center 1/d^2 and radius (d-1)/d^2, that is
+    (1 - 1/d^2)/((d-1)/d^2), in closed form rather than through the
+    d^2 x d^2 eigensolve of :func:`lipschitz_from_kappa_ball`.  The bound
+    of :func:`bound_from_kappa_ball` there is 2d + 1."""
     d = check_count("d", d, least=2)
     return LipschitzConstant(L=float(d + 1), provenance=f"teleport(d={d})")
 
-
-def teleport_robustness_bound(d: int) -> float:
-    """Uniform bound 2d + 1 on the robustness of teleportability."""
-    d = check_count("d", d, least=2)
-    return float(2 * d + 1)

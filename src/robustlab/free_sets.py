@@ -28,7 +28,6 @@ from .qstates import (
     maximally_mixed,
     random_density,
     random_unitary,
-    trace_distance,
 )
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "discord_defect",
     "has_zero_discord",
     "separable_ball_radius",
-    "gurvits_ball_contains",
     "teleportation_ball_radius",
     "singlet_fraction",
     "is_unfaithful",
@@ -150,14 +148,6 @@ def separable_ball_radius(d_a: int = 2, d_b: int = 2) -> float:
     1/sqrt(12) = 0.289 here (see :func:`robustlab.engines.lipschitz_from_kappa_ball`)."""
     d = check_count("d_a", d_a, least=2) * check_count("d_b", d_b, least=2)
     return 1.0 / math.sqrt(d * (d - 1))
-
-
-def gurvits_ball_contains(rho: DensityMatrix) -> bool:
-    """Whether rho lies in the separable ball around the maximally mixed state."""
-    if len(rho.dims) != 2:
-        raise ValidationError(f"need a bipartite state, got dims {rho.dims}")
-    center = maximally_mixed(rho.dims)
-    return trace_distance(rho, center) <= separable_ball_radius(*rho.dims)
 
 
 def teleportation_ball_radius(d: int = 2) -> float:

@@ -63,6 +63,10 @@ _Pt = tuple[float, float]
 _RESOLUTION = 64
 # golden-section refinement stops once its bracket of noise points is this short
 _REFINE_TOL = 1e-9
+# the largest |x| or |y| of a planar point: differences of coordinates stay
+# below 2e150 and the chord tests' products of two of them below 4e300, so
+# no intermediate overflows to inf (NaN and inf fail the test too)
+_MAX_COORD = 1e150
 
 
 def _pt(p: _Point) -> _Pt:
@@ -73,8 +77,10 @@ def _pt(p: _Point) -> _Pt:
         x, y = float(x), float(y)
     except (TypeError, ValueError):
         raise ValidationError(f"planar point must be two numbers, got {p!r}") from None
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValidationError(f"non-finite planar point {p!r}")
+    if not (-_MAX_COORD <= x <= _MAX_COORD and -_MAX_COORD <= y <= _MAX_COORD):
+        raise ValidationError(
+            f"planar point {p!r} must have finite coordinates of at most {_MAX_COORD:g} in size"
+        )
     return (x, y)
 
 
@@ -368,7 +374,10 @@ def _golden_refine(point, locus, f_lo, f_hi):
     v1 = _value_for_tau(ax + x1 * ex, ay + x1 * ey, point)
     v2 = _value_for_tau(ax + x2 * ex, ay + x2 * ey, point)
     best = min(v1, v2)
-    while (hi - lo) * span > _REFINE_TOL:
+    # on a locus longer than about 1e7 the bracket can reach the float
+    # spacing of f before it is _REFINE_TOL long; the inner points then
+    # stop falling strictly inside it, and the scan ends there
+    while (hi - lo) * span > _REFINE_TOL and lo < x1 < x2 < hi:
         if v1 <= v2:
             hi, x2, v2 = x2, x1, v1
             x1 = hi - _INV_PHI * (hi - lo)

@@ -553,6 +553,31 @@ class TestChannels:
                 assert out.dims == dims
                 np.testing.assert_array_equal(out.mat, reference(rho.mat, *dims))
 
+    @pytest.mark.parametrize(
+        "u_a, match",
+        [
+            (2.0 * np.eye(2), "u_a is not unitary"),        # maps werner(0.2) to trace 4
+            (np.ones((2, 3)), "square matrix"),
+            (np.full((2, 2), math.nan), "finite"),
+            (np.array([[1.0, 1e-9], [0.0, 1.0]]), "u_a is not unitary"),
+        ],
+    )
+    def test_local_unitary_refuses_a_bad_factor(self, u_a, match):
+        with pytest.raises(ValidationError, match=match):
+            channel_local_unitary(u_a, np.eye(2))
+
+    def test_local_unitary_refuses_a_state_of_other_dims(self):
+        # a 3x3 factor made numpy's matmul raise ValueError on a two-qubit state
+        ch = channel_local_unitary(np.eye(3), np.eye(2))
+        with pytest.raises(ValidationError, match=r"dims \(3, 2\), got dims \(2, 2\)"):
+            ch(werner(0.2))
+        assert ch(DensityMatrix(np.eye(6) / 6.0, (3, 2))).dims == (3, 2)
+
+    @pytest.mark.parametrize("dims", [(4,), (2, 2, 1)])
+    def test_measure_prepare_refuses_a_state_that_is_not_bipartite(self, dims):
+        with pytest.raises(ValidationError, match="bipartite"):
+            channel_measure_prepare_b()(DensityMatrix(np.eye(4) / 4.0, dims))
+
     def test_measure_prepare_kills_coherence(self, rng):
         rho = random_density(4, seed=rng)
         out = channel_measure_prepare_b()(rho)

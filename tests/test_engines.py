@@ -25,14 +25,17 @@ from robustlab.engines import (
     discord_robustness_bds,
     discord_robustness_bounds,
     lipschitz_from_kappa_ball,
-    lipschitz_full_rank,
-    lipschitz_separable,
     lipschitz_teleport,
     min_scaling_robustness,
     robustness_along_ray,
-    teleport_robustness_bound,
 )
-from robustlab.free_sets import FreeSetOracle, bds_params_of, has_zero_discord, oracle_by_name
+from robustlab.free_sets import (
+    FreeSetOracle,
+    bds_params_of,
+    has_zero_discord,
+    oracle_by_name,
+    teleportation_ball_radius,
+)
 from robustlab.qstates import (
     PAULI,
     BellDiagonalParams,
@@ -791,29 +794,20 @@ class TestLipschitzConstants:
         bound = bound_from_kappa_ball(maximally_mixed(), 1.0 / math.sqrt(12.0))
         assert bound == pytest.approx(2.0 * math.sqrt(27.0 / 4.0) - 1.0, abs=1e-12)
 
-    def test_full_rank(self):
-        const = lipschitz_full_rank(maximally_mixed())
-        assert const.L == pytest.approx(4.0, abs=1e-12)
-        assert "full-rank-center" in const.provenance
-        with pytest.raises(ValidationError, match="full rank"):
-            lipschitz_full_rank(bell_states()[0])
-
-    def test_separable(self):
-        assert lipschitz_separable(2, 3).L == 1.5
-        assert lipschitz_separable(3, 3).L == 2.5
-        assert "separable" in lipschitz_separable(2, 2).provenance
-        with pytest.raises(ValidationError):
-            lipschitz_separable(1, 2)
-
     def test_teleport(self):
         assert lipschitz_teleport(2).L == 3.0
         assert lipschitz_teleport(3).L == 4.0
-        assert teleport_robustness_bound(2) == 5.0
-        assert teleport_robustness_bound(3) == 7.0
         with pytest.raises(ValidationError):
             lipschitz_teleport(1)
-        with pytest.raises(ValidationError):
-            teleport_robustness_bound(1)
+
+    def test_teleport_constants_are_the_kappa_ball_rule(self):
+        # at the center 1/d^2 with radius (d-1)/d^2 the kappa-ball rule gives
+        # d + 1, and its uniform bound 2d + 1, to the last bit
+        for d in (2, 3, 4):
+            center, kappa = maximally_mixed((d, d)), teleportation_ball_radius(d)
+            assert lipschitz_teleport(d).L == lipschitz_from_kappa_ball(center, kappa).L
+        assert bound_from_kappa_ball(maximally_mixed((2, 2)), teleportation_ball_radius(2)) == 5.0
+        assert bound_from_kappa_ball(maximally_mixed((3, 3)), teleportation_ball_radius(3)) == 7.0
 
     def test_kappa_ball_constants_bound_the_exact_ones(self):
         # kappa is the Gurvits-Barnum Frobenius radius 1/sqrt(12) for PPT and
@@ -843,15 +837,8 @@ class TestLipschitzConstants:
         with pytest.raises(ValidationError, match="kappa must be finite"):
             build(maximally_mixed(), kappa)
 
-    @pytest.mark.parametrize(
-        "dims", [(math.nan, 2), (2, math.nan), (2.7, 3), (3, 2.5), (math.inf, 2), (2, 1)]
-    )
-    def test_bad_separable_dims(self, dims):
-        with pytest.raises(ValidationError, match="must be an integer >= 2"):
-            lipschitz_separable(*dims)
-
     @pytest.mark.parametrize("d", [2.5, math.nan, math.inf, 1, -3])
-    @pytest.mark.parametrize("build", [lipschitz_teleport, teleport_robustness_bound])
+    @pytest.mark.parametrize("build", [lipschitz_teleport])
     def test_bad_teleport_dim(self, build, d):
         with pytest.raises(ValidationError, match="must be an integer >= 2"):
             build(d)

@@ -17,7 +17,6 @@ from robustlab.free_sets import (
     FreeSetOracle,
     bds_params_of,
     discord_defect,
-    gurvits_ball_contains,
     has_zero_discord,
     is_ppt,
     is_unfaithful,
@@ -148,20 +147,6 @@ class TestBallRadii:
     def test_teleport_radius_bad_dim(self, d):
         with pytest.raises(ValidationError, match="d must"):
             teleportation_ball_radius(d)
-
-    def test_gurvits_contains_center(self):
-        assert gurvits_ball_contains(maximally_mixed())
-        assert not gurvits_ball_contains(bell_states()[0])
-
-    def test_gurvits_needs_a_bipartite_state(self):
-        with pytest.raises(ValidationError, match="bipartite"):
-            gurvits_ball_contains(DensityMatrix(np.eye(4) / 4.0, (4,)))
-
-    def test_gurvits_werner_threshold(self):
-        # ||werner(p) - 1/4|| = 1.5 (1-p), so membership starts at 1 - kappa/1.5
-        p_star = 1.0 - separable_ball_radius(2, 2) / 1.5
-        assert gurvits_ball_contains(werner(p_star + 1e-4))
-        assert not gurvits_ball_contains(werner(p_star - 1e-4))
 
     def test_ball_samples_are_ppt(self, rng):
         center = maximally_mixed()

@@ -158,6 +158,33 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="planar point"):
             absolute_robustness_2d(point, scene_counterexample1())
 
+    def test_coordinates_up_to_the_bound_solve_without_overflow(self):
+        # in a box of half-width 1e308, edges of length 2e308 overflowed to inf
+        # and the solve read 0.0 where the value is 0.1; coordinates up to 1e150
+        # keep every difference and cross product finite
+        def box(b):
+            return [(-b, -b), (b, -b), (b, b), (-b, b)]
+
+        free = scene_counterexample1().free
+        scene = PlanarScene(box(1e150), free)
+        # the chord toward the opposite corner crosses the free point (0, 0)
+        assert global_robustness_2d((1e149, 1e149), scene) == pytest.approx(0.1, rel=1e-12)
+        assert global_robustness_2d((1e150, 1e150), scene) == pytest.approx(1.0, rel=1e-12)
+        # a free square of half-width 1e149 in the box: the values are those of
+        # the scene scaled to half-widths 1 and 10, 4/11 and 2 at (5, 2); the
+        # golden-section pass around the best sample, an inner point of an
+        # edge 2e150 long, ends once its bracket reaches the float spacing
+        wide = PlanarScene(box(1e150), PlanarFreeSet(polygons=[box(1e149)]))
+        assert global_robustness_2d((5e149, 2e149), wide) == pytest.approx(4.0 / 11.0, rel=1e-12)
+        assert absolute_robustness_2d((5e149, 2e149), wide) == pytest.approx(2.0, rel=1e-12)
+        past = math.nextafter(1e150, math.inf)
+        for p in ((past, 0.0), (0.0, -past)):
+            with pytest.raises(ValidationError, match="planar point"):
+                global_robustness_2d(p, scene)
+        for b in (past, 1e308):
+            with pytest.raises(ValidationError, match="planar point"):
+                PlanarScene(box(b), free)
+
     def test_out_of_space_point_rejected(self):
         scene = scene_counterexample1()
         with pytest.raises(ValidationError, match="outside the state space"):

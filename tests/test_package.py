@@ -30,8 +30,8 @@ def test_every_exported_name_resolves():
 def test_names_are_the_union_of_the_module_names():
     union = {name for m in MODULES for name in m.__all__}
     assert sorted(robustlab.__all__) == sorted(union)
-    # 79 names, plus three that their modules declared but the package did not export
-    assert len(union) == 82
+    # 75 names, plus three that their modules declared but the package did not export
+    assert len(union) == 78
     assert {"PAULI", "bell_state_vectors", "random_quantum_classical"} <= union
     # operator_core and cli stay outside the package's names
     assert "as_complex_matrix" not in union and "main" not in union
