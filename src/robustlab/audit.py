@@ -392,6 +392,7 @@ class ConvexityReport:
     violations: int
     worst_gap: float
     first_violation: Optional[tuple]  # (rho1, rho2, lam, lhs, rhs)
+    infinite_skipped: int = 0  # (pair, lam) checks with an infinite value
 
     @property
     def passed(self) -> bool:
@@ -426,11 +427,12 @@ def audit_convexity(
     drawn = _states(_random_densities(_DIM, _DIM, rng, 2 * cfg.samples))
     pairs = list(extra_pairs) + list(zip(drawn[::2], drawn[1::2]))
     ends = [(measure(r1), measure(r2)) for r1, r2 in pairs]
-    checked = violations = 0
+    checked = violations = skipped = 0
     worst = -math.inf
     first = None
     for (r1, r2), (m1, m2) in zip(pairs, ends):
         if not (math.isfinite(m1) and math.isfinite(m2)):
+            skipped += len(_CONVEXITY_LAMBDAS)
             continue
         for lam in _CONVEXITY_LAMBDAS:
             mix = DensityMatrix(
@@ -438,6 +440,7 @@ def audit_convexity(
             )
             lhs = measure(mix)
             if not math.isfinite(lhs):
+                skipped += 1
                 continue
             checked += 1
             rhs = lam * m1 + (1.0 - lam) * m2
@@ -452,4 +455,5 @@ def audit_convexity(
         violations=violations,
         worst_gap=worst,
         first_violation=first,
+        infinite_skipped=skipped,
     )

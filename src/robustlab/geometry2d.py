@@ -20,14 +20,16 @@ u = 1 within tolerance) are discarded: they correspond to s = infinity
 and would otherwise masquerade as enormous finite values.
 
 Free-set polygons and the state space must be convex (ValidationError
-otherwise): a point is in a polygon when it lies inside every face, and a
-chord enters it where it has crossed every face.  Each chord test reads
-geometry prepared at the scope where it stays fixed.  Per scene: each
-polygon face as its first vertex and inward unit normal, each segment's
-endpoints, direction and length, and each locus with its length.  Per
-point p: each face's offset n.(p - v) + tol, each segment's endpoints
-relative to p and their cross term, and the guard distance.  A chord then
-costs only the products with its direction.
+otherwise).  Membership and the chord tests read geometry prepared at the
+scope where it stays fixed.  Per scene: each polygon face as its first
+vertex and inward unit normal, each segment's endpoints, direction and
+length, and each locus with its length.  Per point p: each face's offset
+g = n.(p - v) + tol, each segment's endpoints relative to p and their
+cross term, and the guard distance.  p is in a polygon when every g >= 0
+and on a segment within distance tol; ``contains``, the convexity and
+vertex checks and the solves all use this one rule, so a solve is 0
+wherever ``contains`` holds.  A chord enters a polygon where it has
+crossed every face and costs only the products with its direction.
 
 Points are (x, y) tuples and all arithmetic is on plain Python floats:
 a solve makes hundreds of chord tests on 2-vectors, where array calls
@@ -89,12 +91,13 @@ def _edges(poly: Sequence[_Pt]):
     return zip(poly, (*poly[1:], poly[0]))
 
 
-def _ccw(vertices: Sequence[_Point]) -> tuple[_Pt, ...]:
-    """The vertices of a convex polygon, counterclockwise.
+def _ccw(vertices: Sequence[_Point]) -> tuple:
+    """The vertices of a convex polygon, counterclockwise, and its faces
+    (see :func:`_faces`).
 
     ValidationError for fewer than three vertices, a vertex repeated next
     to itself (its edge would have no normal), zero area, or a vertex
-    outside the half-plane of another edge, which is what a reflex vertex
+    outside the half-plane of another face, which is what a reflex vertex
     or a self-crossing outline gives.  Collinear vertices are accepted.
     """
     pts = tuple(_pt(v) for v in vertices)
@@ -106,13 +109,13 @@ def _ccw(vertices: Sequence[_Point]) -> tuple[_Pt, ...]:
     if abs(area2) < 1e-15:
         raise ValidationError("degenerate polygon (zero area)")
     pts = pts if area2 > 0 else pts[::-1]
-    tol = TOLS.geometry_membership
+    faces = _faces(pts)
     for v in pts:
-        if not _in_convex_polygon(*v, pts, tol):
+        if not _inside(_offsets(*v, faces, TOLS.geometry_membership)):
             raise ValidationError(
                 f"polygon is not convex: vertex {list(v)} lies outside another edge"
             )
-    return pts
+    return pts, faces
 
 
 def _faces(poly: tuple[_Pt, ...]) -> tuple[tuple[float, float, float, float], ...]:
@@ -124,6 +127,18 @@ def _faces(poly: tuple[_Pt, ...]) -> tuple[tuple[float, float, float, float], ..
         norm = math.hypot(ex, ey)
         faces.append((vx, vy, -ey / norm, ex / norm))
     return tuple(faces)
+
+
+def _offsets(qx: float, qy: float, faces, tol: float) -> tuple[tuple[float, float, float], ...]:
+    """Each face's record (nx, ny, g) for the point q, with g = n.(q - v) + tol
+    the distance of q inside the face relaxed outward by tol."""
+    return tuple((nx, ny, (nx * (qx - vx) + ny * (qy - vy)) + tol) for vx, vy, nx, ny in faces)
+
+
+def _inside(offsets) -> bool:
+    """Whether a point lies in a convex polygon, from its face records
+    (see :func:`_offsets`): inside every face relaxed outward by tol."""
+    return all(g >= 0.0 for _, _, g in offsets)
 
 
 def _segment(a: _Pt, b: _Pt) -> tuple[float, ...]:
@@ -161,11 +176,12 @@ class PlanarFreeSet(FrozenRecord):
         object.__setattr__(
             self, "segments", tuple((_pt(a), _pt(b)) for a, b in segments)
         )
-        object.__setattr__(self, "polygons", tuple(_ccw(p) for p in polygons))
+        polygons = tuple(_ccw(p) for p in polygons)
+        object.__setattr__(self, "polygons", tuple(pts for pts, _ in polygons))
         object.__setattr__(
             self, "_segment_records", tuple(_segment(a, b) for a, b in self.segments)
         )
-        object.__setattr__(self, "_polygon_faces", tuple(_faces(p) for p in self.polygons))
+        object.__setattr__(self, "_polygon_faces", tuple(faces for _, faces in polygons))
         object.__setattr__(
             self, "star_center", None if star_center is None else _pt(star_center)
         )
@@ -175,15 +191,12 @@ class PlanarFreeSet(FrozenRecord):
             raise ConfigurationError("declared star center is not in the free set")
 
     def contains(self, p: _Point) -> bool:
-        tol = TOLS.geometry_membership
+        """Whether p is free: within tol = TOLS.geometry_membership of a
+        segment, or at offset n.(p - v) + tol >= 0 from every face (v, n)
+        of a polygon.  The rule reads the records the solves read (see
+        :func:`_prepare`), and a solve is 0 wherever it holds."""
         qx, qy = _pt(p)
-        for a, b in self.segments:
-            if _point_segment_dist(qx, qy, a, b) <= tol:
-                return True
-        for poly in self.polygons:
-            if _in_convex_polygon(qx, qy, poly, tol):
-                return True
-        return False
+        return _free(_prepare(qx, qy, self, TOLS.geometry_membership))
 
 
 class PlanarScene(FrozenRecord):
@@ -197,29 +210,29 @@ class PlanarScene(FrozenRecord):
 
     state_space: tuple[_Pt, ...]
     free: PlanarFreeSet
+    _space_faces: tuple[tuple[float, float, float, float], ...]
     _free_loci: tuple[tuple[float, ...], ...]
     _space_loci: tuple[tuple[float, ...], ...]
     _repr_fields = ("state_space", "free")
 
     def __init__(self, state_space: Sequence[_Point], free: PlanarFreeSet):
-        object.__setattr__(self, "state_space", _ccw(state_space))
+        space, faces = _ccw(state_space)
+        object.__setattr__(self, "state_space", space)
+        object.__setattr__(self, "_space_faces", faces)
         object.__setattr__(self, "free", free)
         object.__setattr__(
             self, "_free_loci", tuple(_segment(a, b) for a, b in _edge_loci_of_free(free))
         )
         object.__setattr__(
-            self, "_space_loci", tuple(_segment(a, b) for a, b in _edges(self.state_space))
+            self, "_space_loci", tuple(_segment(a, b) for a, b in _edges(space))
         )
-        tol = TOLS.geometry_membership
-        for edge in _edge_loci_of_free(free):
-            for v in edge:
-                if not _in_convex_polygon(*v, self.state_space, tol):
-                    raise ValidationError(
-                        f"free-set vertex {list(v)} lies outside the state space"
-                    )
+        for v in (v for edge in _edge_loci_of_free(free) for v in edge):
+            if not self.contains(v):
+                raise ValidationError(f"free-set vertex {list(v)} lies outside the state space")
 
     def contains(self, p: _Point) -> bool:
-        return _in_convex_polygon(*_pt(p), self.state_space, TOLS.geometry_membership)
+        qx, qy = _pt(p)
+        return _inside(_offsets(qx, qy, self._space_faces, TOLS.geometry_membership))
 
 
 def _edge_loci_of_free(free: PlanarFreeSet):
@@ -230,49 +243,40 @@ def _edge_loci_of_free(free: PlanarFreeSet):
         yield from _edges(poly)
 
 
-def _point_segment_dist(qx: float, qy: float, a: _Pt, b: _Pt) -> float:
-    (ax, ay), (bx, by) = a, b
-    dx, dy = bx - ax, by - ay
-    dd = dx * dx + dy * dy
-    if dd < 1e-30:
-        return math.hypot(qx - ax, qy - ay)
-    t = min(1.0, max(0.0, ((qx - ax) * dx + (qy - ay) * dy) / dd))
-    return math.hypot(qx - (ax + t * dx), qy - (ay + t * dy))
-
-
-def _in_convex_polygon(qx: float, qy: float, poly: tuple[_Pt, ...], tol: float) -> bool:
-    for (vx, vy), (wx, wy) in _edges(poly):
-        ex, ey = wx - vx, wy - vy
-        if ex * (qy - vy) - ey * (qx - vx) < -tol * math.hypot(ex, ey):
-            return False
-    return True
-
-
 def _prepare(px: float, py: float, free: PlanarFreeSet, tol: float) -> tuple:
-    """The tau-independent part of every chord test from a point p that is
-    not in the free set: (px, py, tol, guard, segments, polygons).
+    """The tau-independent part of every chord test from a point p, and of
+    its membership test (see :func:`_free`): (px, py, tol, guard,
+    segments, polygons).
 
     A segment's record is (ax, ay, rx, ry, sx, sy, ex, ey, elen, cross)
-    with r = a - p, s = b - p and cross = r x e; a polygon's is one
-    (nx, ny, g) per face, with g = n.(p - v) + tol the distance of p
-    inside the face relaxed outward by tol.
+    with r = a - p, s = b - p and cross = r x e; a polygon's is its face
+    records for p (see :func:`_offsets`).
     """
     segments = []
     for ax, ay, bx, by, ex, ey, elen in free._segment_records:
         rx, ry = ax - px, ay - py
         segments.append((ax, ay, rx, ry, bx - px, by - py, ex, ey, elen, rx * ey - ry * ex))
-    polygons = tuple(
-        tuple((nx, ny, (nx * (px - vx) + ny * (py - vy)) + tol) for vx, vy, nx, ny in faces)
-        for faces in free._polygon_faces
-    )
+    polygons = tuple(_offsets(px, py, faces, tol) for faces in free._polygon_faces)
     guard = TOLS.geometry_guard_factor * tol
     return px, py, tol, guard, tuple(segments), polygons
+
+
+def _free(point) -> bool:
+    """Whether p, prepared by :func:`_prepare`, is free: within tol of a
+    segment, or inside every face of a polygon relaxed outward by tol."""
+    _, _, tol, _, segments, polygons = point
+    for _, _, rx, ry, _, _, ex, ey, elen, _ in segments:
+        # the fraction along the segment of its point nearest p
+        t = 0.0 if elen < 1e-15 else min(1.0, max(0.0, -(rx * ex + ry * ey) / (elen * elen)))
+        if math.hypot(rx + t * ex, ry + t * ey) <= tol:
+            return True
+    return any(_inside(faces) for faces in polygons)
 
 
 def _hit_polygon(dx: float, dy: float, faces) -> Optional[float]:
     """Entry parameter of the ray p + u*d, u in [0, 1], into a convex
     polygon whose faces are relaxed outward by tol, from its (nx, ny, g)
-    face records for p (see :func:`_prepare`)."""
+    face records for p (see :func:`_offsets`)."""
     t0, t1 = 0.0, 1.0
     for nx, ny, g in faces:
         f = nx * dx + ny * dy
@@ -286,7 +290,7 @@ def _hit_polygon(dx: float, dy: float, faces) -> Optional[float]:
                 t0 = u
         elif u < t1:
             t1 = u
-    if t0 > t1 + 1e-12:
+    if t0 > t1:
         return None
     return t0
 
@@ -318,12 +322,13 @@ def _hit_segment(px: float, py: float, dx: float, dy: float, dlen: float, seg,
     return None
 
 
-def _first_hit(tx: float, ty: float, point) -> Optional[float]:
-    """Earliest valid chord parameter where [p, tau] meets the free set,
-    for p prepared by :func:`_prepare`.
+def _weight(tx: float, ty: float, point) -> float:
+    """Mixing weight s = u/(1 - u) of noise tau from p, prepared by
+    :func:`_prepare`, at the earliest valid chord parameter u where
+    [p, tau] meets the free set; math.inf when there is none.
 
-    Hits within the guard distance of tau itself are discarded (they
-    encode u -> 1, i.e. unbounded s).
+    Hits within the guard distance of tau itself, and u >= 1 - 1e-12,
+    are discarded (they encode u -> 1, i.e. unbounded s).
     """
     px, py, tol, guard, segments, polygons = point
     dx, dy = tx - px, ty - py
@@ -346,17 +351,9 @@ def _first_hit(tx: float, ty: float, point) -> Optional[float]:
         if math.hypot(px + u * dx - tx, py + u * dy - ty) <= guard:
             continue
         best = u
-    return best
-
-
-def _s_of_hit(u: Optional[float]) -> float:
-    if u is None or u >= 1.0 - 1e-12:
+    if best is None or best >= 1.0 - 1e-12:
         return math.inf
-    return u / (1.0 - u)
-
-
-def _value_for_tau(tx, ty, point):
-    return _s_of_hit(_first_hit(tx, ty, point))
+    return best / (1.0 - best)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -371,8 +368,8 @@ def _golden_refine(point, locus, f_lo, f_hi):
     lo, hi = f_lo, f_hi
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
-    v1 = _value_for_tau(ax + x1 * ex, ay + x1 * ey, point)
-    v2 = _value_for_tau(ax + x2 * ex, ay + x2 * ey, point)
+    v1 = _weight(ax + x1 * ex, ay + x1 * ey, point)
+    v2 = _weight(ax + x2 * ex, ay + x2 * ey, point)
     best = min(v1, v2)
     # on a locus longer than about 1e7 the bracket can reach the float
     # spacing of f before it is _REFINE_TOL long; the inner points then
@@ -381,11 +378,11 @@ def _golden_refine(point, locus, f_lo, f_hi):
         if v1 <= v2:
             hi, x2, v2 = x2, x1, v1
             x1 = hi - _INV_PHI * (hi - lo)
-            v1 = _value_for_tau(ax + x1 * ex, ay + x1 * ey, point)
+            v1 = _weight(ax + x1 * ex, ay + x1 * ey, point)
         else:
             lo, x1, v1 = x1, x2, v2
             x2 = lo + _INV_PHI * (hi - lo)
-            v2 = _value_for_tau(ax + x2 * ex, ay + x2 * ey, point)
+            v2 = _weight(ax + x2 * ex, ay + x2 * ey, point)
         best = min(best, v1, v2)
     return best
 
@@ -398,10 +395,9 @@ def _solve(p: _Point, scene: PlanarScene, loci) -> float:
     px, py = q = _pt(p)
     if not scene.contains(q):
         raise ValidationError(f"point {list(q)} lies outside the state space")
-    free = scene.free
-    if free.contains(q):
+    point = _prepare(px, py, scene.free, TOLS.geometry_membership)
+    if _free(point):
         return 0.0
-    point = _prepare(px, py, free, TOLS.geometry_membership)
     best = math.inf
     best_locus = None
     best_idx = 0
@@ -409,7 +405,7 @@ def _solve(p: _Point, scene: PlanarScene, loci) -> float:
         ax, ay, _, _, ex, ey, _ = locus
         for j in range(_RESOLUTION + 1):
             f = j / _RESOLUTION
-            v = _value_for_tau(ax + f * ex, ay + f * ey, point)
+            v = _weight(ax + f * ex, ay + f * ey, point)
             if v < best:
                 best, best_locus, best_idx = v, locus, j
     if best_locus is not None and math.isfinite(best):

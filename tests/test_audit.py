@@ -613,6 +613,7 @@ class TestAuditConvexity:
 
         rep = audit_convexity(measure, AuditConfig(samples=0), extra_pairs=[ends])
         assert (rep.checked, rep.violations, rep.passed) == (0, 0, False)
+        assert rep.infinite_skipped == 3  # one per mixing weight
 
     def test_endpoint_pairs_are_free(self):
         for r1, r2 in discord_axis_endpoint_pairs():

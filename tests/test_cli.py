@@ -786,6 +786,16 @@ class TestAudit:
             "--samples", "6",
         )
         assert payload["passed"] is True
+        assert (payload["checked"], payload["infinite_skipped"]) == (18, 0)
+
+    def test_convexity_counts_what_it_skips(self, capsys):
+        # every zero-discord ray toward 1/4 from a random state is infinite,
+        # so all 3 x 3 (pair, lam) checks are skipped and the audit fails
+        code, out, _ = run_cli(capsys, "audit", "--check", "convexity",
+                               "--free-set", "zero-discord", "--samples", "3")
+        payload = json.loads(out)
+        assert code == 1 and payload["passed"] is False
+        assert (payload["checked"], payload["infinite_skipped"]) == (0, 9)
 
     def test_ray_measures_its_free_set(self, capsys):
         # the ray toward 1/4 of the unfaithful set, against its kappa-ball

@@ -21,7 +21,7 @@ from robustlab.geometry2d import (
     scene_counterexample1,
     scene_counterexample2,
 )
-from robustlab.geometry2d import _edges, _point_segment_dist
+from robustlab.geometry2d import _edges
 
 
 def signed_area(poly):
@@ -184,6 +184,15 @@ class TestConstruction:
         for b in (past, 1e308):
             with pytest.raises(ValidationError, match="planar point"):
                 PlanarScene(box(b), free)
+
+    @pytest.mark.parametrize("b", [1e12, 1e13])
+    def test_wide_box_point_near_the_strip_is_not_free(self, b):
+        # (1, 1) lies 1 from the free set and about b from the noise on the box
+        # edge, so its weight is about 1/b; a chord parameter of 1e-12 is a
+        # distance of about 1 here, so a slack of that size would read 0.0
+        scene = PlanarScene([(-b, -b), (b, -b), (b, b), (-b, b)], scene_counterexample1().free)
+        assert not scene.free.contains((1.0, 1.0))
+        assert global_robustness_2d((1.0, 1.0), scene) == pytest.approx(1.0 / b, rel=1e-6)
 
     def test_out_of_space_point_rejected(self):
         scene = scene_counterexample1()
@@ -401,9 +410,19 @@ def _ref_hit_polygon(px, py, dx, dy, poly, tol):
             t0 = max(t0, u)
         else:
             t1 = min(t1, u)
-    if t0 > t1 + 1e-12:
+    if t0 > t1:
         return None
     return max(t0, 0.0)
+
+
+def _point_segment_dist(qx, qy, a, b):
+    (ax, ay), (bx, by) = a, b
+    dx, dy = bx - ax, by - ay
+    dd = dx * dx + dy * dy
+    if dd < 1e-30:
+        return math.hypot(qx - ax, qy - ay)
+    t = min(1.0, max(0.0, ((qx - ax) * dx + (qy - ay) * dy) / dd))
+    return math.hypot(qx - (ax + t * dx), qy - (ay + t * dy))
 
 
 def _ref_hit_segment(px, py, dx, dy, a, b, tol):
@@ -551,10 +570,13 @@ class TestPreparedGeometryParity:
 
     @staticmethod
     def assert_parity(p, scene):
+        values = []
         for absolute, solver in ((True, absolute_robustness_2d), (False, global_robustness_2d)):
             got = solver(p, scene)
             want = reference_solve(p, scene, absolute)
             assert got.hex() == want.hex(), (p, absolute, got, want)
+            values.append(got)
+        return values
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-3.0, 3.0), st.floats(-1.0, 2.0))
@@ -580,7 +602,10 @@ class TestPreparedGeometryParity:
     @given(_random_scene(), st.floats(-2.5, 2.5), st.floats(-2.5, 2.5))
     def test_random_convex_scenes(self, scene, x, y):
         assume(scene.contains((x, y)))
-        self.assert_parity((x, y), scene)
+        values = self.assert_parity((x, y), scene)
+        # contains and the solves read one membership rule: 0 exactly on the free
+        # set, except in the band from tol to about sqrt(2)*tol past a segment's end
+        assert [v == 0.0 for v in values] == [scene.free.contains((x, y))] * 2, values
 
 
 def test_scene_records_are_frozen_and_equal_only_to_themselves():
