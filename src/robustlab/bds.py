@@ -45,14 +45,22 @@ def _scaled_weights(c1: float, c2: float, c3: float) -> list[float]:
     return [1.0 + s1 * c1 + s2 * c2 + s3 * c3 for s1, s2, s3 in _COLUMNS]
 
 
+def _is_weight(scaled: float) -> bool:
+    """Whether 4 p_i = ``scaled`` is a state's Bell weight: p_i >= -TOLS.psd.
+    The Bell weights are the state's eigenvalues, so this is the rule a
+    validated ``DensityMatrix`` applies to them."""
+    return scaled / 4.0 >= -TOLS.psd
+
+
 class BellDiagonalParams(FrozenRecord):
     """Correlation triple (c1, c2, c3) of a Bell-diagonal state.
 
     The correlations must be finite reals (ValidationError otherwise).  Validity
     requires the four tetrahedron inequalities
     1-c1-c2-c3 >= 0, 1-c1+c2+c3 >= 0, 1+c1-c2+c3 >= 0, 1+c1+c2-c3 >= 0;
-    the error message names the first one violated.  Instances are frozen,
-    and equal when their triples are.
+    each left side is 4 p_i, and p_i >= -TOLS.psd passes (see
+    :func:`_is_weight`).  The error message names the first one violated
+    and its value.  Instances are frozen, and equal when their triples are.
     """
 
     _repr_fields = ("c1", "c2", "c3")
@@ -64,7 +72,7 @@ class BellDiagonalParams(FrozenRecord):
         c1, c2, c3 = self.c1, self.c2, self.c3
         # in lexicographic order of the sign patterns, (-,-,-) first
         for signs, value in sorted(zip(_COLUMNS, _scaled_weights(c1, c2, c3))):
-            if value < -TOLS.bds_positivity:
+            if not _is_weight(value):
                 name = "1" + "".join(
                     f"{'+' if s > 0 else '-'}c{a}" for a, s in enumerate(signs, 1)
                 )
@@ -143,8 +151,9 @@ def discord_levelset_grid(
     tetrahedron.
 
     Returns one row (c1, c2, c3, value, inside) per grid point of the
-    cube [-1, 1]^3 that satisfies the four positivity inequalities, in
-    order of c1, then c2, then c3.  The axis points are -1 + i*step with
+    cube [-1, 1]^3 that is a state by the rule of
+    :class:`BellDiagonalParams`, in order of c1, then c2, then c3.  The
+    axis points are -1 + i*step with
     step = 2/(grid - 1) and the last point exactly 1; value is the middle
     sorted absolute correlation and inside is 1.0 if value <= r (with a
     small slack so exact-boundary grid points count as inside), else 0.0.
@@ -161,7 +170,7 @@ def discord_levelset_grid(
     for c1 in axis:
         for c2 in axis:
             for c3 in axis:
-                if min(_scaled_weights(c1, c2, c3)) / 4.0 < -TOLS.bds_positivity:
+                if not _is_weight(min(_scaled_weights(c1, c2, c3))):
                     continue
                 value = _middle_abs(c1, c2, c3)
                 rows.append((c1, c2, c3, value, float(value <= limit)))

@@ -27,13 +27,16 @@ __all__ = ["TOLS", "Tolerances"]
 # ``dataclasses`` loads ``inspect``, about 12 ms of every numpy-free command.
 # A variant of TOLS is TOLS._replace(field=value).
 class Tolerances(NamedTuple):
+    """The library's 14 numerical thresholds.  ``psd`` is the one bound on a
+    state's negative eigenvalues, which for a ``BellDiagonalParams`` are
+    its Bell weights."""
+
     # matrix-level structure
     hermiticity: float = 1e-12        # max |H - H^dag| accepted as Hermitian
 
     # state-level structure
     trace_one: float = 1e-10          # |tr(rho) - 1|
-    psd: float = 1e-10                # lambda_min >= -psd
-    bds_positivity: float = 1e-12     # slack on the four tetrahedron inequalities
+    psd: float = 1e-10                # lambda_min (a least Bell weight) >= -psd
 
     # support / rank decisions
     support_cutoff: float = 1e-10     # eigenvalues <= cutoff/10 are zero,

@@ -15,9 +15,9 @@ sampled on component boundaries (absolute) or the state-space boundary
 the best sample.  Vertices are always among the samples, which makes the
 two reference constructions below exact.
 
-Hits indistinguishable from the noise endpoint itself (chord parameter
-u = 1 within tolerance) are discarded: they correspond to s = infinity
-and would otherwise masquerade as enormous finite values.
+A chord counts only its hits ahead of p.  Hits within the guard distance
+of the noise point tau itself are discarded: they correspond to s =
+infinity and would otherwise masquerade as enormous finite values.
 
 Free-set polygons and the state space must be convex (ValidationError
 otherwise).  Membership and the chord tests read geometry prepared at the
@@ -220,9 +220,8 @@ class PlanarScene(FrozenRecord):
         object.__setattr__(self, "state_space", space)
         object.__setattr__(self, "_space_faces", faces)
         object.__setattr__(self, "free", free)
-        object.__setattr__(
-            self, "_free_loci", tuple(_segment(a, b) for a, b in _edge_loci_of_free(free))
-        )
+        edges = (_segment(a, b) for poly in free.polygons for a, b in _edges(poly))
+        object.__setattr__(self, "_free_loci", free._segment_records + tuple(edges))
         object.__setattr__(
             self, "_space_loci", tuple(_segment(a, b) for a, b in _edges(space))
         )
@@ -298,8 +297,9 @@ def _hit_polygon(dx: float, dy: float, faces) -> Optional[float]:
 def _hit_segment(px: float, py: float, dx: float, dy: float, dlen: float, seg,
                  tol: float) -> Optional[float]:
     """Earliest parameter u in [0, 1] where p + u*d, |d| = dlen > 0, meets
-    a segment (both endpoints inclusive), to within distance tol, from the
-    segment's record for p (see :func:`_prepare`)."""
+    a segment (both endpoints inclusive, each end extended by tol), from
+    the segment's record for p (see :func:`_prepare`); crossings behind p
+    do not count."""
     ax, ay, rx, ry, sx, sy, ex, ey, elen, cross = seg
     if elen < 1e-15:  # degenerate component: a single point
         u = min(1.0, max(0.0, (rx * dx + ry * dy) / (dlen * dlen)))
@@ -311,14 +311,12 @@ def _hit_segment(px: float, py: float, dx: float, dy: float, dlen: float, seg,
             return None
         u1 = (rx * dx + ry * dy) / (dlen * dlen)
         u2 = (sx * dx + sy * dy) / (dlen * dlen)
-        lo, hi = min(u1, u2), max(u1, u2)
-        if hi < 0.0 or lo > 1.0:
-            return None
-        return max(lo, 0.0)
+        lo = min(u1, u2)
+        return lo if 0.0 <= lo <= 1.0 else None
     u = cross / denom
     v = (rx * dy - ry * dx) / denom
-    if -tol / elen <= v <= 1.0 + tol / elen and -tol / dlen <= u <= 1.0 + tol / dlen:
-        return min(1.0, max(0.0, u))
+    if -tol / elen <= v <= 1.0 + tol / elen and 0.0 <= u <= 1.0:
+        return u
     return None
 
 
@@ -327,8 +325,10 @@ def _weight(tx: float, ty: float, point) -> float:
     :func:`_prepare`, at the earliest valid chord parameter u where
     [p, tau] meets the free set; math.inf when there is none.
 
-    Hits within the guard distance of tau itself, and u >= 1 - 1e-12,
-    are discarded (they encode u -> 1, i.e. unbounded s).
+    Hits within the guard distance of tau itself are discarded (they
+    encode u -> 1, i.e. unbounded s): that guard alone decides
+    unreachability.  A hit at u = 1 that passes it, which rounding allows
+    on wide scenes, has no finite s either.
     """
     px, py, tol, guard, segments, polygons = point
     dx, dy = tx - px, ty - py
@@ -351,7 +351,7 @@ def _weight(tx: float, ty: float, point) -> float:
         if math.hypot(px + u * dx - tx, py + u * dy - ty) <= guard:
             continue
         best = u
-    if best is None or best >= 1.0 - 1e-12:
+    if best is None or best == 1.0:
         return math.inf
     return best / (1.0 - best)
 

@@ -21,7 +21,7 @@ def levelset_reference(r, grid, slack=1e-12):
         [[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]]
     )
     weights = (1.0 + c @ signs.T) / 4.0
-    c = c[np.min(weights, axis=1) >= -TOLS.bds_positivity]
+    c = c[np.min(weights, axis=1) >= -TOLS.psd]
     value = np.sort(np.abs(c), axis=1)[:, 1]
     inside = value <= r + slack
     return np.column_stack([c, value, inside.astype(float)])
@@ -81,6 +81,24 @@ class TestParams:
         message = rf"^{re.escape(name)} >= 0 violated \(got -1\)$"
         with pytest.raises(PositivityError, match=message):
             bds.BellDiagonalParams(*c)
+
+    @pytest.mark.parametrize("p", [-0.5e-10, -2e-10])
+    def test_positivity_is_the_density_matrix_rule(self, p):
+        # Bell weights (1/2 - p, 1/2, 0, p): the least, p, is the state's least
+        # eigenvalue, so the triple passes exactly when the matrix does
+        c = tuple(map(float, np.array(bds.BELL_SIGNS) @ [0.5 - p, 0.5, 0.0, p]))
+        try:
+            qstates.DensityMatrix(_pauli_sum(c), (2, 2))
+            is_state = True
+        except PositivityError:
+            is_state = False
+        assert is_state == (p >= -TOLS.psd)
+        if is_state:
+            assert min(bds.BellDiagonalParams(*c).weights()) == pytest.approx(p, abs=1e-15)
+        else:
+            message = r"^1-c1-c2-c3 >= 0 violated \(got -8e-10\)$"
+            with pytest.raises(PositivityError, match=message):
+                bds.BellDiagonalParams(*c)
 
     def test_numpy_scalars_become_floats(self):
         c = bds.BellDiagonalParams(np.float64(0.5), np.float32(0.25), 0)

@@ -170,6 +170,17 @@ class TestDiscord:
         payload = run_json(capsys, "discord", "--state", str(path))
         assert payload["value"] == pytest.approx(0.3, abs=1e-12)
 
+    def test_state_with_a_weight_just_below_zero(self, capsys, tmp_path):
+        # the least eigenvalue, and Bell weight, is -5e-11: DensityMatrix accepts
+        # it, and discord refused it with "1+c1+c2-c3 >= 0 violated (got -2e-10)"
+        q = 0.25000000005
+        re = [[0.25, 0, 0, 0.25], [0, 0.25, -q, 0], [0, -q, 0.25, 0], [0.25, 0, 0, 0.25]]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": [2, 2], "re": re, "im": [[0] * 4] * 4}))
+        payload = run_json(capsys, "discord", "--state", str(path))
+        bounds = run_json(capsys, "discord-bounds", "--state", str(path))
+        assert payload["value"] == bounds["hi"] == 1.000000082740371e-10
+
     def test_non_bds_state_rejected(self, capsys, tmp_path):
         from robustlab.qstates import random_density
 

@@ -734,7 +734,7 @@ class TestLevelsetGrid:
                         (1 + c1 + c2 - c3) / 4,
                         (1 - c1 - c2 - c3) / 4,
                     ]
-                    if min(w) < -1e-12:
+                    if min(w) < -TOLS.psd:
                         continue
                     value = sorted(abs(v) for v in (c1, c2, c3))[1]
                     expect.append([c1, c2, c3, value, float(value <= r + 1e-12)])

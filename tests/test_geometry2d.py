@@ -194,6 +194,15 @@ class TestConstruction:
         assert not scene.free.contains((1.0, 1.0))
         assert global_robustness_2d((1.0, 1.0), scene) == pytest.approx(1.0 / b, rel=1e-6)
 
+    def test_wide_box_far_square_is_reachable(self):
+        # from (0, 0) the chord to the right edge enters the square at
+        # u = 1 - 0.8e-12, so the value is about (1e12 - 0.8)/0.8; a cutoff at
+        # u >= 1 - 1e-12 read inf
+        b = 1e12
+        square = [(b - 0.8, -1.0), (b - 0.1, -1.0), (b - 0.1, 1.0), (b - 0.8, 1.0)]
+        scene = PlanarScene([(-b, -b), (b, -b), (b, b), (-b, b)], PlanarFreeSet(polygons=[square]))
+        assert global_robustness_2d((0.0, 0.0), scene) == pytest.approx(1.25e12, rel=1e-3)
+
     def test_out_of_space_point_rejected(self):
         scene = scene_counterexample1()
         with pytest.raises(ValidationError, match="outside the state space"):
@@ -442,14 +451,12 @@ def _ref_hit_segment(px, py, dx, dy, a, b, tol):
             return None
         u1 = (rx * dx + ry * dy) / (dlen * dlen)
         u2 = ((bx - px) * dx + (by - py) * dy) / (dlen * dlen)
-        lo, hi = min(u1, u2), max(u1, u2)
-        if hi < 0.0 or lo > 1.0:
-            return None
-        return max(lo, 0.0)
+        lo = min(u1, u2)
+        return lo if 0.0 <= lo <= 1.0 else None
     u = (rx * ey - ry * ex) / denom
     v = (rx * dy - ry * dx) / denom
-    if -tol / elen <= v <= 1.0 + tol / elen and -tol / dlen <= u <= 1.0 + tol / dlen:
-        return min(1.0, max(0.0, u))
+    if -tol / elen <= v <= 1.0 + tol / elen and 0.0 <= u <= 1.0:
+        return u
     return None
 
 
@@ -464,7 +471,7 @@ def _ref_value_for_tau(px, py, tx, ty, free, tol):
             continue
         if best is None or u < best:
             best = u
-    if best is None or best >= 1.0 - 1e-12:
+    if best is None or best == 1.0:
         return math.inf
     return best / (1.0 - best)
 
@@ -530,6 +537,8 @@ def _convex(cx, cy, radius, angles):
 
 _SCENE1 = scene_counterexample1()
 _SCENE2 = scene_counterexample2()
+_SEGMENT = PlanarScene(BOX, PlanarFreeSet(segments=[((0.0, 0.0), (1.0, 0.0))]))
+_TOL_DIAG = TOLS.geometry_membership / math.sqrt(2.0)
 _unit = st.floats(0.0, 1.0)
 _coord = st.floats(-1.0, 1.0)
 
@@ -570,13 +579,15 @@ class TestPreparedGeometryParity:
 
     @staticmethod
     def assert_parity(p, scene):
+        """Both solves equal the reference, and each is 0 exactly where
+        ``contains`` holds: contains and the solves read one membership rule."""
         values = []
         for absolute, solver in ((True, absolute_robustness_2d), (False, global_robustness_2d)):
             got = solver(p, scene)
             want = reference_solve(p, scene, absolute)
             assert got.hex() == want.hex(), (p, absolute, got, want)
             values.append(got)
-        return values
+        assert [v == 0.0 for v in values] == [scene.free.contains(p)] * 2, (p, values)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-3.0, 3.0), st.floats(-1.0, 2.0))
@@ -594,6 +605,11 @@ class TestPreparedGeometryParity:
         *((_SCENE2, counterexample2_point("b", t)) for t in (0.2, 0.5, 2.0 / 3.0)),
         (_SCENE1, (0.0, 1.5)), (_SCENE1, (0.0, -0.5)),  # chords along the segment
         (_SCENE1, (0.0, -1.0)), (_SCENE2, (0.25, 0.0)),  # a noise sample at p itself
+        # diagonally off a segment's end at (1, 1.4)*tol, where a crossing
+        # behind p read 0.0 for a point that is not free
+        *((_SEGMENT, (x + sx * k * _TOL_DIAG, sy * k * _TOL_DIAG))
+          for x, sx in ((0.0, -1.0), (1.0, 1.0)) for sy in (-1.0, 1.0) for k in (1.0, 1.4)),
+        (_SEGMENT, (-9e-10, -9e-10)),
     ])
     def test_special_points(self, scene, p):
         self.assert_parity(p, scene)
@@ -602,10 +618,7 @@ class TestPreparedGeometryParity:
     @given(_random_scene(), st.floats(-2.5, 2.5), st.floats(-2.5, 2.5))
     def test_random_convex_scenes(self, scene, x, y):
         assume(scene.contains((x, y)))
-        values = self.assert_parity((x, y), scene)
-        # contains and the solves read one membership rule: 0 exactly on the free
-        # set, except in the band from tol to about sqrt(2)*tol past a segment's end
-        assert [v == 0.0 for v in values] == [scene.free.contains((x, y))] * 2, values
+        self.assert_parity((x, y), scene)
 
 
 def test_scene_records_are_frozen_and_equal_only_to_themselves():
