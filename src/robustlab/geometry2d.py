@@ -17,7 +17,9 @@ two reference constructions below exact.
 
 A chord counts only its hits ahead of p.  Hits within the guard distance
 of the noise point tau itself are discarded: they correspond to s =
-infinity and would otherwise masquerade as enormous finite values.
+infinity and would otherwise masquerade as enormous finite values.  The
+guard is TOLS.geometry_guard_factor * tol plus the rounding of a hit
+point, _GUARD_ULPS float spacings of the largest coordinate at play.
 
 Free-set polygons and the state space must be convex (ValidationError
 otherwise).  Membership and the chord tests read geometry prepared at the
@@ -65,6 +67,13 @@ _Pt = tuple[float, float]
 _RESOLUTION = 64
 # golden-section refinement stops once its bracket of noise points is this short
 _REFINE_TOL = 1e-9
+# a hit point is computed to within a few float spacings of the largest
+# coordinate at play, p's or the free set's (a hit near tau lies on the
+# free set, so tau is no larger), amplified where the chord meets the
+# component at a grazing angle; this many spacings cover angles down to
+# about 1e-4 rad, and the guard adds them so that wide scenes cannot pass
+# the hit at tau itself off as an enormous finite weight
+_GUARD_ULPS = 1024
 # the largest |x| or |y| of a planar point: differences of coordinates stay
 # below 2e150 and the chord tests' products of two of them below 4e300, so
 # no intermediate overflows to inf (NaN and inf fail the test too)
@@ -156,15 +165,19 @@ class PlanarFreeSet(FrozenRecord):
     isolated points.  Polygons are stored counterclockwise regardless of
     input orientation.  Points are stored as (x, y) tuples of floats,
     and the chord tests' per-component records (see :func:`_faces` and
-    :func:`_segment`) are built once here.  Instances are frozen and equal
-    only to themselves.
+    :func:`_segment`), the segment records of the segments and then of
+    the polygon edges (``_loci``, the noise loci of absolute robustness)
+    and the largest coordinate are built once here.  Instances are frozen
+    and equal only to themselves.
     """
 
     segments: tuple[tuple[_Pt, _Pt], ...]
     polygons: tuple[tuple[_Pt, ...], ...]
     star_center: Optional[_Pt]
     _segment_records: tuple[tuple[float, ...], ...]
+    _loci: tuple[tuple[float, ...], ...]
     _polygon_faces: tuple[tuple[tuple[float, float, float, float], ...], ...]
+    _extent: float
     _repr_fields = ("segments", "polygons", "star_center")
 
     def __init__(
@@ -181,7 +194,12 @@ class PlanarFreeSet(FrozenRecord):
         object.__setattr__(
             self, "_segment_records", tuple(_segment(a, b) for a, b in self.segments)
         )
+        edges = (_segment(a, b) for poly in self.polygons for a, b in _edges(poly))
+        object.__setattr__(self, "_loci", self._segment_records + tuple(edges))
         object.__setattr__(self, "_polygon_faces", tuple(faces for _, faces in polygons))
+        object.__setattr__(self, "_extent", max(
+            (abs(c) for rec in self._loci for c in rec[:4]), default=0.0
+        ))
         object.__setattr__(
             self, "star_center", None if star_center is None else _pt(star_center)
         )
@@ -202,16 +220,14 @@ class PlanarFreeSet(FrozenRecord):
 class PlanarScene(FrozenRecord):
     """A convex polygonal state space together with a free subset.
 
-    The noise loci of the two solvers, with their lengths, are built once
-    here: the free set's segments and polygon edges for absolute
-    robustness, the state-space edges for global robustness.  Instances
-    are frozen and equal only to themselves.
+    The noise loci of global robustness, the state-space edges with their
+    lengths, are built once here; those of absolute robustness are the
+    free set's.  Instances are frozen and equal only to themselves.
     """
 
     state_space: tuple[_Pt, ...]
     free: PlanarFreeSet
     _space_faces: tuple[tuple[float, float, float, float], ...]
-    _free_loci: tuple[tuple[float, ...], ...]
     _space_loci: tuple[tuple[float, ...], ...]
     _repr_fields = ("state_space", "free")
 
@@ -220,26 +236,16 @@ class PlanarScene(FrozenRecord):
         object.__setattr__(self, "state_space", space)
         object.__setattr__(self, "_space_faces", faces)
         object.__setattr__(self, "free", free)
-        edges = (_segment(a, b) for poly in free.polygons for a, b in _edges(poly))
-        object.__setattr__(self, "_free_loci", free._segment_records + tuple(edges))
         object.__setattr__(
             self, "_space_loci", tuple(_segment(a, b) for a, b in _edges(space))
         )
-        for v in (v for edge in _edge_loci_of_free(free) for v in edge):
+        for v in (v for ax, ay, bx, by, *_ in free._loci for v in ((ax, ay), (bx, by))):
             if not self.contains(v):
                 raise ValidationError(f"free-set vertex {list(v)} lies outside the state space")
 
     def contains(self, p: _Point) -> bool:
         qx, qy = _pt(p)
         return _inside(_offsets(qx, qy, self._space_faces, TOLS.geometry_membership))
-
-
-def _edge_loci_of_free(free: PlanarFreeSet):
-    """The free set's segments, then the edges of its polygons."""
-    for a, b in free.segments:
-        yield a, b
-    for poly in free.polygons:
-        yield from _edges(poly)
 
 
 def _prepare(px: float, py: float, free: PlanarFreeSet, tol: float) -> tuple:
@@ -249,14 +255,17 @@ def _prepare(px: float, py: float, free: PlanarFreeSet, tol: float) -> tuple:
 
     A segment's record is (ax, ay, rx, ry, sx, sy, ex, ey, elen, cross)
     with r = a - p, s = b - p and cross = r x e; a polygon's is its face
-    records for p (see :func:`_offsets`).
+    records for p (see :func:`_offsets`).  The guard is
+    TOLS.geometry_guard_factor * tol plus _GUARD_ULPS float spacings of
+    the largest coordinate of p and of the free set.
     """
     segments = []
     for ax, ay, bx, by, ex, ey, elen in free._segment_records:
         rx, ry = ax - px, ay - py
         segments.append((ax, ay, rx, ry, bx - px, by - py, ex, ey, elen, rx * ey - ry * ex))
     polygons = tuple(_offsets(px, py, faces, tol) for faces in free._polygon_faces)
-    guard = TOLS.geometry_guard_factor * tol
+    rounding = _GUARD_ULPS * math.ulp(max(abs(px), abs(py), free._extent))
+    guard = TOLS.geometry_guard_factor * tol + rounding
     return px, py, tol, guard, tuple(segments), polygons
 
 
@@ -326,9 +335,9 @@ def _weight(tx: float, ty: float, point) -> float:
     [p, tau] meets the free set; math.inf when there is none.
 
     Hits within the guard distance of tau itself are discarded (they
-    encode u -> 1, i.e. unbounded s): that guard alone decides
-    unreachability.  A hit at u = 1 that passes it, which rounding allows
-    on wide scenes, has no finite s either.
+    encode u -> 1, i.e. unbounded s): that guard, which allows for the
+    rounding of the hit point (see :func:`_prepare`), alone decides
+    unreachability.  A hit at u = 1 that passes it has no finite s either.
     """
     px, py, tol, guard, segments, polygons = point
     dx, dy = tx - px, ty - py
@@ -419,7 +428,7 @@ def _solve(p: _Point, scene: PlanarScene, loci) -> float:
 def absolute_robustness_2d(p: _Point, scene: PlanarScene) -> float:
     """Least s with (p + s*tau)/(1+s) free for some noise tau in the free
     set; math.inf when no finite mixture works."""
-    return _solve(p, scene, scene._free_loci)
+    return _solve(p, scene, scene.free._loci)
 
 
 def global_robustness_2d(p: _Point, scene: PlanarScene) -> float:
@@ -451,7 +460,7 @@ def planar_star_probe(
         raise ConfigurationError("free set declares no star center to probe")
     cx, cy = free.star_center
     bad: list[tuple[tuple[float, float], float]] = []
-    for (ax, ay), (bx, by) in _edge_loci_of_free(free):
+    for ax, ay, bx, by, *_ in free._loci:
         for j in range(samples + 1):
             f = j / samples
             qx, qy = ax + f * (bx - ax), ay + f * (by - ay)

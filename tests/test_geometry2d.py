@@ -21,7 +21,7 @@ from robustlab.geometry2d import (
     scene_counterexample1,
     scene_counterexample2,
 )
-from robustlab.geometry2d import _edges
+from robustlab.geometry2d import _GUARD_ULPS, _edges
 
 
 def signed_area(poly):
@@ -202,6 +202,26 @@ class TestConstruction:
         square = [(b - 0.8, -1.0), (b - 0.1, -1.0), (b - 0.1, 1.0), (b - 0.8, 1.0)]
         scene = PlanarScene([(-b, -b), (b, -b), (b, b), (-b, b)], PlanarFreeSet(polygons=[square]))
         assert global_robustness_2d((0.0, 0.0), scene) == pytest.approx(1.25e12, rel=1e-3)
+
+    @pytest.mark.parametrize("p", [(-8.477e11, -5.01e11), (8.866e11, 6.479e11), (-6.824e11, -3.011e11)])
+    def test_wide_box_hit_at_the_noise_point_is_unreachable(self, p):
+        # a chord from p meets a lone tilted segment only at the noise point
+        # tau itself, so the value is inf; at these coordinates the float
+        # spacing exceeds the guard's 1e-8, and without the guard's rounding
+        # allowance some chords read u just below 1 and a value near 1e15
+        b = 1e12
+        box = [(-b, -b), (b, -b), (b, b), (-b, b)]
+        tilted = PlanarScene(box, PlanarFreeSet(segments=[((0.0, 0.0), (1.0, 0.3))]))
+        assert absolute_robustness_2d(p, tilted) == math.inf
+
+    @pytest.mark.parametrize("edge", range(4))
+    def test_wide_box_free_edge_is_unreachable(self, edge):
+        # the same for global robustness with a free edge of a diamond: only
+        # the noise on that edge itself meets it
+        b = 1e12
+        diamond = [(b, 0.0), (0.0, b), (-b, 0.0), (0.0, -b)]
+        scene = PlanarScene(diamond, PlanarFreeSet(segments=[list(_edges(diamond))[edge]]))
+        assert global_robustness_2d((4.104e11, 4.03e11), scene) == math.inf
 
     def test_out_of_space_point_rejected(self):
         scene = scene_counterexample1()
@@ -462,7 +482,9 @@ def _ref_hit_segment(px, py, dx, dy, a, b, tol):
 
 def _ref_value_for_tau(px, py, tx, ty, free, tol):
     dx, dy = tx - px, ty - py
-    guard = TOLS.geometry_guard_factor * tol
+    vertices = [*(v for seg in free.segments for v in seg), *(v for poly in free.polygons for v in poly)]
+    extent = max(abs(c) for v in vertices for c in v)
+    guard = TOLS.geometry_guard_factor * tol + _GUARD_ULPS * math.ulp(max(abs(px), abs(py), extent))
     hits = [_ref_hit_segment(px, py, dx, dy, a, b, tol) for a, b in free.segments]
     hits += [_ref_hit_polygon(px, py, dx, dy, poly, tol) for poly in free.polygons]
     best = None
