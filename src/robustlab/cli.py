@@ -1,14 +1,18 @@
 """Command-line surface over the robustness engines.
 
 Every subcommand is a thin adapter: it parses arguments, calls library
-functions, and formats their results.  JSON payloads carry a schema
-version field "v": 1; infinite values serialize as the string "inf".
-Exit codes: 0 success, 1 audit failure, 2 invalid input (bad JSON, bad shape,
-Hermiticity/trace violations, unusable parameters, a flag given where it does
-not act), 3 positivity violation, 4 numerical failure (non-monotone membership
-along a ray on a set without an LMI, such as zero-discord or bds-axes; or a
-number too close to its threshold to decide: an eigenvalue near the support
-cutoff, or the margin of a ppt or unfaithful noise state near 0).
+functions, and formats their results.  _build_parser declares each one
+once: its arguments, its handler and the flags that act only with one value
+of another argument.  A handler returns the payload body; main adds the
+schema version field "v": 1 and writes it, as CSV when it has "columns",
+else as JSON; infinite values serialize as the string "inf".
+Exit codes: 0 success, 1 a payload with "passed": false (a failed audit),
+2 invalid input (bad JSON, bad shape, Hermiticity/trace violations,
+unusable parameters, a flag given where it does not act), 3 positivity
+violation, 4 numerical failure (non-monotone membership along a ray on a
+set without an LMI, such as zero-discord or bds-axes; or a number too close
+to its threshold to decide: an eigenvalue near the support cutoff, or the
+margin of a ppt or unfaithful noise state near 0).
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ def _jsonify(obj):
 
 def _emit(payload, fmt: str, out: Optional[str]) -> None:
     if fmt == "csv":
-        if not (isinstance(payload, dict) and "columns" in payload):
+        if "columns" not in payload:
             raise ConfigurationError("this subcommand has no tabular output; use json")
         import csv
 
@@ -139,8 +143,8 @@ MAX_SWEEP_POINTS = 10_000
 def _parse_sweep(text: str) -> list[float]:
     """start:stop:step, inclusive of start, exclusive of stop (slack 1e-12).
 
-    start, stop and step must be finite, step > 0, and the sweep at most
-    MAX_SWEEP_POINTS long (ValidationError otherwise)."""
+    start, stop and step must be finite, step > 0, and the sweep from 1
+    to MAX_SWEEP_POINTS long (ValidationError otherwise)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"--sweep expects start:stop:step, got {text!r}")
@@ -159,13 +163,15 @@ def _parse_sweep(text: str) -> list[float]:
                 f"--sweep {text!r} has more than {MAX_SWEEP_POINTS} points"
             )
         vals.append(start + len(vals) * step)
+    if not vals:  # a sweep with no points tests nothing
+        raise ValidationError(f"--sweep {text!r} has no points; stop must exceed start")
     return vals
 
 
 # --- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_discord(args) -> tuple[int, dict]:
+def _cmd_discord(args) -> dict:
     if args.bds is not None:
         params = _parse_bds(args.bds)
     else:
@@ -179,29 +185,18 @@ def _cmd_discord(args) -> tuple[int, dict]:
     if args.method == "closed-form":
         from . import bds
 
-        payload = {
-            "v": SCHEMA_VERSION,
-            "value": bds.discord_robustness_bds(params),
-            "method": "closed-form",
-        }
-    else:
-        from . import engines
+        return {"value": bds.discord_robustness_bds(params), "method": "closed-form"}
+    from . import engines
 
-        res = engines.discord_robustness_axis_opt(params, **_given(args, "grid"))
-        payload = {
-            "v": SCHEMA_VERSION,
-            "value": res.value,
-            "method": res.method,
-            "iterations": res.iterations,
-        }
-    return 0, payload
+    res = engines.discord_robustness_axis_opt(params, **_given(args, "grid"))
+    return {"value": res.value, "method": res.method, "iterations": res.iterations}
 
 
-def _cmd_discord_bounds(args) -> tuple[int, dict]:
+def _cmd_discord_bounds(args) -> dict:
     from . import engines
 
     lo, hi = engines.discord_robustness_bounds(_state_arg(args))
-    return 0, {"v": SCHEMA_VERSION, "lo": lo, "hi": hi}
+    return {"lo": lo, "hi": hi}
 
 
 def _bds_ray(args) -> dict:
@@ -214,7 +209,6 @@ def _bds_ray(args) -> dict:
     config.ray_options(args.tol, args.s_max, 4)  # the checks of robustness_along_ray
     free = bds.has_zero_discord_bds(params)
     payload = {
-        "v": SCHEMA_VERSION,
         "free_set": args.free_set,
         "value": 0.0 if free else math.inf,
         "method": "closed-form",
@@ -228,9 +222,9 @@ def _bds_ray(args) -> dict:
     return payload
 
 
-def _cmd_ent_ray(args) -> tuple[int, dict]:
+def _cmd_ent_ray(args) -> dict:
     if args.bds is not None and args.noise == "maxmixed" and args.free_set == "zero-discord":
-        return 0, _bds_ray(args)
+        return _bds_ray(args)
     from . import engines, free_sets, qstates
 
     rho = _state_arg(args)
@@ -238,7 +232,6 @@ def _cmd_ent_ray(args) -> tuple[int, dict]:
     oracle = free_sets.oracle_by_name(args.free_set)
     res = engines.robustness_along_ray(rho, sigma, oracle, s_max=args.s_max, tol=args.tol)
     payload = {
-        "v": SCHEMA_VERSION,
         "free_set": oracle.name,
         "value": res.value,
         "method": res.method,
@@ -247,24 +240,25 @@ def _cmd_ent_ray(args) -> tuple[int, dict]:
     }
     if res.free_witness is not None:
         payload["free_witness"] = qstates.state_to_json(res.free_witness)
-    return 0, payload
+    return payload
 
 
-def _cmd_tel_check(args) -> tuple[int, dict]:
+def _cmd_tel_check(args) -> dict:
     from . import free_sets
 
     rho = _state_arg(args)
-    return 0, {
-        "v": SCHEMA_VERSION,
+    return {
         "singlet_fraction": free_sets.singlet_fraction(rho),
         "threshold": 0.5,
         "unfaithful": free_sets.is_unfaithful(rho),
     }
 
 
-def _ce_rows(args) -> tuple[list[str], list[tuple]]:
+def _cmd_counterexample(args) -> dict:
     from . import geometry2d as g2
 
+    if args.id == 2 and args.branch is None:
+        raise ValidationError("--id 2 needs --branch a or b")
     ts = _parse_sweep(args.sweep) if args.sweep else [args.t]
     if ts == [None]:
         raise ValidationError("provide --sweep start:stop:step or --t value")
@@ -277,32 +271,21 @@ def _ce_rows(args) -> tuple[list[str], list[tuple]]:
         scene, solve = g2.scene_counterexample2(), g2.global_robustness_2d
         exact = functools.partial(g2.counterexample2_exact, args.branch)
         point = functools.partial(g2.counterexample2_point, args.branch)
-    rows = [(t, exact(t), solve(point(t), scene)) for t in ts]
-    return ["t", "exact", "numeric"], rows
+    return {"columns": ["t", "exact", "numeric"],
+            "rows": [(t, exact(t), solve(point(t), scene)) for t in ts]}
 
 
-def _cmd_counterexample(args) -> tuple[int, dict]:
-    if args.id == 2 and args.branch is None:
-        raise ValidationError("--id 2 needs --branch a or b")
-    columns, rows = _ce_rows(args)
-    return 0, {"v": SCHEMA_VERSION, "columns": columns, "rows": rows}
-
-
-def _cmd_levelset(args) -> tuple[int, dict]:
+def _cmd_levelset(args) -> dict:
     from . import bds
 
     rows = [
         (c1, c2, c3, value, int(inside))
         for c1, c2, c3, value, inside in bds.discord_levelset_grid(args.r, args.grid)
     ]
-    return 0, {
-        "v": SCHEMA_VERSION,
-        "columns": ["c1", "c2", "c3", "value", "inside"],
-        "rows": rows,
-    }
+    return {"columns": ["c1", "c2", "c3", "value", "inside"], "rows": rows}
 
 
-def _cmd_audit(args) -> tuple[int, dict]:
+def _cmd_audit(args) -> dict:
     import dataclasses
 
     from . import audit as audit_mod, engines, free_sets
@@ -357,15 +340,15 @@ def _cmd_audit(args) -> tuple[int, dict]:
             for f in dataclasses.fields(rep)
             if f.name != "first_violation"
         }
-    payload = {"v": SCHEMA_VERSION, "check": args.check, "measure": args.measure,
-               "free_set": oracle.name, **fields, "passed": rep.passed}
-    return (0 if rep.passed else 1), payload
+    return {"check": args.check, "measure": args.measure, "free_set": oracle.name,
+            **fields, "passed": rep.passed}
 
 
 # --- parser ------------------------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # each subparser sets run, its handler, and only_with: flag -> (argument, value)
     parser = argparse.ArgumentParser(
         prog="robustlab",
         description="Robustness measures, continuity audits and counterexamples.",
@@ -386,9 +369,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("closed-form", "axis-opt"),
                    default="closed-form")
     p.add_argument("--grid", type=int, help="axis grid of --method axis-opt (default 64)")
+    p.set_defaults(run=_cmd_discord, only_with={"grid": ("method", "axis-opt")})
 
     sub.add_parser("discord-bounds", parents=[common, state_in],
-                   help="two-sided discord robustness bounds for any state")
+                   help="two-sided discord robustness bounds for any state",
+                   ).set_defaults(run=_cmd_discord_bounds)
 
     p = sub.add_parser("ent-ray", parents=[common, state_in],
                        help="robustness along a fixed noise ray")
@@ -397,9 +382,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="maxmixed or state:<file>")
     p.add_argument("--s-max", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
+    p.set_defaults(run=_cmd_ent_ray)
 
     sub.add_parser("tel-check", parents=[common, state_in],
-                   help="maximal singlet fraction and faithfulness flag")
+                   help="maximal singlet fraction and faithfulness flag",
+                   ).set_defaults(run=_cmd_tel_check)
 
     p = sub.add_parser("counterexample", parents=[common],
                        help="exact vs numeric values along the reference families")
@@ -410,11 +397,14 @@ def _build_parser() -> argparse.ArgumentParser:
     points.add_argument("--sweep", default=None,
                         help=f"start:stop:step, stop exclusive, at most {MAX_SWEEP_POINTS} points")
     points.add_argument("--t", type=float, default=None)
+    p.set_defaults(run=_cmd_counterexample,
+                   only_with={"delta": ("id", 1), "branch": ("id", 2)})
 
     p = sub.add_parser("levelset", parents=[common],
                        help="discord robustness sublevel set on the tetrahedron")
     p.add_argument("--r", type=float, default=0.3)
     p.add_argument("--grid", type=int, default=41)
+    p.set_defaults(run=_cmd_levelset)
 
     p = sub.add_parser("audit", parents=[common],
                        help="statistical continuity and structure audits")
@@ -426,27 +416,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, help="for --check lipschitz (default: the ray's kappa-ball L)")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=_cmd_audit, only_with={"L": ("check", "lipschitz")})
 
     return parser
-
-
-_HANDLERS = {
-    "discord": _cmd_discord,
-    "discord-bounds": _cmd_discord_bounds,
-    "ent-ray": _cmd_ent_ray,
-    "tel-check": _cmd_tel_check,
-    "counterexample": _cmd_counterexample,
-    "levelset": _cmd_levelset,
-    "audit": _cmd_audit,
-}
-
-# flag -> (argument, value): the flag acts only with that value; given means not None
-_ONLY_WITH = {"discord": {"grid": ("method", "axis-opt")},
-              "counterexample": {"delta": ("id", 1), "branch": ("id", 2)},
-              "audit": {"L": ("check", "lipschitz")}}
-
-# tabular subcommands default to csv, scalar ones to json
-_DEFAULT_FORMAT = {"counterexample": "csv", "levelset": "csv"}
 
 
 def _preprocess(argv: list[str]) -> list[str]:
@@ -468,12 +440,12 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_preprocess(list(argv)))
     try:
-        for flag, (arg, value) in _ONLY_WITH.get(args.cmd, {}).items():
+        # set on the subparsers only: argparse merges their defaults differently by release
+        for flag, (arg, value) in getattr(args, "only_with", {}).items():
             if getattr(args, flag) is not None and getattr(args, arg) != value:
                 raise ValidationError(f"--{flag} acts only with --{arg} {value}")
-        code, payload = _HANDLERS[args.cmd](args)
-        fmt = args.format or _DEFAULT_FORMAT.get(args.cmd, "json")
-        _emit(payload, fmt, args.out)
+        payload = {"v": SCHEMA_VERSION, **args.run(args)}
+        _emit(payload, args.format or ("csv" if "columns" in payload else "json"), args.out)
     except PositivityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -486,7 +458,7 @@ def main(argv=None) -> int:
     except (StarConvexityViolationError, IllConditionedError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 4
-    return code
+    return 0 if payload.get("passed", True) else 1
 
 
 if __name__ == "__main__":

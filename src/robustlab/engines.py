@@ -27,6 +27,7 @@ import numpy as np
 from .bds import (
     BELL_SIGNS,
     BellDiagonalParams,
+    _params,
     discord_levelset_grid,
     discord_robustness_bds,
 )
@@ -358,8 +359,7 @@ def discord_robustness_axis_opt(
     test is for exact zeros, so a genuine value of 1e-11 still goes
     through the scan.
     """
-    if not isinstance(c, BellDiagonalParams):
-        c = BellDiagonalParams(*c)
+    c = _params(c)
     grid = check_count("grid", grid, least=2, most=MAX_AXIS_GRID)
     on_axis = [a for a, ca in enumerate(c.as_tuple()) if ca != 0.0]
     if len(on_axis) <= 1:  # rho is itself the axis state sigma_a(c_a)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bds import BELL_SIGNS, BellDiagonalParams
+from .bds import BELL_SIGNS, BellDiagonalParams, _params
 from .config import TOLS, check_count, check_real, state_json
 from .errors import PositivityError, ValidationError
 from .operator_core import _require_finite, _require_hermitian, as_complex_matrix
@@ -170,9 +170,7 @@ def bell_states() -> tuple[DensityMatrix, ...]:
 
 def bell_diagonal(c: BellDiagonalParams | tuple[float, float, float]) -> DensityMatrix:
     """Bell-diagonal state (1/4)(1x1 + sum_i c_i sigma_i x sigma_i)."""
-    if not isinstance(c, BellDiagonalParams):
-        c = BellDiagonalParams(*c)
-    return DensityMatrix(c.matrix(), (2, 2), validate=False)
+    return DensityMatrix(_params(c).matrix(), (2, 2), validate=False)
 
 
 def werner(p: float) -> DensityMatrix:

@@ -425,6 +425,11 @@ class TestCounterexample:
         assert code == 2
         code, _, _ = run_cli(capsys, "counterexample", "--id", "1", "--sweep", "0:1:-0.1")
         assert code == 2
+        # a sweep with no points tests nothing; it printed only the header, exit 0
+        for sweep in ("1:0:0.1", "0.5:0.5:0.1"):
+            code, out, err = run_cli(capsys, "counterexample", "--id", "1", "--sweep", sweep)
+            assert (code, out) == (2, "")
+            assert err == f"error: --sweep {sweep!r} has no points; stop must exceed start\n"
 
     @pytest.mark.parametrize("sweep, word", [
         ("0:inf:0.1", "finite"),     # never ended, with memory growing
@@ -807,6 +812,17 @@ class TestAudit:
         payload = json.loads(out)
         assert code == 1 and payload["passed"] is False
         assert (payload["checked"], payload["infinite_skipped"]) == (0, 9)
+
+    @pytest.mark.parametrize("free_set", ["zero-discord", "ppt"])
+    def test_discord_filtered_convexity_adds_axis_pairs(self, capsys, free_set):
+        # the axis-endpoint pairs break the convexity of discord whatever the
+        # free set: 5 random pairs and 3 axis pairs, each at 3 mixing weights
+        code, out, _ = run_cli(capsys, "audit", "--check", "convexity",
+                               "--measure", "discord-filtered", "--free-set", free_set,
+                               "--samples", "5")
+        payload = json.loads(out)
+        assert code == 1 and payload["passed"] is False
+        assert (payload["checked"], payload["violations"], payload["worst_gap"]) == (24, 9, 0.5)
 
     def test_ray_measures_its_free_set(self, capsys):
         # the ray toward 1/4 of the unfaithful set, against its kappa-ball

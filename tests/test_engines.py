@@ -587,6 +587,15 @@ class TestAxisOpt:
                 assert res.value == pytest.approx(small, rel=0.05, abs=1e-9), (c, grid)
                 self._assert_witnesses(c, res)
 
+    def test_rounding_value_is_zero(self):
+        # the scan runs, but a robustness below rounding is no value: exactly
+        # 0, with rho itself as the free witness
+        for small in (1e-300, 1e-17):
+            c = (0.5, small, 0.0)
+            res = discord_robustness_axis_opt(c)
+            assert res.value == 0.0 and res.iterations > 0, c
+            self._assert_witnesses(c, res)
+
     def test_sub_resolution_xatol_terminates(self):
         # at a Bell state the best k is +-1, where points closer than 4e-9
         # snap to the end, so the bracket stops narrowing 4.1e-9 wide, above

@@ -1,5 +1,6 @@
 """The README's examples run as written and state what they print."""
 
+import argparse
 import ast
 import json
 import re
@@ -68,7 +69,9 @@ def _subcommand_lines() -> list[str]:
 
 
 def test_every_subcommand_has_an_example():
-    assert {shlex.split(line)[1] for line in _subcommand_lines()} == set(cli._HANDLERS)
+    (subcommands,) = [action.choices for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert {shlex.split(line)[1] for line in _subcommand_lines()} == set(subcommands)
 
 
 @pytest.mark.parametrize("line", _subcommand_lines())
