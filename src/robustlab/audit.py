@@ -1,4 +1,4 @@
-"""Empirical audits: Lipschitz ratios, faithfulness, monotonicity, convexity.
+"""Empirical audits: Lipschitz ratios, faithfulness, monotonicity, convexity, star-convexity.
 
 Each audit draws a deterministic batch of states from a seeded generator,
 evaluates a measure on them, and returns a small report object with a
@@ -33,6 +33,7 @@ from .qstates import (
     BellDiagonalParams,
     DensityMatrix,
     _random_densities,
+    _require_same_dims,
     _trace_distances,
     bell_diagonal,
     random_density,
@@ -45,10 +46,12 @@ __all__ = [
     "FaithfulnessReport",
     "MonotonicityReport",
     "ConvexityReport",
+    "StarConvexityReport",
     "audit_lipschitz",
     "audit_faithfulness",
     "audit_monotonicity",
     "audit_convexity",
+    "audit_star_convexity",
     "lipschitz_pairs",
     "ray_measure",
     "discord_filtered_measure",
@@ -73,7 +76,7 @@ class AuditConfig:
     """Batch size and seed of an audit.
 
     ``samples`` must be an integer in [0, MAX_AUDIT_SAMPLES] and ``seed`` an
-    integer >= 0 (ValidationError otherwise).  Each audit reads its one
+    integer >= 0 (ValidationError otherwise).  Each measure audit reads its one
     threshold from TOLS: ``lipschitz_violation_slack``, ``audit_zero``, or
     for monotonicity and convexity twice the ray's ``ray_bisection``.
     """
@@ -421,8 +424,11 @@ def audit_convexity(
     """Check measure(lam*rho1 + (1-lam)*rho2) <= lam*m1 + (1-lam)*m2.
 
     ``extra_pairs`` are checked ahead of the random batch, so deliberate
-    counterexample constructions appear in the report deterministically.
+    counterexample constructions appear in the report deterministically;
+    each must have equal dims (ValidationError otherwise).
     """
+    for r1, r2 in extra_pairs:
+        _require_same_dims(r1, r2)
     rng = np.random.default_rng(cfg.seed)
     drawn = _states(_random_densities(_DIM, _DIM, rng, 2 * cfg.samples))
     pairs = list(extra_pairs) + list(zip(drawn[::2], drawn[1::2]))
@@ -457,3 +463,51 @@ def audit_convexity(
         first_violation=first,
         infinite_skipped=skipped,
     )
+
+
+# --- star-convexity ----------------------------------------------------------
+
+
+# mixing weights toward the star center of every star-convexity check
+_STAR_DELTAS = tuple((j + 1) / 11 for j in range(10))
+
+
+@dataclass(frozen=True)
+class StarConvexityReport:
+    checked: int
+    violations: int
+    first_violation: Optional[str]
+
+    @property
+    def passed(self) -> bool:
+        return self.violations == 0 and self.checked > 0
+
+
+def audit_star_convexity(oracle: FreeSetOracle, cfg: AuditConfig) -> StarConvexityReport:
+    """Check that (1 - delta) * member + delta * center stays in the set for
+    each sampled member and each delta in _STAR_DELTAS, center the oracle's
+    star center.  A sample that is not a member is one violation and is not
+    mixed.  The oracle needs a star center and a sampler (ConfigurationError
+    otherwise), and each sample the center's dims (ValidationError otherwise)."""
+    center = oracle.star_center
+    if center is None:
+        raise ConfigurationError(f"oracle {oracle.name!r} has no star center")
+    if oracle.sampler is None:
+        raise ConfigurationError(f"oracle {oracle.name!r} has no sampler to audit with")
+    rng = np.random.default_rng(cfg.seed)
+    checked = violations = 0
+    first = None
+    for i in range(cfg.samples):
+        member = oracle.sampler(rng)
+        _require_same_dims(member, center)
+        if not oracle.member(member):
+            violations += 1
+            first = first or f"sample {i}: sampler output is not a member"
+            continue
+        for delta in _STAR_DELTAS:
+            checked += 1
+            mix = (1.0 - delta) * member.mat + delta * center.mat
+            if not oracle.member(DensityMatrix(mix, member.dims, validate=False)):
+                violations += 1
+                first = first or f"sample {i}, delta {delta:.3f}: mixture left the set"
+    return StarConvexityReport(checked=checked, violations=violations, first_violation=first)

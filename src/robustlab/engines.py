@@ -32,13 +32,15 @@ from .bds import (
     discord_robustness_bds,
 )
 from .config import TOLS, check_count, check_real, ray_options
-from .errors import (
-    IllConditionedError,
-    StarConvexityViolationError,
-    ValidationError,
-)
+from .errors import IllConditionedError, StarConvexityViolationError
 from .operator_core import _require_finite, require_hermitian
-from .qstates import DensityMatrix, bell_diagonal, bell_state_vectors, bloch_decompose
+from .qstates import (
+    DensityMatrix,
+    _require_same_dims,
+    bell_diagonal,
+    bell_state_vectors,
+    bloch_decompose,
+)
 
 if TYPE_CHECKING:
     from .free_sets import FreeSetOracle
@@ -138,8 +140,7 @@ def robustness_along_ray(
     such a ray (see ``free_sets.has_zero_discord``), so the value is 0 or
     inf.
     """
-    if rho.dims != sigma.dims:
-        raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
+    _require_same_dims(rho, sigma)
     tol, s_max = ray_options(tol, s_max, rho.dim)
     grid = [s_max * (i / _RAY_SCAN_POINTS) for i in range(_RAY_SCAN_POINTS + 1)]
 
@@ -288,8 +289,7 @@ def min_scaling_robustness(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     does not have this error, since it uses the exact eigenvalues of its
     pencils.
     """
-    if rho.dims != sigma.dims:
-        raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
+    _require_same_dims(rho, sigma)
     w, v = np.linalg.eigh(require_hermitian(sigma.mat))
     rot = v.conj().T @ rho.mat @ v
     rot = 0.5 * (rot + rot.conj().T)  # hermitianize rounding noise before eigvalsh

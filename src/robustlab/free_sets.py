@@ -3,7 +3,7 @@
 Each oracle bundles a name, a boolean membership test, an optional star
 center (a state from which mixing toward any member stays in the set), the
 radius ``kappa`` of a known free ball around that center when one exists,
-and a sampler of members used by probes and audits.
+and a sampler of members used by the audits.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .qstates import (
 
 __all__ = [
     "FreeSetOracle",
-    "StarConvexityReport",
     "is_ppt",
     "discord_defect",
     "has_zero_discord",
@@ -42,7 +41,6 @@ __all__ = [
     "is_unfaithful",
     "bds_params_of",
     "oracle_by_name",
-    "star_convexity_probe",
     "sample_trace_ball",
     "random_quantum_classical",
 ]
@@ -309,9 +307,8 @@ def _sample_bds_axes(rng: np.random.Generator) -> DensityMatrix:
 
 
 def _in_bds_axes(rho: DensityMatrix) -> bool:
-    """``has_zero_discord``'s rule on |x|^2 + |y|^2 + |T|_F^2, max_i T_ii^2 allowed."""
-    if rho.dims != (2, 2):
-        return False
+    """``has_zero_discord``'s rule on |x|^2 + |y|^2 + |T|_F^2, max_i T_ii^2
+    allowed; a state that is not two-qubit raises ValidationError."""
     b = bloch_decompose(rho)
     total = float(b.x @ b.x + b.y @ b.y + np.sum(b.T * b.T))
     return discord_weight_free(total, float(np.max(np.diagonal(b.T) ** 2)))
@@ -356,75 +353,3 @@ def oracle_by_name(name: str) -> FreeSetOracle:
             lambda rng: sample_trace_ball(center, kappa, rng), lmi=_UNFAITHFUL_LMI,
         )
     return FreeSetOracle(name, _in_bds_axes, center, sampler=_sample_bds_axes)
-
-
-# --- star-convexity probe ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StarConvexityReport:
-    oracle_name: str
-    samples: int
-    mix_points: int
-    checked: int
-    violations: int
-    first_violation: Optional[str]
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def star_convexity_probe(
-    oracle: FreeSetOracle,
-    samples: int = 200,
-    mix_points: int = 10,
-    seed: int = 0,
-) -> StarConvexityReport:
-    """Empirically probe star-convexity of an oracle about its star center.
-
-    Draws members via the oracle's sampler and checks that every mixture
-    (1 - delta) * member + delta * center stays in the set, on a fixed
-    grid of mixing weights.  Reports violations rather than raising.
-    ``samples`` and ``mix_points`` must be integers >= 1 (with no mixtures
-    the probe would pass without testing) and ``seed`` a Generator or an
-    integer >= 0 (ValidationError otherwise).
-    """
-    samples = check_count("samples", samples)
-    mix_points = check_count("mix_points", mix_points)
-    rng = _rng(seed)
-    if oracle.star_center is None:
-        raise ConfigurationError(f"oracle {oracle.name!r} has no star center")
-    if oracle.sampler is None:
-        raise ConfigurationError(f"oracle {oracle.name!r} has no member sampler")
-    center = oracle.star_center
-    deltas = [(j + 1) / (mix_points + 1) for j in range(mix_points)]
-    checked = 0
-    violations = 0
-    first: Optional[str] = None
-    for i in range(samples):
-        member = oracle.sampler(rng)
-        if not oracle.member(member):
-            violations += 1
-            if first is None:
-                first = f"sample {i}: sampler output is not a member"
-            continue
-        for delta in deltas:
-            mix = DensityMatrix(
-                (1.0 - delta) * member.mat + delta * center.mat,
-                member.dims,
-                validate=False,
-            )
-            checked += 1
-            if not oracle.member(mix):
-                violations += 1
-                if first is None:
-                    first = f"sample {i}, delta {delta:.3f}: mixture left the set"
-    return StarConvexityReport(
-        oracle_name=oracle.name,
-        samples=samples,
-        mix_points=mix_points,
-        checked=checked,
-        violations=violations,
-        first_violation=first,
-    )

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .config import TOLS, FrozenRecord, check_count, check_real
+from .config import TOLS, FrozenRecord, check_real
 from .errors import ConfigurationError, ValidationError
 
 __all__ = [
@@ -441,31 +441,20 @@ def global_robustness_2d(p: _Point, scene: PlanarScene) -> float:
     return _solve(p, scene, scene._space_loci)
 
 
-def planar_star_probe(
-    free: PlanarFreeSet,
-    samples: int = 64,
-    mix_points: int = 7,
-) -> list[tuple[tuple[float, float], float]]:
-    """Probe star-convexity of the free set about its declared center.
-
-    Mixes points sampled along every component toward the center and
-    membership-tests each mixture; returns the list of violating
-    (sample point, mixing fraction) pairs, empty when the probe passes.
-    ``samples`` and ``mix_points`` must be integers >= 1 (ValidationError
-    otherwise); with no mixtures the probe would pass without testing.
-    """
-    samples = check_count("samples", samples)
-    mix_points = check_count("mix_points", mix_points)
+def planar_star_probe(free: PlanarFreeSet) -> list[tuple[tuple[float, float], float]]:
+    """Probe star-convexity of the free set about its declared center: mix
+    the ``_RESOLUTION + 1`` points a solve samples on each locus toward it at
+    the weights k/8, k = 1..7, and return the (sample point, weight) pairs
+    whose mixture is not free, none when the probe passes."""
     if free.star_center is None:
         raise ConfigurationError("free set declares no star center to probe")
     cx, cy = free.star_center
     bad: list[tuple[tuple[float, float], float]] = []
     for ax, ay, bx, by, *_ in free._loci:
-        for j in range(samples + 1):
-            f = j / samples
+        for j in range(_RESOLUTION + 1):
+            f = j / _RESOLUTION
             qx, qy = ax + f * (bx - ax), ay + f * (by - ay)
-            for k in range(mix_points):
-                alpha = (k + 1) / (mix_points + 1)
+            for alpha in (k / 8 for k in range(1, 8)):
                 mix = ((1.0 - alpha) * qx + alpha * cx, (1.0 - alpha) * qy + alpha * cy)
                 if not free.contains(mix):
                     bad.append(((qx, qy), alpha))

@@ -283,6 +283,12 @@ def random_bell_diagonal(seed=0) -> BellDiagonalParams:
     return BellDiagonalParams(c[0], c[1], c[2])
 
 
+def _require_same_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
+    """ValidationError unless the two states have the same dims."""
+    if rho.dims != sigma.dims:
+        raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
+
+
 def _trace_distances(rhos, sigmas) -> np.ndarray:
     """Trace norms of the differences rhos[i] - sigmas[i], from one stacked
     ``eigvalsh`` per matrix size (none for no pairs).
@@ -293,8 +299,7 @@ def _trace_distances(rhos, sigmas) -> np.ndarray:
     construction."""
     by_size: dict[int, list[int]] = {}
     for i, (rho, sigma) in enumerate(zip(rhos, sigmas)):
-        if rho.dims != sigma.dims:
-            raise ValidationError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
+        _require_same_dims(rho, sigma)
         by_size.setdefault(rho.dim, []).append(i)
     out = np.empty(len(rhos))
     for idx in by_size.values():

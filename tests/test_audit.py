@@ -1,6 +1,7 @@
 """Empirical audits: Lipschitz, faithfulness, monotonicity, convexity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -614,6 +615,16 @@ class TestAuditConvexity:
         rep = audit_convexity(measure, AuditConfig(samples=0), extra_pairs=[ends])
         assert (rep.checked, rep.violations, rep.passed) == (0, 0, False)
         assert rep.infinite_skipped == 3  # one per mixing weight
+
+    @pytest.mark.parametrize("other", [(2, 3), (4,)])
+    def test_pairs_need_equal_dims(self, other):
+        # a (2, 3) partner cannot be mixed with a (2, 2) state, and a (4,)
+        # one has another tensor structure; both are refused as the
+        # Lipschitz audit refuses them
+        pair = (maximally_mixed(), maximally_mixed(other))
+        msg = re.escape(f"dims mismatch: (2, 2) vs {other}")
+        with pytest.raises(ValidationError, match=f"^{msg}$"):
+            audit_convexity(lambda r: 0.0, AuditConfig(samples=0), extra_pairs=[pair])
 
     def test_endpoint_pairs_are_free(self):
         for r1, r2 in discord_axis_endpoint_pairs():

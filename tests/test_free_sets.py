@@ -1,4 +1,4 @@
-"""Free-set membership oracles, ball radii and the star-convexity probe."""
+"""Free-set membership oracles, ball radii and the star-convexity audit."""
 
 import math
 import warnings
@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
 from robustlab import free_sets
+from robustlab.audit import AuditConfig, audit_star_convexity
 from robustlab.config import TOLS
 from robustlab.engines import robustness_along_ray
 from robustlab.errors import ConfigurationError, ValidationError
@@ -25,7 +26,6 @@ from robustlab.free_sets import (
     sample_trace_ball,
     separable_ball_radius,
     singlet_fraction,
-    star_convexity_probe,
     teleportation_ball_radius,
 )
 from robustlab.operator_core import partial_transpose, trace_norm
@@ -536,13 +536,15 @@ class TestOracles:
         assert not oracle.member(random_density(4, seed=5))
 
     def test_bds_axes_refuses_other_dims(self):
-        # a qubit-qutrit state is never a two-qubit axis state, so its ray
-        # has no free point at all
-        mm = DensityMatrix(np.eye(6) / 6.0, (2, 3))
+        # the set holds two-qubit states only, so a state of other dims is
+        # refused, as zero-discord and unfaithful refuse it
         oracle = oracle_by_name("bds-axes")
-        assert not oracle.member(mm)
-        res = robustness_along_ray(mm, mm, oracle)
-        assert (res.value, res.iterations) == (math.inf, 9)
+        for dims in ((2, 3), (3,)):
+            mm = maximally_mixed(dims)
+            with pytest.raises(ValidationError, match=r"needs dims \(2, 2\)"):
+                oracle.member(mm)
+            with pytest.raises(ValidationError, match=r"needs dims \(2, 2\)"):
+                robustness_along_ray(mm, mm, oracle)
 
     def test_ppt_sampler_gives_up(self, monkeypatch):
         # rejection sampling has a bound: with no PPT state to find it
@@ -580,32 +582,43 @@ class TestOracles:
 
 
 class TestStarConvexityProbe:
-    def test_zero_discord_passes(self):
-        report = star_convexity_probe(oracle_by_name("zero-discord"), samples=40, mix_points=5)
+    """``audit.audit_star_convexity`` on each built-in set and on two custom
+    oracles, at a batch of 200 samples x 10 mixing weights."""
+
+    CFG = AuditConfig(samples=200, seed=0)
+
+    def passes(self, name):
+        report = audit_star_convexity(oracle_by_name(name), self.CFG)
+        assert (report.checked, report.violations, report.first_violation) == (2000, 0, None)
         assert report.passed
-        assert report.checked == 40 * 5
-        assert report.first_violation is None
+
+    def test_zero_discord_passes(self):
+        self.passes("zero-discord")
 
     def test_ppt_passes(self):
-        report = star_convexity_probe(oracle_by_name("ppt"), samples=15, mix_points=4)
-        assert report.passed
+        self.passes("ppt")
 
     def test_bds_axes_passes(self):
-        report = star_convexity_probe(oracle_by_name("bds-axes"), samples=60, mix_points=6)
-        assert report.passed
+        self.passes("bds-axes")
 
-    def test_broken_set_caught(self):
+    def test_unfaithful_passes(self):
+        self.passes("unfaithful")
+
+    @staticmethod
+    def high_purity():
         # high purity is not preserved by mixing toward a pure center
-        oracle = FreeSetOracle(
+        return FreeSetOracle(
             name="high-purity",
             member=lambda rho: np.real(np.trace(rho.mat @ rho.mat)) >= 0.9,
             star_center=bell_states()[0],
             sampler=lambda g: random_density(4, rank=1, seed=g),
         )
-        report = star_convexity_probe(oracle, samples=20, mix_points=5)
+
+    def test_broken_set_caught(self):
+        report = audit_star_convexity(self.high_purity(), self.CFG)
+        assert (report.checked, report.violations) == (2000, 1894)
+        assert report.first_violation == "sample 0, delta 0.091: mixture left the set"
         assert not report.passed
-        assert report.violations > 0
-        assert report.first_violation is not None
 
     def test_sampler_output_not_a_member_is_a_violation(self):
         oracle = FreeSetOracle(
@@ -614,36 +627,55 @@ class TestStarConvexityProbe:
             star_center=bell_states()[0],
             sampler=lambda g: maximally_mixed(),
         )
-        report = star_convexity_probe(oracle, samples=3, mix_points=2)
-        assert (report.checked, report.violations) == (0, 3)
+        report = audit_star_convexity(oracle, self.CFG)
+        assert (report.checked, report.violations) == (0, 200)
         assert report.first_violation == "sample 0: sampler output is not a member"
         assert not report.passed
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_matches_per_sample_loop(self, seed):
+        # reference: draw each member from the seeded generator and test its
+        # mixtures toward the center at (j + 1)/11, j = 0..9, one by one
+        oracle = self.high_purity()
+        center = oracle.star_center
+        rng = np.random.default_rng(seed)
+        left = []
+        for i in range(37):
+            member = random_density(4, rank=1, seed=rng)
+            for j in range(10):
+                delta = (j + 1) / 11
+                mix = DensityMatrix((1 - delta) * member.mat + delta * center.mat, (2, 2))
+                if not oracle.member(mix):
+                    left.append((i, delta))
+        report = audit_star_convexity(oracle, AuditConfig(samples=37, seed=seed))
+        assert (report.checked, report.violations) == (370, len(left))
+        i, delta = left[0]
+        assert report.first_violation == f"sample {i}, delta {delta:.3f}: mixture left the set"
+
+    def test_empty_audit_fails(self):
+        # an audit that mixes nothing checks nothing, so it does not pass
+        report = audit_star_convexity(oracle_by_name("ppt"), AuditConfig(samples=0))
+        assert (report.checked, report.violations, report.passed) == (0, 0, False)
+
     def test_requires_center_and_sampler(self):
         no_center = FreeSetOracle(name="nc", member=lambda rho: True)
-        with pytest.raises(ConfigurationError):
-            star_convexity_probe(no_center)
+        with pytest.raises(ConfigurationError, match="no star center"):
+            audit_star_convexity(no_center, self.CFG)
         no_sampler = FreeSetOracle(
             name="ns", member=lambda rho: True, star_center=maximally_mixed()
         )
-        with pytest.raises(ConfigurationError):
-            star_convexity_probe(no_sampler)
+        with pytest.raises(ConfigurationError, match="no sampler"):
+            audit_star_convexity(no_sampler, self.CFG)
+
+    def test_samples_need_the_center_dims(self):
+        oracle = FreeSetOracle(
+            name="any", member=lambda rho: True, star_center=maximally_mixed(),
+            sampler=lambda g: maximally_mixed((2, 3)),
+        )
+        with pytest.raises(ValidationError, match=r"^dims mismatch: \(2, 3\) vs \(2, 2\)$"):
+            audit_star_convexity(oracle, self.CFG)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, None])
     def test_bad_seed(self, seed):
         with pytest.raises(ValidationError, match="seed"):
-            star_convexity_probe(oracle_by_name("ppt"), samples=1, seed=seed)
-
-    def test_generator_seed(self):
-        a = star_convexity_probe(oracle_by_name("ppt"), samples=3, seed=np.random.default_rng(4))
-        b = star_convexity_probe(oracle_by_name("ppt"), samples=3, seed=4)
-        assert a == b
-
-    @pytest.mark.parametrize("kwargs", [
-        {"samples": 0}, {"samples": -3}, {"samples": 2.5},
-        {"mix_points": 0}, {"mix_points": math.nan},
-    ])
-    def test_empty_probe_rejected(self, kwargs):
-        # an empty probe checks nothing and would report passed=True
-        with pytest.raises(ValidationError, match=next(iter(kwargs))):
-            star_convexity_probe(oracle_by_name("ppt"), **kwargs)
+            audit_star_convexity(oracle_by_name("ppt"), AuditConfig(samples=1, seed=seed))

@@ -395,20 +395,31 @@ class TestAffineInvariance:
 class TestPlanarStarProbe:
     def test_reference_scene_passes(self):
         scene = scene_counterexample1()
-        assert planar_star_probe(scene.free, samples=32, mix_points=5) == []
+        assert planar_star_probe(scene.free) == []
 
     def test_disconnected_set_fails(self):
         free = PlanarFreeSet(
             segments=[((0.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), (1.0, 1.0))],
             star_center=(0.5, 0.0),
         )
-        bad = planar_star_probe(free, samples=16, mix_points=5)
-        assert len(bad) > 0
+        bad = planar_star_probe(free)
+        assert len(bad) == 455
+        assert bad[0] == ((0.0, 1.0), 0.125)
 
-    @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"mix_points": 0}, {"mix_points": -1}])
-    def test_bad_counts(self, kwargs):
-        with pytest.raises(ValidationError, match=next(iter(kwargs))):
-            planar_star_probe(scene_counterexample1().free, **kwargs)
+    @pytest.mark.parametrize("g, count", [(0.1, 58), (1e-2, 6)])
+    def test_two_squares_fail(self, g, count):
+        # [0, 1]^2 and [1 + g, 2] x [0, 1] about (0, 0): the ray toward
+        # (2, 0.5) leaves the set in the gap; at g = 1e-4 no sampled mixture
+        # falls in it, and only an exact test refuses the scene
+        free = PlanarFreeSet(
+            polygons=[[(0, 0), (1, 0), (1, 1), (0, 1)], [(1 + g, 0), (2, 0), (2, 1), (1 + g, 1)]],
+            star_center=(0.0, 0.0),
+        )
+        bad = planar_star_probe(free)
+        assert len(bad) == count
+        for (qx, qy), alpha in bad:
+            mix = ((1.0 - alpha) * qx, (1.0 - alpha) * qy)
+            assert 1.0 < mix[0] < 1.0 + g and not free.contains(mix)
 
     def test_requires_center(self):
         free = PlanarFreeSet(segments=[((0, 0), (1, 0))])
