@@ -657,6 +657,14 @@ class TestStarConvexityProbe:
         report = audit_star_convexity(oracle_by_name("ppt"), AuditConfig(samples=0))
         assert (report.checked, report.violations, report.passed) == (0, 0, False)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"samples": -3}, {"samples": 2.5}], ids=["kwargs1", "kwargs2"]
+    )
+    def test_empty_probe_rejected(self, kwargs):
+        # a sample count that is not a whole number >= 0 is refused before any mixing
+        with pytest.raises(ValidationError, match="samples"):
+            audit_star_convexity(oracle_by_name("ppt"), AuditConfig(**kwargs))
+
     def test_requires_center_and_sampler(self):
         no_center = FreeSetOracle(name="nc", member=lambda rho: True)
         with pytest.raises(ConfigurationError, match="no star center"):
