@@ -1,10 +1,11 @@
 """Empirical audits: Lipschitz ratios, faithfulness, monotonicity, convexity, star-convexity.
 
 Each audit draws a deterministic batch of states from a seeded generator,
-evaluates a measure on them, and returns a small report object with a
-``passed`` flag plus enough detail to localize the first failure.  All
-distances are trace norms of differences.  Measures returning infinity
-are skipped and counted, never treated as violations.
+evaluates a measure on them (the star-convexity audit instead tests which
+of their mixtures toward the star center stay free), and returns a small
+report object with a ``passed`` flag plus enough detail to localize the
+first failure.  All distances are trace norms of differences.  Measures
+returning infinity are skipped and counted, never treated as violations.
 
 Batches are drawn and measured as stacked arrays: the random states of a
 batch come from one Gaussian draw, and the Lipschitz audit takes all of
