@@ -39,8 +39,10 @@ if TYPE_CHECKING:
 
 # Each handler imports only the modules it uses, and calls library functions
 # through their owning module.  `counterexample`, `levelset`, and on --bds
-# input `discord` and the `ent-ray` toward maxmixed noise on zero-discord
-# never load numpy: the last answers from the plain-float rule of `bds`.
+# input `discord` (both methods) and the `ent-ray` toward maxmixed noise on
+# zero-discord never load numpy: they answer from the plain-float rules of
+# `bds`.  `discord --state` sends a Bell-diagonal state through the same
+# rules, so one state gets one answer.
 # `csv` and `dataclasses` load only where they are used, since
 # `dataclasses` imports `inspect`.
 
@@ -182,13 +184,11 @@ def _cmd_discord(args) -> dict:
             raise ValidationError(
                 "state is not Bell-diagonal; use discord-bounds for general states"
             )
+    from . import bds
+
     if args.method == "closed-form":
-        from . import bds
-
         return {"value": bds.discord_robustness_bds(params), "method": "closed-form"}
-    from . import engines
-
-    res = engines.discord_robustness_axis_opt(params, **_given(args, "grid"))
+    res = bds.discord_axis_search(params, **_given(args, "grid"))
     return {"value": res.value, "method": res.method, "iterations": res.iterations}
 
 

@@ -5,7 +5,7 @@ values are auditable in a single place, and the library reads them from
 TOLS directly.  Only the ray's ``tol`` and ``s_max`` take a per-call
 override; passing ``None`` there means "use the default".  Each solver's
 own accuracy setting is a private constant of its module
-(``engines._ZOOM_XATOL``, ``geometry2d._REFINE_TOL``,
+(``bds._ZOOM_XATOL``, ``geometry2d._REFINE_TOL``,
 ``bds._LEVEL_SLACK``).  Most thresholds are absolute;
 ``discord_membership`` is relative to the state's Bloch weight, so that
 the zero-discord sets are decided the same way at every scale.

@@ -25,9 +25,11 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .bds import (
-    BELL_SIGNS,
+    _KERNEL_MAX,
+    _SUPPORT_MIN,
     BellDiagonalParams,
     _params,
+    discord_axis_search,
     discord_levelset_grid,
     discord_robustness_bds,
 )
@@ -231,28 +233,17 @@ def robustness_along_ray(
     )
 
 
-# sigma's support is its eigenvalues >= _SUPPORT_MIN and its kernel those
-# <= _KERNEL_MAX; one strictly between leaves the rank undecided
-_KERNEL_MAX = TOLS.support_cutoff / 10.0
-_SUPPORT_MIN = TOLS.support_cutoff * 10.0
-
-
 def _min_scaling_values(rot: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Least s >= 0 with rho <= (1+s) sigma, given rho in sigma's eigenbasis.
 
-    ``w`` holds the eigenvalues of sigma (columns of V), shape (..., d).
-    ``rot`` is either the matrix V^dag rho V, shape (..., d, d), or -- for a
-    rho that commutes with sigma -- rho's eigenvalues on those eigenvectors,
-    shape (..., d) in the order of ``w``; the two arrays broadcast and have
-    the same number of leading axes.  The support of sigma is its
-    eigenvalues >= _SUPPORT_MIN and its kernel those <= _KERNEL_MAX; one
-    strictly between raises IllConditionedError rather than guessing the
-    rank.  If the weight of rho outside the support exceeds
+    ``w`` holds the eigenvalues of sigma (columns of V), shape (..., d), and
+    ``rot`` the matrix V^dag rho V, shape (..., d, d).  The support of sigma
+    is its eigenvalues >= _SUPPORT_MIN and its kernel those <= _KERNEL_MAX;
+    one strictly between raises IllConditionedError rather than guessing
+    the rank.  If the weight of rho outside the support exceeds
     ``TOLS.support_leak``, supp(rho) is not inside supp(sigma) and the
     value is inf; otherwise it is max(0, lambda_max(D R D) - 1) with D the
-    diagonal inverse square root on the support: one stacked eigvalsh for
-    the matrix form, and the largest ratio mu_i/w_i over the support (0 on
-    the kernel, as D R D has) for the commuting form.
+    diagonal inverse square root on the support, from one stacked eigvalsh.
     """
     bad = (w > _KERNEL_MAX) & (w < _SUPPORT_MIN)
     if bad.any():
@@ -261,13 +252,9 @@ def _min_scaling_values(rot: np.ndarray, w: np.ndarray) -> np.ndarray:
             f"({_KERNEL_MAX:.1e}, {_SUPPORT_MIN:.1e}); cannot decide the support rank"
         )
     keep = w >= _SUPPORT_MIN
-    if rot.ndim == w.ndim:  # the spectrum of a rho commuting with sigma
-        diag = rot
-        lam = np.where(keep, rot / np.where(keep, w, 1.0), 0.0).max(axis=-1)
-    else:
-        diag = np.diagonal(rot, axis1=-2, axis2=-1).real
-        d = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-        lam = np.linalg.eigvalsh(d[..., :, None] * rot * d[..., None, :])[..., -1]
+    diag = np.diagonal(rot, axis1=-2, axis2=-1).real
+    d = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+    lam = np.linalg.eigvalsh(d[..., :, None] * rot * d[..., None, :])[..., -1]
     leak = 1.0 - np.where(keep, diag, 0.0).sum(axis=-1)
     return np.where(leak > TOLS.support_leak, math.inf, np.maximum(0.0, lam - 1.0))
 
@@ -298,39 +285,7 @@ def min_scaling_robustness(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 # --- discord robustness over Bell-diagonal states ---------------------------
 
-# sigma_a(k) = (1 + k sigma_a x sigma_a)/4 is diagonal in the Bell basis, with
-# the eigenvalue (1 + k S_ai)/4 on Bell state i (S = BELL_SIGNS, row a)
-_AXIS_SIGNS = np.array(BELL_SIGNS)
 _BELL = np.column_stack(bell_state_vectors()).real  # Bell kets as columns
-_ZOOM_STEPS = np.linspace(0.0, 1.0, 33)  # bracket fractions of every zoom round
-_ZOOM_ROUNDS = 64  # hard bound on zoom rounds
-_ZOOM_XATOL = 1e-9  # zooming stops once every bracket in k is this narrow
-# the grid scan evaluates 3*grid pencils in one batch
-MAX_AXIS_GRID = 10_000
-
-
-def _axis_pencil_values(p: tuple[float, ...], ks: np.ndarray) -> np.ndarray:
-    """min_scaling_robustness(rho, sigma_a(k)) for every axis a and
-    every k in row a of ``ks`` (shape (3, n)), given the Bell weights
-    p = c.weights() of a Bell-diagonal rho.
-
-    rho and every sigma_a(k) are diagonal in the Bell basis, with the
-    eigenvalues p_i and (1 + k S_ai)/4 on Bell state i, so all 3n values
-    are one batched call of the min-scaling evaluator in its commuting
-    form: arithmetic only, no eigensolve."""
-    w = 0.25 * (1.0 + ks[:, :, None] * _AXIS_SIGNS[:, None, :])  # (3, n, 4)
-    return _min_scaling_values(np.reshape(p, (1, 1, 4)), w)
-
-
-def _axis_grid(lo: np.ndarray, hi: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Points lo + (hi - lo) * steps for every axis, shape (3, len(steps)).
-
-    A point whose vanishing support weight (1 - |k|)/4 would fall below
-    _SUPPORT_MIN (that is, 1 - |k| < 40*cutoff) snaps to k = +-1, so the
-    min-scaling evaluator can decide the support rank at every point."""
-    ks = lo[:, None] + (hi - lo)[:, None] * steps
-    near_edge = 0.25 * (1.0 - np.abs(ks)) < _SUPPORT_MIN
-    return np.where(near_edge, np.sign(ks), ks)
 
 
 def discord_robustness_axis_opt(
@@ -340,105 +295,32 @@ def discord_robustness_axis_opt(
     """Discord robustness of a Bell-diagonal state by direct optimization.
 
     Minimizes :func:`min_scaling_robustness` against the axis family
-    (1/4)(1x1 + k sigma_a x sigma_a) over the axis a and k in [-1, 1].
-    Each per-axis objective is a maximum of terms 4 p_i/(1 + k S_ai), hence
-    convex in k, so the neighbours of the best point always bracket the
-    optimum: a ``grid``-point scan is followed by zoom rounds into those
-    brackets until every bracket is at most _ZOOM_XATOL = 1e-9 wide or
-    stops narrowing (at most _ZOOM_ROUNDS rounds).  rho and every pencil are
-    diagonal in the Bell basis, rho with the Bell weights p = c.weights()
-    as eigenvalues, so there is no eigenbasis and no eigensolve: every
-    round evaluates all three axes with arithmetic through the
-    min-scaling evaluator.  Ties between axes resolve to the lowest axis
-    index, making witnesses deterministic.  ``grid`` must be an integer
-    in [2, MAX_AXIS_GRID] (ValidationError otherwise).
+    (1/4)(1x1 + k sigma_a x sigma_a) over the axis a and k in [-1, 1]: the
+    plain-float search :func:`bds.discord_axis_search` (a ``grid``-point
+    scan, then zoom rounds to brackets 1e-9 wide in k) gives the value,
+    method, iterations and bracket, and the witnesses are built here as
+    matrices from its Bell weights.  rho and every pencil are diagonal in
+    the Bell basis, so there is no eigensolve.  ``grid`` must be an integer
+    in [2, bds.MAX_AXIS_GRID] (ValidationError otherwise).
 
-    A rho with at most one nonzero correlation is itself an axis state, so
-    it is free: value exactly 0, rho as the free witness, no evaluation
-    and a bracket of width 0 (axis 1 when every correlation is 0).  The
-    test is for exact zeros, so a genuine value of 1e-11 still goes
-    through the scan.
+    A value of 0 has rho itself as the free witness and no noise witness:
+    a rho with at most one nonzero correlation is itself an axis state and
+    is answered before any scan, with 0 iterations and a bracket of width 0.
     """
     c = _params(c)
-    grid = check_count("grid", grid, least=2, most=MAX_AXIS_GRID)
-    on_axis = [a for a, ca in enumerate(c.as_tuple()) if ca != 0.0]
-    if len(on_axis) <= 1:  # rho is itself the axis state sigma_a(c_a)
-        return RobustnessResult(
-            value=0.0,
-            noise_witness=None,
-            free_witness=bell_diagonal(c),
-            method=f"axis-opt[a={on_axis[0] + 1 if on_axis else 1}]",
-            iterations=0,
-            bracket_width=0.0,
-        )
-    p = c.weights()
-    axes = np.arange(3)
-    lo = hi = np.full(3, math.nan)  # no bracket before the grid scan
-    ks = _axis_grid(np.full(3, -1.0), np.ones(3), np.linspace(0.0, 1.0, grid))
-    vals_best = np.full(3, math.inf)
-    ks_best = np.zeros(3)
-    evals = 0
-    for _ in range(_ZOOM_ROUNDS + 1):
-        vals = _axis_pencil_values(p, ks)
-        evals += vals.size
-        i = vals.argmin(axis=1)
-        v, k = vals[axes, i], ks[axes, i]
-        better = v < vals_best
-        vals_best = np.where(better, v, vals_best)
-        ks_best = np.where(better, k, ks_best)
-        # the nearest distinct neighbours of the best point bracket the
-        # optimum (points snapped to +-1 repeat)
-        below = np.where(ks < k[:, None], ks, -math.inf).max(axis=1)
-        above = np.where(ks > k[:, None], ks, math.inf).min(axis=1)
-        new_lo = np.where(np.isfinite(below), below, k)
-        new_hi = np.where(np.isfinite(above), above, k)
-        # a zoom round that returns its own bracket would repeat forever
-        # (all inner points snapped to +-1, or the bracket is at float
-        # resolution), so that axis is as narrow as it gets
-        done = (new_hi - new_lo <= _ZOOM_XATOL) | ((new_lo == lo) & (new_hi == hi))
-        lo, hi = new_lo, new_hi
-        if done.all():
-            break
-        ks = _axis_grid(lo, hi, _ZOOM_STEPS)
-    best_axis = int(vals_best.argmin())  # first minimum: lowest axis on ties
-    best_val = float(vals_best[best_axis])
-    best_k = float(ks_best[best_axis])
-    width = float(hi[best_axis] - lo[best_axis])
-    if best_val > 0.0:
-        # The noise witness ((1+v) sigma - rho)/v is Bell diagonal with the
-        # weights w + d/v, d = w - p.  Formed from w and p, rounding divided
-        # by a small v left eigenvalues down to -4e-6.  So d comes from the
-        # correlations of rho - sigma (c_a - k is exact near k) and v from d
-        # (the value, to rounding), which keeps every weight >= 0 to
-        # rounding; a d with no positive v means the value itself is
-        # rounding (sigma's weights are rho's).
-        e = list(c.as_tuple())
-        e[best_axis] -= best_k
-        d = [-0.25 * (e[0] * s1 + e[1] * s2 + e[2] * s3) for s1, s2, s3 in zip(*BELL_SIGNS)]
-        w = [0.25 * (1.0 + best_k * s) for s in BELL_SIGNS[best_axis]]
-        v_exact = max(-di / wi for di, wi in zip(d, w) if wi >= _SUPPORT_MIN)
-        if v_exact > 0.0:
-            tau_w = [wi + di / v_exact for di, wi in zip(d, w)]
-        else:
-            best_val = 0.0
-    if best_val <= 0.0:
-        return RobustnessResult(
-            value=0.0,
-            noise_witness=None,
-            free_witness=bell_diagonal(c),
-            method=f"axis-opt[a={best_axis + 1}]",
-            iterations=evals,
-            bracket_width=width,
-        )
-    tau = DensityMatrix((_BELL * tau_w) @ _BELL.T, (2, 2), validate=False)
-    sigma = DensityMatrix((_BELL * w) @ _BELL.T, (2, 2), validate=False)
+    found = discord_axis_search(c, grid)
+    if found.free_weights is None:
+        free, noise = bell_diagonal(c), None
+    else:
+        free = DensityMatrix((_BELL * found.free_weights) @ _BELL.T, (2, 2), validate=False)
+        noise = DensityMatrix((_BELL * found.noise_weights) @ _BELL.T, (2, 2), validate=False)
     return RobustnessResult(
-        value=best_val,
-        noise_witness=tau,
-        free_witness=sigma,
-        method=f"axis-opt[a={best_axis + 1},k={best_k:.6g}]",
-        iterations=evals,
-        bracket_width=width,
+        value=found.value,
+        noise_witness=noise,
+        free_witness=free,
+        method=found.method,
+        iterations=found.iterations,
+        bracket_width=found.bracket_width,
     )
 
 

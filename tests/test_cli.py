@@ -19,18 +19,17 @@ from hypothesis import given, settings, strategies as st
 
 import robustlab
 from robustlab import audit as audit_mod
-from robustlab.bds import MAX_LEVELSET_GRID
+from robustlab.bds import MAX_AXIS_GRID, MAX_LEVELSET_GRID
 from robustlab.cli import main
 from robustlab.errors import ValidationError
 from robustlab.engines import (
-    MAX_AXIS_GRID,
     discord_levelset_grid,
     discord_robustness_axis_opt,
     discord_robustness_bds,
     discord_robustness_bounds,
     robustness_along_ray,
 )
-from robustlab.free_sets import is_unfaithful, oracle_by_name, singlet_fraction
+from robustlab.free_sets import bds_params_of, is_unfaithful, oracle_by_name, singlet_fraction
 from robustlab.qstates import (
     BellDiagonalParams,
     bell_diagonal,
@@ -163,6 +162,22 @@ class TestDiscord:
         proc = run_python("-c", script)
         assert proc.stderr.strip() == "0 []"
         assert json.loads(proc.stdout)["value"] == pytest.approx(0.3, abs=1e-6)
+
+    @pytest.mark.parametrize("c", [(0.5, 0.3, 0.1), (-0.2, 0.6, -0.1), (1.0, -1.0, 1.0),
+                                   (0.5, 1e-11, 0.0), (0.8, 0.0, 0.0)])
+    @pytest.mark.parametrize("grid", [(), ("--grid", "2"), ("--grid", "16")])
+    def test_state_file_axis_opt_matches_bds(self, capsys, tmp_path, c, grid):
+        # one state, one answer: a --state file goes through the plain-float
+        # search that --bds uses, on the triple read back from its matrix
+        # (0.3 reads back as 0.30000000000000004)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"bds": list(c)}))
+        params = bds_params_of(state_from_json(path.read_text()))
+        by_bds = run_cli(capsys, "discord", "--bds", ",".join(map(repr, params.as_tuple())),
+                         "--method", "axis-opt", *grid)
+        by_state = run_cli(capsys, "discord", "--state", str(path), "--method", "axis-opt", *grid)
+        assert by_bds[0] == 0, by_bds
+        assert by_state == by_bds
 
     def test_state_file_input(self, capsys, tmp_path):
         path = tmp_path / "state.json"
@@ -737,6 +752,9 @@ class TestNumpyFree:
         (("ent-ray", "--bds", "0.8,0.6,0.6", "--free-set", "zero-discord"), 3),
         (("ent-ray", "--bds", "0.5,0,0", "--free-set", "zero-discord", "--tol", "0"), 2),
         (("counterexample", "--id", "2", "--branch", "a", "--t", "0.2"), 0),
+        (("discord", "--bds", "0.5,0.3,0.1", "--method", "axis-opt"), 0),
+        (("discord", "--bds", "0.5,0.3,0.1", "--method", "axis-opt", "--grid", "16"), 0),
+        (("discord", "--bds", "0.5,0.3,0", "--method", "axis-opt", "--grid", "4"), 0),
     ])
     def test_command_leaves_numpy_unimported(self, argv, code):
         proc = run_listing_heavy(*argv)
@@ -757,7 +775,6 @@ class TestNumpyFree:
         ("ent-ray", "--bds", "0.5,0,0", "--free-set", "bds-axes"),
         ("tel-check", "--bds=-1,-1,-1"),
         ("discord-bounds", "--bds", "0.5,0.3,0.1"),
-        ("discord", "--bds", "0.5,0.3,0", "--method", "axis-opt", "--grid", "4"),
     ])
     def test_matrix_paths_still_load_numpy(self, argv):
         # these stay on the matrix engines, so the check above would see

@@ -6,18 +6,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from robustlab.bds import BELL_SIGNS
+from robustlab.bds import (
+    _KERNEL_MAX,
+    _SUPPORT_MIN,
+    BELL_SIGNS,
+    MAX_AXIS_GRID,
+    _AxisPencil,
+)
 from robustlab.config import TOLS
 from robustlab.errors import (
     IllConditionedError,
+    PositivityError,
     StarConvexityViolationError,
     ValidationError,
 )
 from robustlab.engines import (
-    MAX_AXIS_GRID,
-    _axis_pencil_values,
+    RobustnessResult,
     _min_scaling_values,
     bound_from_kappa_ball,
     discord_levelset_grid,
@@ -41,6 +48,7 @@ from robustlab.qstates import (
     BellDiagonalParams,
     DensityMatrix,
     bell_diagonal,
+    bell_state_vectors,
     bell_states,
     bloch_compose,
     bloch_decompose,
@@ -637,32 +645,204 @@ def bell_weights(params):
     return params.weights()
 
 
+# --- the numpy zoom that the plain-float search replaced, kept as its reference
+
+_REF_SIGNS = np.array(BELL_SIGNS)
+_REF_BELL = np.column_stack(bell_state_vectors()).real
+_REF_ZOOM_STEPS = np.linspace(0.0, 1.0, 33)
+
+
+def reference_commuting_values(mu, w):
+    """Least s >= 0 with rho <= (1+s) sigma for a rho that commutes with
+    sigma: rho's eigenvalues ``mu`` on sigma's eigenvectors, whose
+    eigenvalues are ``w`` (shape (..., d) each), with the support rules of
+    the min-scaling evaluator."""
+    bad = (w > _KERNEL_MAX) & (w < _SUPPORT_MIN)
+    if bad.any():
+        raise IllConditionedError(f"eigenvalue {w[bad][0]:.3e} in the ambiguous band")
+    keep = w >= _SUPPORT_MIN
+    lam = np.where(keep, mu / np.where(keep, w, 1.0), 0.0).max(axis=-1)
+    leak = 1.0 - np.where(keep, mu, 0.0).sum(axis=-1)
+    return np.where(leak > TOLS.support_leak, math.inf, np.maximum(0.0, lam - 1.0))
+
+
+def reference_pencil_values(p, ks):
+    """min_scaling_robustness(rho, sigma_a(k)) for every axis a and every k
+    in row a of ``ks`` (shape (3, n)), given rho's Bell weights p."""
+    w = 0.25 * (1.0 + ks[:, :, None] * _REF_SIGNS[:, None, :])  # (3, n, 4)
+    return reference_commuting_values(np.reshape(p, (1, 1, 4)), w)
+
+
+def reference_points(lo, hi, steps):
+    """lo + (hi - lo) * steps per axis, snapped to +-1 near the ends."""
+    ks = lo[:, None] + (hi - lo)[:, None] * steps
+    near_edge = 0.25 * (1.0 - np.abs(ks)) < _SUPPORT_MIN
+    return np.where(near_edge, np.sign(ks), ks)
+
+
+def reference_axis_opt(c, grid=64):
+    """discord_robustness_axis_opt as a numpy zoom over all three axes at once."""
+    c = BellDiagonalParams(*c) if not isinstance(c, BellDiagonalParams) else c
+    on_axis = [a for a, ca in enumerate(c.as_tuple()) if ca != 0.0]
+    if len(on_axis) <= 1:
+        return RobustnessResult(0.0, None, bell_diagonal(c),
+                                f"axis-opt[a={on_axis[0] + 1 if on_axis else 1}]", 0, 0.0)
+    p = c.weights()
+    axes = np.arange(3)
+    lo = hi = np.full(3, math.nan)
+    ks = reference_points(np.full(3, -1.0), np.ones(3), np.linspace(0.0, 1.0, grid))
+    vals_best = np.full(3, math.inf)
+    ks_best = np.zeros(3)
+    evals = 0
+    for _ in range(65):
+        vals = reference_pencil_values(p, ks)
+        evals += vals.size
+        i = vals.argmin(axis=1)
+        v, k = vals[axes, i], ks[axes, i]
+        better = v < vals_best
+        vals_best = np.where(better, v, vals_best)
+        ks_best = np.where(better, k, ks_best)
+        below = np.where(ks < k[:, None], ks, -math.inf).max(axis=1)
+        above = np.where(ks > k[:, None], ks, math.inf).min(axis=1)
+        new_lo = np.where(np.isfinite(below), below, k)
+        new_hi = np.where(np.isfinite(above), above, k)
+        done = (new_hi - new_lo <= 1e-9) | ((new_lo == lo) & (new_hi == hi))
+        lo, hi = new_lo, new_hi
+        if done.all():
+            break
+        ks = reference_points(lo, hi, _REF_ZOOM_STEPS)
+    best_axis = int(vals_best.argmin())
+    best_val = float(vals_best[best_axis])
+    best_k = float(ks_best[best_axis])
+    width = float(hi[best_axis] - lo[best_axis])
+    if best_val > 0.0:
+        e = list(c.as_tuple())
+        e[best_axis] -= best_k
+        d = [-0.25 * (e[0] * s1 + e[1] * s2 + e[2] * s3) for s1, s2, s3 in zip(*BELL_SIGNS)]
+        w = [0.25 * (1.0 + best_k * s) for s in BELL_SIGNS[best_axis]]
+        v_exact = max(-di / wi for di, wi in zip(d, w) if wi >= _SUPPORT_MIN)
+        if v_exact > 0.0:
+            tau_w = [wi + di / v_exact for di, wi in zip(d, w)]
+        else:
+            best_val = 0.0
+    if best_val <= 0.0:
+        return RobustnessResult(0.0, None, bell_diagonal(c), f"axis-opt[a={best_axis + 1}]",
+                                evals, width)
+    tau = DensityMatrix((_REF_BELL * tau_w) @ _REF_BELL.T, (2, 2), validate=False)
+    sigma = DensityMatrix((_REF_BELL * w) @ _REF_BELL.T, (2, 2), validate=False)
+    return RobustnessResult(best_val, tau, sigma,
+                            f"axis-opt[a={best_axis + 1},k={best_k:.6g}]", evals, width)
+
+
+def workload_triples(seed, n):
+    """The first n Bell-diagonal triples of the benchmark's bds-discord
+    workload at ``seed``: uniform Bell weights mapped to correlations."""
+    rng = np.random.default_rng([seed, 1])
+    return [tuple(float(v) for v in _REF_SIGNS @ rng.dirichlet((1.0,) * 4)) for _ in range(n)]
+
+
+def axis_edge_triples():
+    """The edge cases of the axis optimiser's earlier changes: tetrahedron
+    vertices and edges, single-axis states, tiny second correlations, Werner
+    states, and random states squeezed toward an axis or a face."""
+    out = []
+    vertices = [(1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1)]
+    for i, a in enumerate(vertices):
+        for b in vertices[i:]:
+            for t in np.linspace(0.0, 1.0, 9):
+                out.append(tuple(float(v) for v in (1.0 - t) * np.array(a) + t * np.array(b)))
+    for axis in range(3):
+        for k in np.linspace(-1.0, 1.0, 21):
+            out.append(tuple(float(k) if a == axis else 0.0 for a in range(3)))
+    for small in (1e-5, 1e-7, 1e-9, 1e-11, 1e-17, 1e-300, 5e-324):
+        for big in (0.1, 0.5, -0.4, 0.99, -0.9, 1.0):
+            out += [(big, small, 0.0), (small, 0.0, big), (0.0, -small, big),
+                    (big, small, small)]
+    out += [(-float(p),) * 3 for p in np.linspace(0.0, 1.0, 21)]
+    # two Bell weights of order eps, the kernel weight at k = +-1 on either
+    # side of TOLS.support_leak
+    for eps in (2e-11, 2e-10, 5e-10, 2e-9):
+        out += [from_weights((0.3, eps, 0.7 - 2 * eps, eps)),
+                from_weights((eps, 0.6 - eps, eps, 0.4 - eps))]
+    rng = np.random.default_rng(7)
+    for c in workload_triples(9, 100):
+        c = list(c)
+        c[rng.integers(3)] *= 10.0 ** rng.uniform(-12, -4)
+        out.append(tuple(c))
+    return [c for c in out if is_state(c)]
+
+
+def from_weights(p):
+    """The correlation triple of the Bell-diagonal state with Bell weights p."""
+    return tuple(float(v) for v in _REF_SIGNS @ np.array(p))
+
+
+def is_state(c):
+    try:
+        BellDiagonalParams(*c)
+    except PositivityError:
+        return False
+    return True
+
+
+def assert_same_result(got, want):
+    """Every field equal to the bit, witnesses by their matrix bytes."""
+    assert (repr(got.value), got.method, got.iterations, repr(got.bracket_width)) == (
+        repr(want.value), want.method, want.iterations, repr(want.bracket_width))
+    for g, w in ((got.noise_witness, want.noise_witness), (got.free_witness, want.free_witness)):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.dims == w.dims and g.mat.tobytes() == w.mat.tobytes()
+
+
+class TestAxisOptParity:
+    """The plain-float search against the numpy zoom it replaced."""
+
+    def test_workload_triples(self):
+        for c in workload_triples(1, 1024):
+            assert_same_result(discord_robustness_axis_opt(c, grid=16), reference_axis_opt(c, 16))
+
+    @pytest.mark.parametrize("grid", [2, 3, 64, 1000])
+    def test_workload_triples_at_other_grids(self, grid):
+        for c in workload_triples(2, 40):
+            assert_same_result(discord_robustness_axis_opt(c, grid=grid),
+                               reference_axis_opt(c, grid))
+
+    @pytest.mark.parametrize("grid", [2, 4, 16, 64])
+    def test_edge_sets(self, grid):
+        for c in axis_edge_triples():
+            assert_same_result(discord_robustness_axis_opt(c, grid=grid),
+                               reference_axis_opt(c, grid))
+
+
 class TestAxisPencil:
-    """The batched evaluator against the scalar engine it replaces."""
+    """The plain-float per-point rule against the scalar engine it stands for."""
 
     @staticmethod
-    def scalar(params, ks):
-        rho = bell_diagonal(params)
-        return np.array([
-            [min_scaling_robustness(rho, axis_state(a, k)) for k in ks[a]]
-            for a in range(3)
-        ])
+    def scan(params, axis, ts):
+        """Points -1 + 2t of one axis and the search's value at each."""
+        return _AxisPencil(bell_weights(params), BELL_SIGNS[axis]).scan(-1.0, 1.0, ts)
 
     def test_matches_scalar_min_scaling(self, rng):
         # |k| <= 0.99 keeps sigma well conditioned for the scalar engine; the
-        # exact k = -1, 0, 1 cover both support decisions (finite and inf)
-        edges = [(1.0, -0.2, 0.2), (-0.5, 0.5, 1.0), (1.0, -1.0, 1.0)]
+        # exact k = -1, 0, 1 cover both support decisions (finite and inf),
+        # and t within 1e-11 of an end snaps to it
+        edges = [(1.0, -0.2, 0.2), (-0.5, 0.5, 1.0), (1.0, -1.0, 1.0),
+                 # weight 4e-10 and 2e-9 on the Bell states that k = +1 of
+                 # axis 1 leaves out: under and over TOLS.support_leak
+                 from_weights((0.3, 2e-10, 0.7 - 4e-10, 2e-10)),
+                 from_weights((0.3, 1e-9, 0.7 - 2e-9, 1e-9))]
         cases = [random_bell_diagonal(rng) for _ in range(40)] + edges
         for params in cases:
-            ks = np.concatenate(
-                [rng.uniform(-0.99, 0.99, size=(3, 6)), np.tile([-1.0, 0.0, 1.0], (3, 1))],
-                axis=1,
-            )
-            got = _axis_pencil_values(bell_weights(params), ks)
-            want = self.scalar(params, ks)
-            assert np.array_equal(np.isinf(got), np.isinf(want)), params
-            finite = np.isfinite(want)
-            assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-12)
+            rho = bell_diagonal(params)
+            for axis in range(3):
+                ts = [0.0, 1e-11, 0.5, 1.0 - 1e-11, 1.0, *rng.uniform(0.005, 0.995, size=6)]
+                ks, got = self.scan(params, axis, [float(t) for t in ts])
+                assert ks[:5] == [-1.0, -1.0, 0.0, 1.0, 1.0]
+                want = [min_scaling_robustness(rho, axis_state(axis, k)) for k in ks]
+                assert [math.isinf(v) for v in got] == [math.isinf(v) for v in want], params
+                finite = [(g, w) for g, w in zip(got, want) if math.isfinite(w)]
+                assert_allclose(*zip(*finite), rtol=1e-12, atol=1e-12)
 
     def test_exact_near_the_edges(self, rng):
         # Close to k = +-1 the scalar engine loses relative accuracy in the
@@ -672,15 +852,17 @@ class TestAxisPencil:
         for _ in range(40):
             c = np.array(random_bell_diagonal(rng).as_tuple())
             p = (1.0 + signs @ c) / 4.0
-            gap = 10.0 ** rng.uniform(-8, -2, size=(3, 6))  # 1 - |k|
-            ks = rng.choice([-1.0, 1.0], size=(3, 6)) * (1.0 - gap)
-            got = _axis_pencil_values(bell_weights(c), ks)
-            terms = 4.0 * p / (1.0 + ks[..., None] * signs.T[:, None, :])
-            want = np.max(terms, axis=-1) - 1.0
-            assert_allclose(got, np.maximum(want, 0.0), rtol=1e-12, atol=1e-12)
+            for axis in range(3):
+                gap = 10.0 ** rng.uniform(-8, -2, size=6)  # 1 - |k|
+                end = rng.choice([0.0, 1.0], size=6)
+                ks, got = self.scan(c, axis, np.abs(end - gap / 2.0).tolist())
+                assert all(0.0 < 1.0 - abs(k) < 0.011 for k in ks)
+                terms = 4.0 * p / (1.0 + np.array(ks)[:, None] * signs.T[axis])
+                want = np.maximum(np.max(terms, axis=-1) - 1.0, 0.0)
+                assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_bell_states_diagonalize_every_axis(self):
-        # the evaluator takes sigma_a(k)'s eigenvalue on Bell state i to be
+        # the rule takes sigma_a(k)'s eigenvalue on Bell state i to be
         # (1 + k S_ai)/4: each Bell state is an eigenvector of every
         # sigma_a x sigma_a with eigenvalue S_ai
         for i, bell in enumerate(bell_states()):
@@ -689,7 +871,8 @@ class TestAxisPencil:
                                 atol=1e-15)
 
     def test_commuting_form_matches_matrix_form(self, rng):
-        # sigma with eigenvalues w and a rho that commutes with it, in
+        # the test-side reference evaluator against the library's matrix
+        # form: sigma with eigenvalues w and a rho that commutes with it, in
         # sigma's eigenbasis: block diagonal on pairs of equal w (as for the
         # axis pencils); kernel entries of w are exactly 0, and rho puts
         # weight there half the time (a support leak, so inf) and otherwise
@@ -714,18 +897,40 @@ class TestAxisPencil:
             rot[:2, :2], rot[2:, 2:] = blocks
             mu = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
             want = _min_scaling_values(rot, w)
-            got = _min_scaling_values(mu, w)
+            got = reference_commuting_values(mu, w)
             assert np.isinf(got) == np.isinf(want), (w, mu)
             if np.isfinite(want):
                 assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_ambiguous_band_raises(self):
-        k = 1.0 - 4.0e-10  # vanishing weight (1 - k)/4 = 1e-10 sits in the band
+        # the matrix engine refuses a sigma whose vanishing weight
+        # (1 - k)/4 = 1e-10 sits in the band; the search snaps that point
+        # to k = 1, where the weight is exactly 0
+        k = 1.0 - 4.0e-10
         rho = bell_diagonal((0.5, 0.3, 0.1))
         with pytest.raises(IllConditionedError):
             min_scaling_robustness(rho, axis_state(0, k))
-        with pytest.raises(IllConditionedError):
-            _axis_pencil_values(bell_weights((0.5, 0.3, 0.1)), np.full((3, 1), k))
+        ks, vals = _AxisPencil(bell_weights((0.5, 0.3, 0.1)), BELL_SIGNS[0]).scan(k, k, [0.0])
+        assert ks == [1.0]
+        assert vals == [min_scaling_robustness(rho, axis_state(0, 1.0))]
+
+    @given(
+        ends=st.lists(st.one_of(st.floats(-1.0, 1.0),
+                                st.floats(1.0 - 1e-8, 1.0 + 1e-15),
+                                st.floats(-1.0 - 1e-15, -1.0 + 1e-8)),
+                      min_size=2, max_size=2).map(sorted),
+        ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).map(sorted),
+    )
+    def test_snap_leaves_no_weight_in_the_ambiguous_band(self, ends, ts):
+        # every point of a scan is +-1 exactly or keeps both weights
+        # (1 +- k)/4 at or above _SUPPORT_MIN, so the support rank is
+        # always decided; the points ascend
+        ks, vals = _AxisPencil(bell_weights((0.5, 0.3, 0.1)), BELL_SIGNS[0]).scan(*ends, ts)
+        assert ks == sorted(ks)
+        for k in ks:
+            weights = (0.25 * (1.0 + k), 0.25 * (1.0 - k))
+            assert all(w == 0.0 or w >= _SUPPORT_MIN for w in weights), k
+            assert not any(_KERNEL_MAX < w < _SUPPORT_MIN for w in weights), k
 
 
 class TestLevelsetGrid:
