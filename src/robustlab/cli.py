@@ -41,8 +41,9 @@ if TYPE_CHECKING:
 # through their owning module.  `counterexample`, `levelset`, and on --bds
 # input `discord` (both methods) and the `ent-ray` toward maxmixed noise on
 # zero-discord never load numpy: they answer from the plain-float rules of
-# `bds`.  `discord --state` sends a Bell-diagonal state through the same
-# rules, so one state gets one answer.
+# `bds`.  A --state file holding {"bds": c} is read as the triple c, the
+# --bds input, so it gets the same answer (reading the file loads numpy);
+# `discord` reads a matrix file's triple back with free_sets.bds_params_of.
 # `csv` and `dataclasses` load only where they are used, since
 # `dataclasses` imports `inspect`.
 
@@ -111,30 +112,34 @@ def _parse_bds(text: str) -> BellDiagonalParams:
     return bds.BellDiagonalParams(*vals)
 
 
-def _load_state(path: str) -> DensityMatrix:
+def _state_arg(args) -> BellDiagonalParams | DensityMatrix:
+    """The state of --bds or --state.  A file's {"bds": ...} object is the
+    triple it holds, the same input as --bds; any other file is a validated
+    matrix."""
+    if args.bds is not None:
+        return _parse_bds(args.bds)
+    if args.state is None:
+        raise ValidationError("provide a state via --bds or --state")
     from . import qstates
 
-    with open(path) as fh:
-        return qstates.state_from_json(fh.read())
+    with open(args.state) as fh:
+        return qstates._parse_state(fh.read())
 
 
-def _state_arg(args) -> DensityMatrix:
-    if getattr(args, "bds", None) is not None:
-        from . import qstates
+def _matrix(state: BellDiagonalParams | DensityMatrix) -> DensityMatrix:
+    from . import qstates
 
-        return qstates.bell_diagonal(_parse_bds(args.bds))
-    if getattr(args, "state", None) is not None:
-        return _load_state(args.state)
-    raise ValidationError("provide a state via --bds or --state")
+    return state if isinstance(state, qstates.DensityMatrix) else qstates.bell_diagonal(state)
 
 
 def _noise_arg(spec: str, dims: tuple[int, ...]) -> DensityMatrix:
-    if spec == "maxmixed":
-        from . import qstates
+    from . import qstates
 
+    if spec == "maxmixed":
         return qstates.maximally_mixed(dims)
     if spec.startswith("state:"):
-        return _load_state(spec[len("state:"):])
+        with open(spec[len("state:"):]) as fh:
+            return qstates.state_from_json(fh.read())
     raise ValidationError(f"--noise must be 'maxmixed' or 'state:<file>', got {spec!r}")
 
 
@@ -174,18 +179,17 @@ def _parse_sweep(text: str) -> list[float]:
 
 
 def _cmd_discord(args) -> dict:
-    if args.bds is not None:
-        params = _parse_bds(args.bds)
-    else:
+    from . import bds
+
+    params = _state_arg(args)
+    if not isinstance(params, bds.BellDiagonalParams):
         from . import free_sets
 
-        params = free_sets.bds_params_of(_state_arg(args))
+        params = free_sets.bds_params_of(params)
         if params is None:
             raise ValidationError(
                 "state is not Bell-diagonal; use discord-bounds for general states"
             )
-    from . import bds
-
     if args.method == "closed-form":
         return {"value": bds.discord_robustness_bds(params), "method": "closed-form"}
     res = bds.discord_axis_search(params, **_given(args, "grid"))
@@ -195,58 +199,44 @@ def _cmd_discord(args) -> dict:
 def _cmd_discord_bounds(args) -> dict:
     from . import engines
 
-    lo, hi = engines.discord_robustness_bounds(_state_arg(args))
+    lo, hi = engines.discord_robustness_bounds(_matrix(_state_arg(args)))
     return {"lo": lo, "hi": hi}
 
 
-def _bds_ray(args) -> dict:
-    """ent-ray's payload for --bds input toward maxmixed noise on
-    zero-discord: membership is the same all along that ray (see
-    bds.has_zero_discord_bds), so the value is exactly 0 or inf."""
+def _cmd_ent_ray(args) -> dict:
     from . import bds, config
 
-    params = _parse_bds(args.bds)
-    config.ray_options(args.tol, args.s_max, 4)  # the checks of robustness_along_ray
-    free = bds.has_zero_discord_bds(params)
-    payload = {
-        "free_set": args.free_set,
-        "value": 0.0 if free else math.inf,
-        "method": "closed-form",
-        "iterations": 0,
-        "bracket_width": 0.0,
-    }
-    if free:
-        # qstates.state_to_json(qstates.bell_diagonal(params)): the state is real
-        payload["free_witness"] = config.state_json(
-            (2, 2), params.matrix(), [[0.0] * 4 for _ in range(4)])
-    return payload
+    state = _state_arg(args)
+    if (isinstance(state, bds.BellDiagonalParams) and args.noise == "maxmixed"
+            and args.free_set == "zero-discord"):
+        # membership is the same all along this ray (see bds.has_zero_discord_bds),
+        # so the value is exactly 0 or inf
+        config.ray_options(args.tol, args.s_max, 4)  # the checks of robustness_along_ray
+        free = bds.has_zero_discord_bds(state)
+        value, method, iterations, width = (0.0 if free else math.inf), "closed-form", 0, 0.0
+        # qstates.state_to_json(qstates.bell_diagonal(state)): the state is real
+        witness = config.state_json(
+            (2, 2), state.matrix(), [[0.0] * 4 for _ in range(4)]) if free else None
+    else:
+        from . import engines, free_sets, qstates
 
-
-def _cmd_ent_ray(args) -> dict:
-    if args.bds is not None and args.noise == "maxmixed" and args.free_set == "zero-discord":
-        return _bds_ray(args)
-    from . import engines, free_sets, qstates
-
-    rho = _state_arg(args)
-    sigma = _noise_arg(args.noise, rho.dims)
-    oracle = free_sets.oracle_by_name(args.free_set)
-    res = engines.robustness_along_ray(rho, sigma, oracle, s_max=args.s_max, tol=args.tol)
-    payload = {
-        "free_set": oracle.name,
-        "value": res.value,
-        "method": res.method,
-        "iterations": res.iterations,
-        "bracket_width": res.bracket_width,
-    }
-    if res.free_witness is not None:
-        payload["free_witness"] = qstates.state_to_json(res.free_witness)
+        rho = _matrix(state)
+        sigma = _noise_arg(args.noise, rho.dims)
+        oracle = free_sets.oracle_by_name(args.free_set)
+        res = engines.robustness_along_ray(rho, sigma, oracle, s_max=args.s_max, tol=args.tol)
+        value, method, iterations, width = res.value, res.method, res.iterations, res.bracket_width
+        witness = None if res.free_witness is None else qstates.state_to_json(res.free_witness)
+    payload = {"free_set": args.free_set, "value": value, "method": method,
+               "iterations": iterations, "bracket_width": width}
+    if witness is not None:
+        payload["free_witness"] = witness
     return payload
 
 
 def _cmd_tel_check(args) -> dict:
     from . import free_sets
 
-    rho = _state_arg(args)
+    rho = _matrix(_state_arg(args))
     return {
         "singlet_fraction": free_sets.singlet_fraction(rho),
         "threshold": 0.5,

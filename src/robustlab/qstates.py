@@ -29,7 +29,7 @@ import numpy as np
 from .bds import BELL_SIGNS, BellDiagonalParams, _params
 from .config import TOLS, check_count, check_real, state_json
 from .errors import PositivityError, ValidationError
-from .operator_core import _require_finite, _require_hermitian, as_complex_matrix
+from .operator_core import _require_finite, _require_hermitian
 
 __all__ = [
     "PAULI",
@@ -339,11 +339,19 @@ def state_from_json(obj: dict | str) -> DensityMatrix:
 
     Accepted: {"dims": [...], "re": [[...]], "im": [[...]]},
     {"bloch": {"x": [...], "y": [...], "T": [[...]]}} and
-    {"bds": [c1, c2, c3]}.  Malformed shapes, entries that are not
-    numbers, ragged tables and dims that are not integers >= 1 raise
-    ValidationError; validation then runs on the parsed state, so
-    non-positive inputs raise PositivityError.
+    {"bds": [c1, c2, c3]}, the last built by :func:`bell_diagonal`.
+    Malformed shapes, entries that are not numbers, ragged tables and dims
+    that are not integers >= 1 raise ValidationError; validation then runs
+    on the parsed state, so non-positive inputs raise PositivityError.
     """
+    state = _parse_state(obj)
+    return bell_diagonal(state) if isinstance(state, BellDiagonalParams) else state
+
+
+def _parse_state(obj: dict | str) -> BellDiagonalParams | DensityMatrix:
+    """:func:`state_from_json` with a {"bds": [c1, c2, c3]} object returned
+    as the triple it holds, the ``BellDiagonalParams`` of those floats,
+    with the same checks and errors."""
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
@@ -355,7 +363,7 @@ def state_from_json(obj: dict | str) -> DensityMatrix:
         c = _json_numbers("bds", obj["bds"])
         if c.shape != (3,):
             raise ValidationError('"bds" must be a list [c1, c2, c3]')
-        return bell_diagonal(BellDiagonalParams(*c.tolist()))
+        return BellDiagonalParams(*c.tolist())
     if "bloch" in obj:
         b = obj["bloch"]
         if not isinstance(b, dict) or not {"x", "y", "T"} <= b.keys():
@@ -369,8 +377,7 @@ def state_from_json(obj: dict | str) -> DensityMatrix:
         im = _json_numbers("im", obj["im"]) if "im" in obj else np.zeros_like(re)
         if re.shape != im.shape:
             raise ValidationError('"re" and "im" tables must have the same shape')
-        mat = as_complex_matrix(re + 1j * im)
-        return DensityMatrix(mat, dims, validate=True)
+        return DensityMatrix(re + 1j * im, dims, validate=True)
     raise ValidationError(
         'unrecognized state JSON: expected one of the keys "re", "bloch", "bds"'
     )

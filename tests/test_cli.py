@@ -29,12 +29,13 @@ from robustlab.engines import (
     discord_robustness_bounds,
     robustness_along_ray,
 )
-from robustlab.free_sets import bds_params_of, is_unfaithful, oracle_by_name, singlet_fraction
+from robustlab.free_sets import is_unfaithful, oracle_by_name, singlet_fraction
 from robustlab.qstates import (
     BellDiagonalParams,
     bell_diagonal,
     bell_states,
     maximally_mixed,
+    random_bell_diagonal,
     random_density,
     state_from_json,
     state_to_json,
@@ -167,13 +168,11 @@ class TestDiscord:
                                    (0.5, 1e-11, 0.0), (0.8, 0.0, 0.0)])
     @pytest.mark.parametrize("grid", [(), ("--grid", "2"), ("--grid", "16")])
     def test_state_file_axis_opt_matches_bds(self, capsys, tmp_path, c, grid):
-        # one state, one answer: a --state file goes through the plain-float
-        # search that --bds uses, on the triple read back from its matrix
-        # (0.3 reads back as 0.30000000000000004)
+        # one state, one answer: a {"bds": c} file is read as the triple c,
+        # not read back from its matrix (where 0.3 became 0.30000000000000004)
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"bds": list(c)}))
-        params = bds_params_of(state_from_json(path.read_text()))
-        by_bds = run_cli(capsys, "discord", "--bds", ",".join(map(repr, params.as_tuple())),
+        by_bds = run_cli(capsys, "discord", "--bds", ",".join(map(repr, c)),
                          "--method", "axis-opt", *grid)
         by_state = run_cli(capsys, "discord", "--state", str(path), "--method", "axis-opt", *grid)
         assert by_bds[0] == 0, by_bds
@@ -375,6 +374,77 @@ class TestTelCheck:
             with pytest.raises(SystemExit) as exc:
                 main(["tel-check", "--bds", "0,0,0", flag, "2"])
             assert exc.value.code == 2
+
+
+# 150 random Bell-diagonal triples, edge triples on faces, edges and
+# vertices of the tetrahedron and near an axis, and one outside it (exit 3)
+_RNG7 = np.random.default_rng(7)
+ONE_ANSWER_TRIPLES = [random_bell_diagonal(_RNG7).as_tuple() for _ in range(150)] + [
+    (0.5, 0.3, 0.1), (0.8, 0.0, 0.0), (1.0, -1.0, 1.0), (-1.0, -1.0, -1.0),
+    (0.3, 2e-5, 0.0), (0.5, 1e-11, 0.0), (-0.4, -0.7, -0.1), (0.9, 0.6, 0.6),
+]
+
+
+@pytest.fixture(scope="module")
+def bds_files(tmp_path_factory):
+    """A {"bds": c} state file per triple of ONE_ANSWER_TRIPLES."""
+    root = tmp_path_factory.mktemp("bds-files")
+    paths = []
+    for i, c in enumerate(ONE_ANSWER_TRIPLES):
+        paths.append(root / f"bds-{i}.json")
+        paths[-1].write_text(json.dumps({"bds": list(c)}))
+    return paths
+
+
+class TestOneTripleOneAnswer:
+    """A {"bds": c} state file is the --bds input c: same bytes, same exit."""
+
+    @pytest.mark.parametrize("cmd", [
+        ["discord"], ["discord", "--method", "axis-opt"],
+        ["discord", "--method", "axis-opt", "--grid", "16"], ["discord-bounds"], ["tel-check"],
+        *(["ent-ray", "--free-set", f] for f in ("ppt", "unfaithful", "zero-discord", "bds-axes")),
+    ], ids=lambda cmd: "_".join(cmd).replace("--", ""))
+    def test_state_file_prints_what_bds_prints(self, capsys, bds_files, cmd):
+        differ = []
+        for c, path in zip(ONE_ANSWER_TRIPLES, bds_files):
+            by_bds = run_cli(capsys, *cmd, f"--bds={','.join(map(repr, c))}")
+            by_state = run_cli(capsys, *cmd, "--state", str(path))
+            if by_state != by_bds:
+                differ.append((c, by_bds, by_state))
+        assert not differ, f"{len(differ)} of {len(bds_files)} differ, first {differ[0]}"
+        assert by_bds[0] == 3  # the last triple is no state
+
+    @pytest.mark.parametrize("noise", [{"bds": [0.0, 0.0, 0.0]}, state_to_json(maximally_mixed())])
+    def test_bds_noise_file_is_a_matrix(self, capsys, tmp_path, noise):
+        # only the default noise has the closed form; a noise file, whatever
+        # its shape, is a matrix on the ray's bisection path
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps(noise))
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"bds": [0.5, 1e-4, 0.0]}))
+        argv = ["ent-ray", "--free-set", "zero-discord", "--noise", f"state:{path}"]
+        by_bds = run_cli(capsys, *argv, "--bds", "0.5,1e-4,0")
+        assert run_cli(capsys, *argv, "--state", str(state)) == by_bds
+        payload = json.loads(by_bds[1])
+        assert (payload["value"], payload["method"], payload["iterations"]) == (
+            "inf", "ray-bisection", 9)
+
+    @pytest.mark.parametrize("state, noise, free_set, code, word", [
+        ({"bds": [0.5, 0.3, 0.1]}, "state:missing.json", "nope", 2, "missing.json"),
+        ({"bds": [0.5, 0.3, 0.1]}, "foo", "nope", 2, "--noise"),
+        ({"bds": [0.9, 0.6, 0.6]}, "state:missing.json", "nope", 3, "violated"),
+        ({"bds": [0.9, 0.6, 0.6]}, "maxmixed", "zero-discord", 3, "violated"),
+        ({"bds": [0.5, 0.3, 0.1]}, "maxmixed", "nope", 2, "unknown free set"),
+    ])
+    def test_refusal_order(self, capsys, tmp_path, monkeypatch, state, noise, free_set, code,
+                           word):
+        # state, then noise, then free set, then the ray's own --tol
+        monkeypatch.chdir(tmp_path)
+        Path("state.json").write_text(json.dumps(state))
+        out = run_cli(capsys, "ent-ray", "--state", "state.json", "--noise", noise,
+                      "--free-set", free_set, "--tol", "0")
+        assert out[:2] == (code, "")
+        assert out[2].startswith("error:") and word in out[2]
 
 
 class TestCounterexample:

@@ -28,7 +28,7 @@ from robustlab.qstates import (
     trace_distance,
     werner,
 )
-from robustlab.qstates import _random_densities, _trace_distances
+from robustlab.qstates import _parse_state, _random_densities, _trace_distances
 
 BELL_T = (
     np.diag([1.0, -1.0, 1.0]),
@@ -424,6 +424,43 @@ class TestJson:
             state_from_json([1, 2, 3])
         with pytest.raises(ValidationError):
             state_from_json({"something": 1})
+
+    def test_each_shape_builds_the_same_matrix(self, rng):
+        # bit for bit the matrix of each shape's own constructor: bell_diagonal
+        # of the triple, bloch_compose of the Bloch arrays, the entries re + i im
+        for _ in range(20):
+            rho = random_density(4, seed=rng)
+            b = bloch_decompose(rho)
+            bloch = {"x": b.x.tolist(), "y": b.y.tolist(), "T": b.T.tolist()}
+            c = random_bell_diagonal(rng).as_tuple()
+            for obj, want in [
+                (state_to_json(rho), rho.mat),
+                ({"bloch": bloch}, bloch_compose(b).mat),
+                ({"bds": list(c)}, bell_diagonal(c).mat),
+            ]:
+                back = state_from_json(json.dumps(obj))
+                assert back.dims == (2, 2)
+                assert back.mat.tobytes() == want.tobytes()
+                assert not back.mat.flags.writeable
+
+    def test_parse_keeps_a_bds_triple(self):
+        # the CLI reads a {"bds": c} file as the triple c, the --bds input;
+        # state_from_json's matrix is bell_diagonal of it
+        for c in ([0.5, 0.3, 0.1], [1, -1, 1], [-0.0, 1e-11, 0.0]):
+            params = _parse_state(json.dumps({"bds": c}))
+            assert type(params) is BellDiagonalParams
+            assert params.as_tuple() == tuple(map(float, c))
+        rho = random_density(4, seed=5)
+        assert _parse_state(state_to_json(rho)).mat.tobytes() == rho.mat.tobytes()
+
+    def test_dims_checked_before_entries(self):
+        # DensityMatrix validates a matrix-form file once, dims first
+        with pytest.raises(ValidationError, match="subsystem dimension"):
+            state_from_json({"dims": [0], "re": [[math.nan]]})
+        with pytest.raises(ValidationError, match="finite"):
+            state_from_json({"dims": [1], "re": [[math.nan]]})
+        with pytest.raises(ValidationError, match="square"):
+            state_from_json({"dims": [2], "re": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]})
 
     def test_malformed_shapes(self, malformed_state):
         with pytest.raises(ValidationError):
